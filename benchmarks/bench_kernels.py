@@ -1,11 +1,10 @@
-"""Benchmark the compiled kernels against the pure numpy fallback.
+"""Time the hot kernels on shapes taken from their real call sites.
 
-Runs every hot kernel on workload shapes taken from the real call sites
-(boundary evaluation, certificate distances, the intrinsic-radius Dijkstra,
-the embeddedness pair scan), checks that the two backends agree, and prints
-a timing table.
+The shapes come from boundary evaluation, certificate distances, the
+intrinsic-radius Dijkstra and the embeddedness pair scan.  Prints the best
+time of each kernel over a few repeats.
 
-Usage: python benchmarks/bench_kernels.py [--repeat N]
+Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
@@ -13,21 +12,16 @@ import time
 
 import numpy as np
 
-from nullcurves import _kernels_py
-
-try:
-    from nullcurves import _kernels_cy
-except ImportError:
-    _kernels_cy = None
+from nullcurves import kernels
 
 
 def timeit(fn, args, repeat):
     best = np.inf
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = fn(*args)
+        fn(*args)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best
 
 
 def workloads(rng):
@@ -57,40 +51,17 @@ def workloads(rng):
     )
 
 
-def agree(a, b):
-    if isinstance(a, tuple):
-        return all(agree(x, y) for x, y in zip(a, b))
-    return np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    if _kernels_cy is None:
-        print("compiled backend not available; timing the fallback only")
-    rng = np.random.default_rng(0)
-    rows = []
-    for label, name, payload in workloads(rng):
-        t_py, out_py = timeit(getattr(_kernels_py, name), payload, args.repeat)
-        if _kernels_cy is None:
-            rows.append((label, t_py, None, None))
-            continue
-        t_cy, out_cy = timeit(getattr(_kernels_cy, name), payload, args.repeat)
-        assert agree(out_py, out_cy), "backends disagree on %s" % label
-        rows.append((label, t_py, t_cy, t_py / t_cy))
-
-    width = max(len(r[0]) for r in rows)
-    print("%-*s %10s %10s %8s" % (width, "kernel", "python", "cython", "speedup"))
-    for label, t_py, t_cy, ratio in rows:
-        if t_cy is None:
-            print("%-*s %9.1fms %10s %8s" % (width, label, 1e3 * t_py, "-", "-"))
-        else:
-            print(
-                "%-*s %9.1fms %8.1fms %7.1fx"
-                % (width, label, 1e3 * t_py, 1e3 * t_cy, ratio)
-            )
+    rows = [(label, timeit(getattr(kernels, name), payload, args.repeat))
+            for label, name, payload in workloads(np.random.default_rng(0))]
+    width = max(len(label) for label, _ in rows)
+    print("%-*s %10s" % (width, "kernel", "best"))
+    for label, seconds in rows:
+        print("%-*s %9.1fms" % (width, label, 1e3 * seconds))
 
 
 if __name__ == "__main__":

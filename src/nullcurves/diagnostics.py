@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal
 
 from . import kernels
 from .errors import DegenerateImmersionError, DomainError
-from .series import SeriesMap
+from .series import SeriesMap, fftconvolve
 
 __all__ = [
     "RadiusReport",
@@ -52,7 +51,7 @@ def nullity_residual(F: SeriesMap) -> float:
         conv = np.convolve
     else:
         # the normalized, unweighted residual tolerates the FFT noise floor
-        conv = signal.fftconvolve
+        conv = fftconvolve
     squares = np.stack([conv(row, row) for row in fp.coeffs])
     scale = float(np.abs(squares).max(initial=0.0))
     if scale == 0.0:

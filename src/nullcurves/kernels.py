@@ -1,26 +1,178 @@
-"""Backend selection for the hot kernels.
+"""The hot numeric kernels, one implementation each.
 
-Tries the compiled extension first and falls back to the pure numpy
-implementation.  Set NULLCURVES_KERNELS=python to force the fallback (used
-by the cross-backend tests and the benchmark).
+horner_eval        polynomial values at scattered points
+min_dist2          per-query squared distance to a point cloud
+min_dist2_grouped  the same, group by group
+dijkstra_polar     multi-source shortest paths on the polar grid graph
+pair_scan          exact all-pairs separation scan with tie-breaking
+
+Dijkstra runs in SciPy's csgraph.  The polar stencil's sparsity pattern
+depends only on the grid shape, so it is built once per shape and each
+call only gathers the four weight arrays into the matrix data.
 """
 
-import os
+import functools
 
-from . import _kernels_py
+import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
-if os.environ.get("NULLCURVES_KERNELS", "").lower() == "python":
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
+# the one kernel path, named in run records
+BACKEND = "numpy"
 
-BACKEND = _impl.BACKEND
+_CHUNK = 64
 
-horner_eval = _impl.horner_eval
-min_dist2 = _impl.min_dist2
-min_dist2_grouped = _impl.min_dist2_grouped
-dijkstra_polar = _impl.dijkstra_polar
-pair_scan = _impl.pair_scan
+
+def horner_eval(coeffs, z):
+    """Evaluate polynomials given by coeffs (C, W) at points z (M,).
+
+    Returns an (M, C) complex array; column j is component j evaluated by
+    Horner's scheme in ascending-degree storage.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    ncomp, width = coeffs.shape
+    out = np.zeros((z.shape[0], ncomp), dtype=np.complex128)
+    if width == 0:
+        return out
+    acc = np.broadcast_to(coeffs[:, width - 1], (z.shape[0], ncomp)).copy()
+    for j in range(width - 2, -1, -1):
+        acc *= z[:, None]
+        acc += coeffs[:, j]
+    return acc
+
+
+def min_dist2(queries, cloud):
+    """Per-query minimum squared euclidean distance to a point cloud.
+
+    queries: (Q, C) complex, cloud: (P, C) complex.  C complex coordinates
+    count as 2C real ones.  Returns (Q,) float64.
+    """
+    queries = np.asarray(queries, dtype=np.complex128)
+    cloud = np.asarray(cloud, dtype=np.complex128)
+    out = np.empty(queries.shape[0], dtype=np.float64)
+    for lo in range(0, queries.shape[0], _CHUNK):
+        q = queries[lo:lo + _CHUNK]
+        diff = q[:, None, :] - cloud[None, :, :]
+        d2 = diff.real ** 2 + diff.imag ** 2
+        out[lo:lo + _CHUNK] = d2.sum(axis=2).min(axis=1)
+    return out
+
+
+def min_dist2_grouped(queries, clouds):
+    """Groupwise min_dist2: queries (G, Q, C) against clouds (G, P, C)."""
+    queries = np.asarray(queries, dtype=np.complex128)
+    clouds = np.asarray(clouds, dtype=np.complex128)
+    ngroup = queries.shape[0]
+    out = np.empty((ngroup, queries.shape[1]), dtype=np.float64)
+    for g in range(ngroup):
+        out[g] = min_dist2(queries[g], clouds[g])
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _polar_stencil(nrad, nang):
+    """CSR (indptr, indices) of the polar graph and the weight gather index.
+
+    Row i * nang + j lists the out-edges of node (i, j) in the order
+    tangential +1, tangential -1, then outward radial, up-right, up-left,
+    then inward radial, down-left, down-right.  gather[e] is the position
+    of edge e's weight in concatenate(w_tan, w_rad, w_dru, w_drl), all
+    raveled.  The arrays are read-only, since every caller shares them.
+    """
+    i, j = np.divmod(np.arange(nrad * nang), nang)
+    jp, jm = (j + 1) % nang, (j - 1) % nang
+    n_tan = nrad * nang
+    n_gap = (nrad - 1) * nang
+    rad, dru, drl = n_tan, n_tan + n_gap, n_tan + 2 * n_gap
+    up, down = i + 1 < nrad, i > 0
+    # (present, target ring, target angle, weight position) per stencil slot
+    slots = (
+        (True, i, jp, i * nang + j),
+        (True, i, jm, i * nang + jm),
+        (up, i + 1, j, rad + i * nang + j),
+        (up, i + 1, jp, dru + i * nang + j),
+        (up, i + 1, jm, drl + i * nang + j),
+        (down, i - 1, j, rad + (i - 1) * nang + j),
+        (down, i - 1, jm, dru + (i - 1) * nang + jm),
+        (down, i - 1, jp, drl + (i - 1) * nang + jp),
+    )
+    present = np.stack([np.broadcast_to(s[0], i.shape) for s in slots], axis=1)
+    target = np.stack([s[1] * nang + s[2] for s in slots], axis=1)[present]
+    gather = np.stack([s[3] for s in slots], axis=1)[present]
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    out = (indptr.astype(np.int32), target.astype(np.int32), gather.astype(np.intp))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def dijkstra_polar(w_tan, w_rad, w_dru, w_drl, src_mask):
+    """Multi-source Dijkstra on a polar grid with 8-neighbour stencil.
+
+    Nodes are (ring i, angle j), i in [0, R), j in [0, A) with angular
+    wraparound.  Edge weights (all nonnegative):
+      w_tan[i, j] : (i, j) -- (i, j+1)
+      w_rad[i, j] : (i, j) -- (i+1, j)
+      w_dru[i, j] : (i, j) -- (i+1, j+1)
+      w_drl[i, j] : (i, j) -- (i+1, j-1)
+    src_mask (R, A) marks zero-distance sources.  Returns (R, A) distances
+    (inf where unreachable).  Zero weights are edges, not gaps: the matrix
+    is built from its CSR arrays, which keeps explicit zeros.
+    """
+    w_tan = np.asarray(w_tan, dtype=np.float64)
+    nrad, nang = w_tan.shape
+    indptr, indices, gather = _polar_stencil(nrad, nang)
+    weights = np.concatenate([
+        w_tan.ravel(),
+        np.asarray(w_rad, dtype=np.float64).ravel(),
+        np.asarray(w_dru, dtype=np.float64).ravel(),
+        np.asarray(w_drl, dtype=np.float64).ravel(),
+    ])
+    n = nrad * nang
+    graph = scipy.sparse.csr_matrix((weights[gather], indices, indptr), shape=(n, n))
+    sources = np.flatnonzero(np.asarray(src_mask, dtype=bool).ravel())
+    # min_only: one search from all sources, not one search per source
+    dist = scipy.sparse.csgraph.dijkstra(graph, directed=True, indices=sources,
+                                         min_only=True)
+    return dist.reshape(nrad, nang)
+
+
+def pair_scan(ambient, dom, d_dom, d_amb):
+    """Exact scan over all sample pairs with domain separation >= d_dom.
+
+    ambient: (N, C) complex image points, dom: (N,) complex domain points.
+    Returns (min_sep, min_i, min_j, flag_i, flag_j) where (min_i, min_j) is
+    the first pair attaining the minimal ambient separation and
+    (flag_i, flag_j) is the first pair with ambient separation < d_amb
+    (-1, -1 if none).  "First" is lexicographic in (i, j).  One row of
+    pairs per step: a blocked, fully vectorised scan gave the same answers
+    but ran slower.
+    """
+    ambient = np.asarray(ambient, dtype=np.complex128)
+    dom = np.asarray(dom, dtype=np.complex128)
+    n = ambient.shape[0]
+    d_dom2 = d_dom * d_dom
+    d_amb2 = d_amb * d_amb
+    best = np.inf
+    best_i = best_j = -1
+    flag_i = flag_j = -1
+    for i in range(n - 1):
+        ddc = dom[i + 1:] - dom[i]
+        dd = ddc.real ** 2 + ddc.imag ** 2
+        dac = ambient[i + 1:] - ambient[i]
+        sep = (dac.real ** 2 + dac.imag ** 2).sum(axis=1)
+        ok = dd >= d_dom2
+        if not ok.any():
+            continue
+        sep = np.where(ok, sep, np.inf)
+        jrel = int(np.argmin(sep))
+        if sep[jrel] < best:
+            best = float(sep[jrel])
+            best_i, best_j = i, i + 1 + jrel
+        if flag_i < 0:
+            hits = np.flatnonzero(sep < d_amb2)
+            if hits.size:
+                flag_i, flag_j = i, i + 1 + int(hits[0])
+    return float(np.sqrt(best)) if np.isfinite(best) else np.inf, \
+        best_i, best_j, flag_i, flag_j

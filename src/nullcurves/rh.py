@@ -69,6 +69,11 @@ class BoundaryData:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=np.float64)).copy()
         if mu.ndim != 1 or mu.shape[0] < 1:
             raise ValueError("mu must be a 1-d sample array")
+        # NaN passes every ordered comparison below, so finiteness comes first
+        if not np.isfinite(mu).all():
+            raise DomainError("mu must be finite")
+        if not np.isfinite(self.theta.v).all():
+            raise DomainError("push direction must be finite")
         if mu.min() < 0:
             raise ValueError("mu must be nonnegative")
         if mu.shape[0] == 1:
@@ -77,6 +82,8 @@ class BoundaryData:
             raise ValueError("need 0 < 2*taper <= arc width")
         if not (0.0 < self.r < 1.0):
             raise DomainError("collar radius must sit in (0, 1)")
+        if not np.isfinite(self.epsilon):
+            raise DomainError("epsilon must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         mu.flags.writeable = False

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .errors import (
     AliasingError,
@@ -32,6 +32,21 @@ DEFAULT_BOUNDARY_SAMPLES = 4096
 _BOUNDARY_SLACK = 1e-9
 # switch convolution products to FFT above this combined width
 _CONV_FFT_CUTOFF = 1024
+
+
+def fftconvolve(a, b) -> np.ndarray:
+    """Full linear convolution of complex arrays along the last axis, by FFT.
+
+    Bit-identical to scipy.signal.fftconvolve(a, b, mode="full") along that
+    axis, without importing scipy.signal, which costs most of a process
+    start.  Like SciPy, a factor of width 1 is a plain product.
+    """
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
+        return a * b
+    n = a.shape[-1] + b.shape[-1] - 1
+    nfft = scipy.fft.next_fast_len(n, real=False)
+    spec = scipy.fft.fft(a, nfft) * scipy.fft.fft(b, nfft)
+    return scipy.fft.ifft(spec)[..., :n]
 
 
 def _as_coeff_matrix(components) -> np.ndarray:
@@ -205,7 +220,7 @@ class SeriesMap:
             ]
             prod = np.vstack(rows)
         else:
-            prod = fftconvolve(a.coeffs, b.coeffs, mode="full", axes=1)
+            prod = fftconvolve(a.coeffs, b.coeffs)
         return SeriesMap(prod, lo, self.domain, self.r0)
 
     def dot(self, other: "SeriesMap") -> "SeriesMap":
@@ -454,8 +469,12 @@ def from_json(text: str) -> SeriesMap:
     rows = [
         [complex(re, im) for re, im in comp] for comp in payload["components"]
     ]
+    coeffs = np.array(rows, dtype=np.complex128)
+    # checked here rather than in SeriesMap, whose constructor is on the hot path
+    if not np.isfinite(coeffs).all():
+        raise DomainError("series coefficients must be finite")
     return SeriesMap(
-        np.array(rows, dtype=np.complex128),
+        coeffs,
         int(payload["degree_lo"]),
         payload["domain"],
         payload["r0"],

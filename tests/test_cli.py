@@ -127,6 +127,31 @@ def test_deform_unreachable_tolerance_exits_2(tmp_path, capsys):
     assert "tolerance" in err
 
 
+def test_deform_non_finite_datum_is_domain_error(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    run(capsys, "construct", "linear_v1", "--out", str(curve))
+    datum = write_datum(tmp_path)
+    for key, value in (("mu", [float("nan")]), ("epsilon", float("nan"))):
+        blob = json.loads(open(datum).read())
+        blob[key] = value
+        bad = tmp_path / ("bad_%s.json" % key)
+        bad.write_text(json.dumps(blob))
+        code, _, err = run(capsys, "deform", str(curve), str(bad))
+        assert code == 1
+        assert "finite" in err
+
+
+def test_deform_non_finite_curve_is_domain_error(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    run(capsys, "construct", "linear_v1", "--out", str(curve))
+    blob = json.loads(curve.read_text())
+    blob["components"][0][0] = [float("nan"), 0.0]
+    curve.write_text(json.dumps(blob))
+    code, _, err = run(capsys, "deform", str(curve), write_datum(tmp_path))
+    assert code == 1
+    assert "finite" in err
+
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -1,77 +1,53 @@
-"""Kernel backends: correctness against independent oracles, and agreement."""
+"""Hot kernels: correctness against independent oracles."""
+
+import heapq
+import os
+import subprocess
+import sys
 
 import numpy as np
-import pytest
+import scipy.signal
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from nullcurves import _kernels_py
 from nullcurves import kernels
-
-try:
-    from nullcurves import _kernels_cy
-
-    BACKENDS = [_kernels_py, _kernels_cy]
-except ImportError:  # pragma: no cover - extension not built
-    _kernels_cy = None
-    BACKENDS = [_kernels_py]
+from nullcurves.series import _CONV_FFT_CUTOFF, fftconvolve
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_horner_matches_polyval(impl):
+def test_horner_matches_polyval():
     r = rng(1)
     coeffs = r.normal(size=(3, 17)) + 1j * r.normal(size=(3, 17))
     z = r.normal(size=40) * 0.6 + 1j * r.normal(size=40) * 0.6
-    got = impl.horner_eval(coeffs, z)
+    got = kernels.horner_eval(coeffs, z)
     want = np.stack([np.polynomial.polynomial.polyval(z, c) for c in coeffs], axis=1)
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
-def test_horner_backends_agree():
-    if _kernels_cy is None:
-        pytest.skip("extension not built")
-    r = rng(2)
-    coeffs = r.normal(size=(2, 33)) + 1j * r.normal(size=(2, 33))
-    z = np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
-    a = _kernels_py.horner_eval(coeffs, z)
-    b = _kernels_cy.horner_eval(coeffs, z)
-    # SIMD vs scalar rounding differs by ~1 ulp; the contract is 1e-12 relative
-    assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_min_dist2_bruteforce(impl):
+def test_min_dist2_bruteforce():
     r = rng(3)
     q = r.normal(size=(11, 3)) + 1j * r.normal(size=(11, 3))
     c = r.normal(size=(29, 3)) + 1j * r.normal(size=(29, 3))
-    got = impl.min_dist2(q, c)
+    got = kernels.min_dist2(q, c)
     diff = q[:, None, :] - c[None, :, :]
     want = (diff.real**2 + diff.imag**2).sum(axis=2).min(axis=1)
     assert np.abs(got - want).max() == 0.0
 
 
-def test_min_dist2_backends_exact():
-    if _kernels_cy is None:
-        pytest.skip("extension not built")
-    r = rng(4)
-    q = r.normal(size=(64, 3)) + 1j * r.normal(size=(64, 3))
-    c = r.normal(size=(200, 3)) + 1j * r.normal(size=(200, 3))
-    assert np.array_equal(_kernels_py.min_dist2(q, c), _kernels_cy.min_dist2(q, c))
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_min_dist2_grouped(impl):
+def test_min_dist2_grouped():
     r = rng(5)
     q = r.normal(size=(6, 7, 2)) + 1j * r.normal(size=(6, 7, 2))
     c = r.normal(size=(6, 13, 2)) + 1j * r.normal(size=(6, 13, 2))
-    got = impl.min_dist2_grouped(q, c)
+    got = kernels.min_dist2_grouped(q, c)
     for g in range(6):
-        want = _kernels_py.min_dist2(q[g], c[g])
+        want = kernels.min_dist2(q[g], c[g])
         assert np.abs(got[g] - want).max() == 0.0
+
+
+# -- polar Dijkstra --------------------------------------------------------------
 
 
 def _polar_weights(seed, nrad=5, nang=8):
@@ -83,7 +59,47 @@ def _polar_weights(seed, nrad=5, nang=8):
     return w_tan, w_rad, w_dru, w_drl
 
 
+def _heap_dijkstra(w_tan, w_rad, w_dru, w_drl, src_mask):
+    """Reference: binary-heap Dijkstra walking the stencil node by node."""
+    nring, nang = w_tan.shape
+    dist = np.full(nring * nang, np.inf, dtype=np.float64)
+    done = np.zeros(nring * nang, dtype=bool)
+    heap = []
+    for idx in np.flatnonzero(np.asarray(src_mask, dtype=bool).ravel()):
+        dist[idx] = 0.0
+        heapq.heappush(heap, (0.0, int(idx)))
+
+    def edges(i, j):
+        jp = (j + 1) % nang
+        jm = (j - 1) % nang
+        yield i, jp, w_tan[i, j]
+        yield i, jm, w_tan[i, jm]
+        if i + 1 < nring:
+            yield i + 1, j, w_rad[i, j]
+            yield i + 1, jp, w_dru[i, j]
+            yield i + 1, jm, w_drl[i, j]
+        if i > 0:
+            yield i - 1, j, w_rad[i - 1, j]
+            yield i - 1, jm, w_dru[i - 1, jm]
+            yield i - 1, jp, w_drl[i - 1, jp]
+
+    while heap:
+        d, idx = heapq.heappop(heap)
+        if done[idx]:
+            continue
+        done[idx] = True
+        i, j = divmod(idx, nang)
+        for ni, nj, w in edges(i, j):
+            nidx = ni * nang + nj
+            nd = d + w
+            if nd < dist[nidx]:
+                dist[nidx] = nd
+                heapq.heappush(heap, (nd, nidx))
+    return dist.reshape(nring, nang)
+
+
 def _scipy_dijkstra(w_tan, w_rad, w_dru, w_drl, src_mask):
+    """Oracle: the stencil assembled entry by entry, one search per source."""
     nrad, nang = w_tan.shape
     n = nrad * nang
     rows, cols, vals = [], [], []
@@ -112,30 +128,74 @@ def _scipy_dijkstra(w_tan, w_rad, w_dru, w_drl, src_mask):
     return d.min(axis=0).reshape(nrad, nang)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_dijkstra_polar_vs_scipy(impl):
+def test_dijkstra_polar_vs_scipy():
     for seed in range(5):
         w = _polar_weights(seed + 10)
         mask = np.zeros((5, 8), dtype=bool)
         mask[0, seed % 8] = True
         if seed % 2:
             mask[4, (3 * seed) % 8] = True  # multi-source case
-        got = impl.dijkstra_polar(*w, mask)
+        got = kernels.dijkstra_polar(*w, mask)
         want = _scipy_dijkstra(*w, mask)
         assert np.abs(got - want).max() < 1e-12
 
 
-def test_dijkstra_backends_exact():
-    if _kernels_cy is None:
-        pytest.skip("extension not built")
+def test_dijkstra_polar_matches_heap_full_grid():
+    # the default intrinsic-radius grid, sourced on ring 0 as it is there
+    w = _polar_weights(20, nrad=128, nang=512)
+    mask = np.zeros((128, 512), dtype=bool)
+    mask[0] = True
+    got = kernels.dijkstra_polar(*w, mask)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, _heap_dijkstra(*w, mask))
+
+
+def test_dijkstra_polar_matches_heap_smallest_grid():
+    for seed in range(5):
+        w = _polar_weights(seed, nrad=2, nang=8)
+        for row in (0, 1):
+            mask = np.zeros((2, 8), dtype=bool)
+            mask[row] = True
+            assert np.array_equal(kernels.dijkstra_polar(*w, mask), _heap_dijkstra(*w, mask))
+
+
+def test_dijkstra_polar_matches_heap_multi_source():
     r = rng(30)
     for seed in range(10):
         w = _polar_weights(seed, nrad=7, nang=16)
         mask = r.uniform(size=(7, 16)) < 0.1
         mask[0, 0] = True
-        a = _kernels_py.dijkstra_polar(*w, mask)
-        b = _kernels_cy.dijkstra_polar(*w, mask)
-        assert np.array_equal(a, b)
+        assert np.array_equal(kernels.dijkstra_polar(*w, mask), _heap_dijkstra(*w, mask))
+
+
+def test_dijkstra_polar_zero_weight_edges():
+    r = rng(40)
+    for seed in range(5):
+        w = _polar_weights(seed + 50, nrad=9, nang=12)
+        for arr in w:
+            arr[r.uniform(size=arr.shape) < 0.3] = 0.0
+        mask = np.zeros((9, 12), dtype=bool)
+        mask[0, seed] = True
+        got = kernels.dijkstra_polar(*w, mask)
+        assert np.array_equal(got, _heap_dijkstra(*w, mask))
+    # an all-zero ring joins every node of it to its source at distance 0
+    w = _polar_weights(60, nrad=3, nang=8)
+    w[0][1] = 0.0
+    mask = np.zeros((3, 8), dtype=bool)
+    mask[1, 0] = True
+    got = kernels.dijkstra_polar(*w, mask)
+    assert np.all(got[1] == 0.0)
+    assert np.array_equal(got, _heap_dijkstra(*w, mask))
+
+
+def test_dijkstra_polar_without_sources_is_unreachable():
+    w = _polar_weights(70)
+    got = kernels.dijkstra_polar(*w, np.zeros((5, 8), dtype=bool))
+    assert got.shape == (5, 8)
+    assert np.all(np.isinf(got))
+
+
+# -- pair scan -------------------------------------------------------------------
 
 
 def _bruteforce_pair_scan(ambient, dom, d_dom, d_amb):
@@ -160,13 +220,12 @@ def _bruteforce_pair_scan(ambient, dom, d_dom, d_amb):
     return (float(np.sqrt(best)), best_i, best_j, flag_i, flag_j)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_pair_scan_bruteforce(impl):
+def test_pair_scan_bruteforce():
     r = rng(7)
     pts = r.normal(size=(40, 3)) + 1j * r.normal(size=(40, 3))
     dom = r.normal(size=40) + 1j * r.normal(size=40)
     for d_dom, d_amb in [(1.0, 0.0), (0.5, 2.0), (10.0, 1.0)]:
-        got = impl.pair_scan(pts, dom, d_dom, d_amb)
+        got = kernels.pair_scan(pts, dom, d_dom, d_amb)
         want = _bruteforce_pair_scan(pts, dom, d_dom, d_amb)
         if np.isinf(want[0]):
             assert np.isinf(got[0])
@@ -175,22 +234,28 @@ def test_pair_scan_bruteforce(impl):
         assert got[1:] == want[1:]
 
 
-def test_pair_scan_backends_exact():
-    if _kernels_cy is None:
-        pytest.skip("extension not built")
-    r = rng(8)
-    pts = r.normal(size=(100, 3)) + 1j * r.normal(size=(100, 3))
-    dom = r.normal(size=100) + 1j * r.normal(size=100)
-    a = _kernels_py.pair_scan(pts, dom, 0.5, 1.2)
-    b = _kernels_cy.pair_scan(pts, dom, 0.5, 1.2)
-    assert a == b
+# -- FFT convolution and import cost ----------------------------------------------
 
 
-def test_backend_selector_env(monkeypatch):
-    import importlib
+def test_fftconvolve_bit_equal_to_scipy_signal():
+    r = rng(80)
+    # combined widths on both sides of the switch to FFT products, plus the
+    # width-1 factor that SciPy turns into a plain product
+    for wa, wb in [(1, 700), (300, 300), (700, 1), (511, 513), (600, 600),
+                   (1000, 1100), (2049, 2049), (5000, 300)]:
+        a = r.normal(size=(3, wa)) + 1j * r.normal(size=(3, wa))
+        b = r.normal(size=(3, wb)) + 1j * r.normal(size=(3, wb))
+        want = scipy.signal.fftconvolve(a, b, mode="full", axes=1)
+        assert np.array_equal(fftconvolve(a, b), want)
+        assert np.array_equal(fftconvolve(a[0], b[0]),
+                              scipy.signal.fftconvolve(a[0], b[0]))
+    assert 300 + 300 <= _CONV_FFT_CUTOFF < 600 + 600
 
-    monkeypatch.setenv("NULLCURVES_KERNELS", "python")
-    mod = importlib.reload(kernels)
-    assert mod.BACKEND == "python"
-    monkeypatch.delenv("NULLCURVES_KERNELS")
-    importlib.reload(kernels)
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    code = "import sys, nullcurves.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"

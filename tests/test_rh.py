@@ -220,6 +220,22 @@ def test_boundary_data_validation():
         linear_datum(theta=NullVector(np.array([1.0, 0.0, 0.0])))
 
 
+def test_boundary_data_rejects_non_finite():
+    bad = float("nan"), float("inf"), -float("inf")
+    for x in bad:
+        with pytest.raises(DomainError):
+            linear_datum(mu=np.array([0.1, x, 0.1]))
+        with pytest.raises(DomainError):
+            linear_datum(epsilon=x)
+    with pytest.raises(DomainError):
+        linear_datum(theta=NullVector(np.array([1.0, np.nan, 0.0])))
+    for key, value in (("mu", [0.1, float("nan")]), ("epsilon", float("inf"))):
+        blob = json.loads(linear_datum().to_json())
+        blob[key] = value
+        with pytest.raises(DomainError):
+            BoundaryData.from_json(json.dumps(blob))
+
+
 def test_amplitude_profile_taper():
     bd = linear_datum()
     lo, hi = bd.arc

@@ -1,5 +1,7 @@
 """Laurent/Taylor series maps: algebra, evaluation, fitting, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,14 @@ def test_json_roundtrip_disc():
     t = from_json(to_json(s))
     assert np.array_equal(t.coeffs, s.coeffs)
     assert t.domain == "disc"
+
+
+def test_from_json_rejects_non_finite_coefficients():
+    blob = json.loads(to_json(poly(1.0, 0.5j)))
+    for x in (float("nan"), float("inf")):
+        blob["components"][0][1] = [0.0, x]
+        with pytest.raises(DomainError):
+            from_json(json.dumps(blob))
 
 
 # -- property tests ------------------------------------------------------------
