@@ -114,40 +114,31 @@ class RadiusReport:
         )
 
 
-def _lambda_on_circle(fp: SeriesMap, radius: float, n: int, phase: float) -> np.ndarray:
-    vals = fp.circle_values(radius, n, phase)
-    return np.sqrt((np.abs(vals) ** 2).sum(axis=1))
-
-
 def _polar_weights(F: SeriesMap, radii: np.ndarray, nang: int):
     """Edge-weight arrays for the polar graph: lambda(midpoint) * length."""
     fp = F.derivative()
-    nrad = radii.size
     dth = 2.0 * math.pi / nang
 
-    lam_nodes = np.stack([_lambda_on_circle(fp, r, nang, 0.0) for r in radii])
-    if not np.all(lam_nodes > 0.0):
+    def lam(rads, phases=0.0):
+        vals = fp.rings(rads, nang, phases)
+        return np.sqrt((np.abs(vals) ** 2).sum(axis=2))
+
+    if not np.all(lam(radii) > 0.0):
         raise DegenerateImmersionError(
             "metric factor vanishes on the grid; the map is not an immersion there"
         )
-
-    w_tan = np.empty((nrad, nang))
-    for i, r in enumerate(radii):
-        length = 2.0 * r * math.sin(dth / 2.0)
-        lam = _lambda_on_circle(fp, r * math.cos(dth / 2.0), nang, dth / 2.0)
-        w_tan[i] = lam * length
-
-    w_rad = np.empty((nrad - 1, nang))
-    w_dru = np.empty((nrad - 1, nang))
-    w_drl = np.empty((nrad - 1, nang))
-    for i in range(nrad - 1):
-        r0, r1 = radii[i], radii[i + 1]
-        w_rad[i] = _lambda_on_circle(fp, (r0 + r1) / 2.0, nang, 0.0) * (r1 - r0)
-        mid = (r0 + r1 * np.exp(1j * dth)) / 2.0
-        length = abs(r1 * np.exp(1j * dth) - r0)
-        w_dru[i] = _lambda_on_circle(fp, abs(mid), nang, np.angle(mid)) * length
-        # up-left midpoints are the conjugate ray of the up-right ones
-        w_drl[i] = _lambda_on_circle(fp, abs(mid), nang, -np.angle(mid)) * length
+    r0, r1 = radii[:-1], radii[1:]
+    tan_length = 2.0 * radii * math.sin(dth / 2.0)
+    w_tan = lam(radii * math.cos(dth / 2.0), dth / 2.0) * tan_length[:, None]
+    w_rad = lam((r0 + r1) / 2.0) * (r1 - r0)[:, None]
+    # up-left midpoints are the conjugate ray of the up-right ones; moduli
+    # go through hypot, which rounds as the scalar complex abs does
+    mid = (r0 + r1 * np.exp(1j * dth)) / 2.0
+    step = r1 * np.exp(1j * dth) - r0
+    diag_length = np.hypot(step.real, step.imag)[:, None]
+    mid_radius = np.hypot(mid.real, mid.imag)
+    w_dru = lam(mid_radius, np.angle(mid)) * diag_length
+    w_drl = lam(mid_radius, -np.angle(mid)) * diag_length
     return w_tan, w_rad, w_dru, w_drl
 
 
@@ -227,13 +218,10 @@ def bounded_coordinate_report(F: SeriesMap, n: int = 4096) -> Tuple[float, float
     if F.ncomp != 3:
         raise ValueError("bounded_coordinate_report expects a 3-component curve")
     inner_floor = 0.0 if F.domain == "disc" else F.r0
-    rings = [F.circle_values(1.0, n)]
-    if F.domain == "annulus":
-        rings.append(F.circle_values(F.r0, n))
-    boundary = np.concatenate(rings, axis=0)
-    sup_f3 = float(np.abs(boundary[:, 2]).max())
-    for r in np.linspace(inner_floor, 1.0, 9)[1:-1]:
-        sup_f3 = max(sup_f3, float(np.abs(F.circle_values(r, 256)[:, 2]).max()))
+    radii = [1.0] if F.domain == "disc" else [1.0, F.r0]
+    boundary = F.rings(radii, n).reshape(-1, 3)
+    interior = F.rings(np.linspace(inner_floor, 1.0, 9)[1:-1], 256)
+    sup_f3 = max(float(np.abs(boundary[:, 2]).max()), float(np.abs(interior[..., 2]).max()))
     min_12 = float(np.sqrt((np.abs(boundary[:, :2]) ** 2).sum(axis=1)).min())
     return sup_f3, min_12
 
@@ -304,7 +292,7 @@ def _sample_layout(F: SeriesMap, n_samples: int):
         radii = np.linspace(F.r0, 1.0, nrad)
     angles = 2.0 * math.pi * np.arange(nang) / nang
     dom = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    ambient = np.concatenate([F.circle_values(r, nang) for r in radii], axis=0)
+    ambient = F.rings(radii, nang).reshape(-1, F.ncomp)
     return dom, ambient
 
 

@@ -4,6 +4,8 @@ Each class corresponds to a distinct failure mode of the library; the CLI
 maps them onto exit codes (domain errors -> 1, tolerance failures -> 2).
 """
 
+import contextlib
+
 
 class NullCurveError(Exception):
     """Base class for all library errors."""
@@ -11,6 +13,15 @@ class NullCurveError(Exception):
 
 class DomainError(NullCurveError):
     """Evaluation point outside the series' domain of definition."""
+
+
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report a missing key or a wrongly shaped value in a JSON document as a DomainError."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise DomainError("malformed %s JSON: %s: %s" % (what, type(err).__name__, err)) from None
 
 
 class AliasingError(NullCurveError):

@@ -70,17 +70,6 @@ class SpinorPair:
             raise ValueError("spinor components must be scalar series")
         self.u._same_domain(self.v)
 
-    def min_boundary_norm(self, n: int = 4096) -> float:
-        """min over boundary samples of |(u, v)|; must stay positive."""
-        uu = self.u.circle_values(1.0, n)
-        vv = self.v.circle_values(1.0, n)
-        m = float(np.sqrt(np.abs(uu) ** 2 + np.abs(vv) ** 2).min())
-        if self.u.domain == "annulus":
-            ui = self.u.circle_values(self.u.r0, n)
-            vi = self.v.circle_values(self.u.r0, n)
-            m = min(m, float(np.sqrt(np.abs(ui) ** 2 + np.abs(vi) ** 2).min()))
-        return m
-
 
 @dataclass(frozen=True)
 class SL2Point:
@@ -196,8 +185,7 @@ def _spectral_sqrt_annulus(g: SeriesMap, width: int) -> SeriesMap:
     """
     r0 = g.r0
     n = _fit_samples(width + g.width)
-    outer = g.circle_values(1.0, n)[:, 0]
-    inner = g.circle_values(r0, n)[:, 0]
+    outer, inner = g.rings([1.0, r0], n)[..., 0]
     if np.abs(outer).min() == 0 or np.abs(inner).min() == 0:
         raise UnsupportedZeroConfigurationError("zero on a boundary circle")
     w_out, slack_out = _winding(outer)
@@ -260,22 +248,11 @@ def spinor_lift(
     if f.ncomp != 3:
         raise ValueError("lift expects a 3-component map")
     n = _fit_samples(f.width)
-    vals = f.circle_values(1.0, n)
-    norms2 = (np.abs(vals) ** 2).sum(axis=1)
-    sos = np.abs(vals[:, 0] ** 2 + vals[:, 1] ** 2 + vals[:, 2] ** 2)
-    circles = [(1.0, vals, norms2, sos)]
-    if f.domain == "annulus":
-        ivals = f.circle_values(f.r0, n)
-        circles.append(
-            (
-                f.r0,
-                ivals,
-                (np.abs(ivals) ** 2).sum(axis=1),
-                np.abs(ivals[:, 0] ** 2 + ivals[:, 1] ** 2 + ivals[:, 2] ** 2),
-            )
-        )
-    scale2 = max(n2.max() for _, _, n2, _ in circles)
-    for _, _, n2, s in circles:
+    vals = f.rings([1.0] if f.domain == "disc" else [1.0, f.r0], n)
+    norms2 = (np.abs(vals) ** 2).sum(axis=2)
+    sos = np.abs(vals[..., 0] ** 2 + vals[..., 1] ** 2 + vals[..., 2] ** 2)
+    scale2 = norms2.max()
+    for n2, s in zip(norms2, sos):
         if s.max() > null_tol * scale2 * 10:
             raise NotInNullConeError(
                 "sum-of-squares residual %.3g on samples" % (s.max() / scale2)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -81,6 +82,11 @@ def toy_comparison(n_exp: int = 50) -> SeriesMap:
 # ----------------------------------------------------------------- config
 
 
+def _is_a(kind, x) -> bool:
+    """isinstance for JSON numbers, where true and false are not numbers."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Declarative recursion setup; serialized with a schema tag."""
@@ -105,6 +111,21 @@ class PipelineConfig:
     obj_path: Optional[str] = None
 
     def __post_init__(self):
+        # types first: the range checks below compare, and NaN passes them
+        for name in ("iterations", "arcs", "k_max", "toy_exponent", "seed"):
+            if not _is_a(numbers.Integral, getattr(self, name)):
+                raise DomainError("%s must be an integer" % name)
+        for name in ("r0", "delta", "epsilon", "mu_cap", "collar_r", "third_budget"):
+            value = getattr(self, name)
+            if not (_is_a(numbers.Real, value) and math.isfinite(value)):
+                raise DomainError("%s must be a finite number" % name)
+        for name in ("seed_curve", "csv_path", "obj_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise DomainError("%s must be a string or null" % name)
+        grid = self.grid
+        if not (isinstance(grid, (list, tuple)) and len(grid) == 2
+                and all(_is_a(numbers.Integral, g) for g in grid)):
+            raise DomainError("grid must be two integers")
         if self.pipeline not in ("completeness", "bounded_third"):
             raise ValueError("unknown pipeline %r" % self.pipeline)
         if self.domain not in ("disc", "annulus"):
@@ -161,10 +182,13 @@ class PipelineConfig:
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise DomainError("config JSON must be an object")
         if d.pop("schema", None) != 1:
             raise ValueError("config schema must be 1")
-        if "grid" in d:
-            d["grid"] = tuple(d["grid"])
+        unknown = sorted(set(d) - {f.name for f in fields(PipelineConfig)})
+        if unknown:
+            raise DomainError("unknown config keys: %s" % ", ".join(unknown))
         return PipelineConfig(**d)
 
 
@@ -219,10 +243,6 @@ class GrowthLedger:
         lines = [CSV_HEADER]
         lines.extend(row.to_csv() for row in self.rows)
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
 
 
 # ------------------------------------------------- arc and direction setup
@@ -595,8 +615,9 @@ def _mesh_points(F: SeriesMap, grid: Tuple[int, int]):
     else:
         radii = np.linspace(F.r0, 1.0, nrad)
         center = None
-    rings = [F.circle_values(r, nang) for r in radii]
-    pts = np.concatenate(([center] if center is not None else []) + rings, axis=0)
+    pts = F.rings(radii, nang).reshape(-1, F.ncomp)
+    if center is not None:
+        pts = np.concatenate([center, pts], axis=0)
     return pts, center is not None
 
 

@@ -25,12 +25,17 @@ from .errors import (
     DomainError,
     NotInNullConeError,
     ToleranceUnachievableError,
+    _parsing,
 )
 from .geometry import NullVector, SpinorPair, spinor_bilinear
 from .series import SeriesMap
 from .weierstrass import kill_periods, periods
 
 K_MAX = 1 << 16
+# the certificate reduces its (radius, angle) grids this many radii at a
+# time: all ~100 rings of a certificate at once cost about 27 MB of peak
+# memory at 4096 angles
+_CERT_RING_BLOCK = 8
 
 TWO_PI = 2.0 * np.pi
 
@@ -138,15 +143,16 @@ class BoundaryData:
     @staticmethod
     def from_json(text: str) -> "BoundaryData":
         d = json.loads(text)
-        theta = NullVector(np.array([complex(re, im) for re, im in d["theta"]]))
-        return BoundaryData(
-            arc=(d["arc"][0], d["arc"][1]),
-            mu=np.asarray(d["mu"], dtype=np.float64),
-            theta=theta,
-            taper=float(d["taper"]),
-            epsilon=float(d["epsilon"]),
-            r=float(d["r"]),
-        )
+        with _parsing("boundary datum"):
+            theta = NullVector(np.array([complex(re, im) for re, im in d["theta"]]))
+            return BoundaryData(
+                arc=(d["arc"][0], d["arc"][1]),
+                mu=np.asarray(d["mu"], dtype=np.float64),
+                theta=theta,
+                taper=float(d["taper"]),
+                epsilon=float(d["epsilon"]),
+                r=float(d["r"]),
+            )
 
 
 # -- certificates ------------------------------------------------------------
@@ -280,15 +286,10 @@ class BoundaryDiscFamily:
 
     def circle_values(self, n: int) -> np.ndarray:
         """Values of all c_j at the n-th roots of unity -> (n, J, ncomp)."""
-        m = self.degree_m
-        d = np.arange(-m, m + 1)
-        folded = np.zeros((self.J, self.ncomp, n), dtype=np.complex128)
-        idx = np.mod(d, n)
-        for j in range(self.J):
-            for c in range(self.ncomp):
-                np.add.at(folded[j, c], idx, self.coeffs[j, c])
-        vals = n * np.fft.ifft(folded, axis=2)
-        return np.transpose(vals, (2, 0, 1))
+        # each c_j is a Laurent polynomial in z, which any annulus holds
+        rows = self.coeffs.reshape(-1, self.coeffs.shape[2])
+        vals = SeriesMap(rows, -self.degree_m, "annulus", 0.5).circle_values(1.0, n)
+        return vals.reshape(n, self.J, self.ncomp)
 
 
 def _rh_sum(f: SeriesMap, fam: BoundaryDiscFamily, k: int) -> SeriesMap:
@@ -328,7 +329,7 @@ def _certify_approx(
         cond_a = float(np.sqrt(d2).max())
 
     rho = np.linspace(r_prime, 1.0, n_radial)
-    Fr = np.stack([F.circle_values(rr, n) for rr in rho], axis=1)  # (n, R, C)
+    Fr = np.ascontiguousarray(F.rings(rho, n).swapaxes(0, 1))  # (n, R, C)
     if fam.J == 1:
         centers = np.broadcast_to(fb[:, None, :], Fr.shape)
         rays = np.broadcast_to(cj[:, 0, :][:, None, :], Fr.shape)
@@ -492,12 +493,9 @@ def _fit_boundary_profile(bd: BoundaryData, m: int, n: int = 8192):
     theta = TWO_PI * np.arange(n) / n
     prof = bd.sqrt_amplitude_at(theta)
     bins = np.fft.fft(prof) / n
-    d = np.arange(-m, m + 1)
-    coeffs = bins[np.mod(d, n)]
-    folded = np.zeros(n, dtype=np.complex128)
-    np.add.at(folded, np.mod(d, n), coeffs)
-    vals = n * np.fft.ifft(folded)
-    tail = float(np.abs(vals - prof).max())
+    coeffs = bins[np.mod(np.arange(-m, m + 1), n)]
+    fit = SeriesMap(coeffs[None, :], -m, "annulus", 0.5)  # any annulus holds it
+    tail = float(np.abs(fit.circle_values(1.0, n)[:, 0] - prof).max())
     return coeffs, tail
 
 
@@ -557,60 +555,49 @@ def _certify_null(
         cond_a = max(cond_a, float(np.sqrt((np.abs(Gi - Fi) ** 2).sum(1)).max()))
 
     # (b): the collar over the padded arc against the projected discs
-    mask_b = bd.in_padded_arc(theta, pad2)
-    idx = np.flatnonzero(mask_b)
+    idx = np.flatnonzero(bd.in_padded_arc(theta, pad2))
     cond_b = 0.0
-    rho = np.linspace(bd.r, 1.0, n_radial)
-    orth_max = 0.0
-    for rr in rho:
-        Gr = G.circle_values(rr, n)[idx]
-        db = disc_distance(Gr, Fb[idx], rays[idx])
-        cond_b = max(cond_b, float(db.max()))
+    for rho in _blocks(np.linspace(bd.r, 1.0, n_radial)):
+        Gr = G.rings(rho, n)[:, idx]
+        cond_b = max(cond_b, float(disc_distance(Gr, Fb[idx], rays[idx]).max()))
 
-    # (c)/(d): C^1 closeness off the padded neighborhoods
+    # (c)/(d): C^1 closeness off the padded neighborhoods; inside the collar
+    # the keep-masks drop the padded arc, below it every angle counts
     r_in = F.r0 if F.domain == "annulus" else 0.0
-    radii = np.linspace(r_in, 1.0, n_interior_radii)
+    off_c = ~bd.in_padded_arc(theta, pad2)
+    off_d = ~bd.in_padded_arc(theta, pad1)
     h = TWO_PI / n
-    val_c = deriv_c = val_d = deriv_d = 0.0
-    for rr in radii:
-        Gv = G.circle_values(rr, n)
-        Fv = F.circle_values(rr, n)
-        diff = Gv - Fv
-        dn = np.sqrt((np.abs(diff) ** 2).sum(axis=1))
-        fd = (np.roll(diff, -1, axis=0) - np.roll(diff, 1, axis=0)) / (2.0 * h)
-        fdn = np.sqrt((np.abs(fd) ** 2).sum(axis=1))
+    val_c = deriv_c = val_d = deriv_d = orth_max = 0.0
+    for radii in _blocks(np.linspace(r_in, 1.0, n_interior_radii)):
+        diff = G.rings(radii, n) - F.rings(radii, n)  # (R, n, C)
+        dn = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
+        fd = (np.roll(diff, -1, axis=1) - np.roll(diff, 1, axis=1)) / (2.0 * h)
+        fdn = np.sqrt((np.abs(fd) ** 2).sum(axis=2))
         if orth_dir is not None:
-            orth_max = max(
-                orth_max, float(np.abs(diff @ np.conj(orth_dir)).max())
-            )
-        in_collar = rr >= bd.r - 1e-12
-        for pad, acc in ((pad2, "c"), (pad1, "d")):
-            if in_collar:
-                keep = ~bd.in_padded_arc(theta, pad)
-            else:
-                keep = np.ones(n, dtype=bool)
-            if not keep.any():
-                continue
-            vmax = float(dn[keep].max())
-            dmax = float(fdn[keep].max())
-            if acc == "c":
-                val_c, deriv_c = max(val_c, vmax), max(deriv_c, dmax)
-            else:
-                val_d, deriv_d = max(val_d, vmax), max(deriv_d, dmax)
-    cond_c = val_c + deriv_c
-    cond_d = val_d + deriv_d
+            orth_max = max(orth_max, float(np.abs(diff @ np.conj(orth_dir)).max()))
+        below = (radii < bd.r - 1e-12)[:, None]
+        keep_c, keep_d = below | off_c, below | off_d
+        val_c = max(val_c, float(dn.max(where=keep_c, initial=0.0)))
+        deriv_c = max(deriv_c, float(fdn.max(where=keep_c, initial=0.0)))
+        val_d = max(val_d, float(dn.max(where=keep_d, initial=0.0)))
+        deriv_d = max(deriv_d, float(fdn.max(where=keep_d, initial=0.0)))
     return RHCertificate(
         k=k,
         r_prime=bd.r,
         epsilon=bd.epsilon,
         cond_a=cond_a,
         cond_b=cond_b,
-        cond_c=cond_c,
-        cond_d=cond_d,
+        cond_c=val_c + deriv_c,
+        cond_d=val_d + deriv_d,
         cond_orth=orth_max if orth_dir is not None else None,
         omega=(lo - pad2, hi + pad2),
         n_samples=n,
     )
+
+
+def _blocks(radii: np.ndarray):
+    """Consecutive slices of at most _CERT_RING_BLOCK radii."""
+    return np.split(radii, range(_CERT_RING_BLOCK, radii.size, _CERT_RING_BLOCK))
 
 
 @dataclass

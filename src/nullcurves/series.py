@@ -13,6 +13,7 @@ exact for any degree span, which keeps the high-degree deformation series
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -24,6 +25,7 @@ from .errors import (
     DomainError,
     NonHolomorphicDataError,
     NonzeroResidueError,
+    _parsing,
 )
 from .kernels import horner_eval
 
@@ -319,22 +321,33 @@ class SeriesMap:
             vals = vals * (z[:, None] ** self.degree_lo)
         return vals
 
-    def circle_values(self, radius: float, n: int, phase: float = 0.0) -> np.ndarray:
-        """Values at z = radius*exp(i(2pi j/n + phase)), j = 0..n-1 -> (n, ncomp).
+    def rings(self, radii, n: int, phases=0.0) -> np.ndarray:
+        """Values on circles: z = radii[i]*exp(i(2pi j/n + phases[i])) -> (R, n, ncomp).
 
         Exact wrapped-FFT evaluation of the truncated series; no aliasing
-        constraint because this is evaluation, not fitting.
+        constraint because this is evaluation, not fitting.  Each ring is
+        scaled and folded mod n on its own, which keeps the scratch memory
+        at one ring's worth for wide series; the FFT runs once over all
+        rings.  The result is C-contiguous.
         """
+        radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
+        phases = np.broadcast_to(np.asarray(phases, dtype=np.float64), radii.shape)
         d = self.degrees
-        scale = (radius ** d.astype(np.float64)) * np.exp(1j * phase * d)
-        scaled = self.coeffs * scale[None, :]
         # degrees are contiguous, so the mod-n fold is a padded reshape-sum
         off = self.degree_lo % n
         nblocks = -(-(off + self.width) // n)
         buf = np.zeros((self.ncomp, nblocks * n), dtype=np.complex128)
-        buf[:, off : off + self.width] = scaled
-        folded = buf.reshape(self.ncomp, nblocks, n).sum(axis=1)
-        return (n * np.fft.ifft(folded, axis=1)).T.copy()
+        folded = np.empty((radii.size, self.ncomp, n), dtype=np.complex128)
+        for i, (radius, phase) in enumerate(zip(radii, phases)):
+            scale = (radius ** d.astype(np.float64)) * np.exp(1j * phase * d)
+            buf[:, off : off + self.width] = self.coeffs * scale[None, :]
+            folded[i] = buf.reshape(self.ncomp, nblocks, n).sum(axis=1)
+        vals = n * np.fft.ifft(folded, axis=2)
+        return np.ascontiguousarray(vals.transpose(0, 2, 1))
+
+    def circle_values(self, radius: float, n: int, phase: float = 0.0) -> np.ndarray:
+        """Values at z = radius*exp(i(2pi j/n + phase)), j = 0..n-1 -> (n, ncomp)."""
+        return self.rings(radius, n, phase)[0]
 
     def sup_boundary(self, n: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
         """Max euclidean norm over n outer-circle samples (and inner, annulus).
@@ -342,12 +355,9 @@ class SeriesMap:
         Components are holomorphic so each |component| is subharmonic and
         the closed-domain sup sits on the boundary.
         """
-        vals = self.circle_values(1.0, n)
-        sup = float(np.sqrt((np.abs(vals) ** 2).sum(axis=1)).max())
-        if self.domain == "annulus":
-            inner = self.circle_values(self.r0, n)
-            sup = max(sup, float(np.sqrt((np.abs(inner) ** 2).sum(axis=1)).max()))
-        return sup
+        radii = [1.0] if self.domain == "disc" else [1.0, self.r0]
+        vals = self.rings(radii, n)
+        return float(np.sqrt((np.abs(vals) ** 2).sum(axis=2)).max())
 
 
 @dataclass(frozen=True)
@@ -429,12 +439,11 @@ def fit_from_boundary(
             coeffs[:, neg] = (bins_in[idx[neg]] * scale[:, None]).T
     series = SeriesMap(coeffs, degree_lo, samples.domain, samples.r0)
     if samples.domain == "annulus" and samples.inner_values is not None:
-        pred_in = series.circle_values(samples.r0, n)
+        pred_out, pred_in = series.rings([1.0, samples.r0], n)
         mm_in = float(np.sum(np.abs(pred_in - samples.inner_values) ** 2))
         itotal = float(np.sum(np.abs(samples.inner_values) ** 2))
         if itotal > 0:
             leakage = max(leakage, mm_in / itotal)
-        pred_out = series.circle_values(1.0, n)
         mm_out = float(np.sum(np.abs(pred_out - samples.values) ** 2))
         if total > 0:
             leakage = max(leakage, mm_out / (total * n))
@@ -466,16 +475,17 @@ def to_json(series: SeriesMap) -> str:
 
 def from_json(text: str) -> SeriesMap:
     payload = json.loads(text)
-    rows = [
-        [complex(re, im) for re, im in comp] for comp in payload["components"]
-    ]
-    coeffs = np.array(rows, dtype=np.complex128)
-    # checked here rather than in SeriesMap, whose constructor is on the hot path
-    if not np.isfinite(coeffs).all():
-        raise DomainError("series coefficients must be finite")
-    return SeriesMap(
-        coeffs,
-        int(payload["degree_lo"]),
-        payload["domain"],
-        payload["r0"],
-    )
+    with _parsing("curve"):
+        rows = [
+            [complex(re, im) for re, im in comp] for comp in payload["components"]
+        ]
+        coeffs = np.array(rows, dtype=np.complex128)
+        # checked here rather than in SeriesMap, whose constructor is on the hot path
+        if not np.isfinite(coeffs).all():
+            raise DomainError("series coefficients must be finite")
+        return SeriesMap(
+            coeffs,
+            operator.index(payload["degree_lo"]),  # rejects fractions, not truncates
+            payload["domain"],
+            payload["r0"],
+        )

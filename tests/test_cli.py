@@ -152,6 +152,57 @@ def test_deform_non_finite_curve_is_domain_error(tmp_path, capsys):
     assert "finite" in err
 
 
+def _config_blob(**changes):
+    blob = json.loads(PipelineConfig(iterations=0).to_json())
+    blob.update(changes)
+    return blob
+
+
+def _without(key, blob):
+    blob = dict(blob)
+    del blob[key]
+    return blob
+
+
+_CURVE = json.loads(series.to_json(catalog("linear_v1")))
+
+# (subcommand, which input is malformed, its JSON)
+MALFORMED = {
+    "iterations_float": ("recurse", "config", _config_blob(iterations=2.5)),
+    "arcs_string": ("recurse", "config", _config_blob(arcs="3")),
+    "grid_string_entry": ("recurse", "config", _config_blob(grid=["a", 4])),
+    "unknown_key": ("recurse", "config", _config_blob(rounds=3)),
+    "top_level_array": ("recurse", "config", [1, 2]),
+    "delta_infinite": ("recurse", "config", _config_blob(delta=float("inf"))),
+    "epsilon_infinite": ("recurse", "config", _config_blob(epsilon=float("inf"))),
+    "datum_without_theta": ("deform", "datum", None),
+    "bare_number_components": ("deform", "curve", dict(_CURVE, components=[1.0, 2.0])),
+    "curve_without_components": ("deform", "curve", _without("components", _CURVE)),
+    "fractional_degree": ("deform", "curve", dict(_CURVE, degree_lo=0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_is_domain_error(case, tmp_path, capsys):
+    command, which, blob = MALFORMED[case]
+    if which == "datum":
+        blob = _without("theta", json.loads(open(write_datum(tmp_path)).read()))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    if command == "recurse":
+        argv = ["recurse", str(path), "--out", str(tmp_path / "ledger.csv")]
+    else:
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps(_CURVE))
+        argv = ["deform", str(path if which == "curve" else curve),
+                str(path if which == "datum" else write_datum(tmp_path))]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "ledger.csv").exists()
+
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Approximate Riemann-Hilbert: certificates, k-search, null deformations."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from nullcurves.errors import (
 )
 from nullcurves.geometry import NullVector, SpinorPair, spinor_project
 from nullcurves.rh import (
+    TWO_PI,
     BoundaryData,
     BoundaryDiscFamily,
     RHCertificate,
+    _certify_null,
+    _rh_null,
     circle_distance,
     disc_distance,
     rh_approx,
@@ -329,3 +333,109 @@ def test_null_annulus_certificate_and_periods():
     assert pointwise_nullity(G) < 1e-11
     base = float(np.sqrt(F.r0))
     assert np.abs(G.eval(base) - F.eval(base)).max() < 1e-14
+
+
+# -- the certificate against a one-radius-at-a-time reference -----------------
+
+
+def _certify_null_per_radius(G, F, bd, k, n_boundary, orth_dir, n_radial=64, n_interior_radii=33):
+    """The certificate evaluated one circle at a time, kept as the reference."""
+    n = n_boundary
+    theta = TWO_PI * np.arange(n) / n
+    lo, hi = bd.arc
+    pad1, pad2 = bd.taper, 2.0 * bd.taper
+    tv = bd.theta.v
+
+    Fb = F.circle_values(1.0, n)
+    Gb = G.circle_values(1.0, n)
+    amp = bd.amplitude_at(theta)
+    rays = amp[:, None] * tv[None, :]
+    dist_a = circle_distance(Gb, Fb, rays)
+    cond_a = float(dist_a.max())
+    if F.domain == "annulus":
+        Fi = F.circle_values(F.r0, n)
+        Gi = G.circle_values(G.r0, n)
+        cond_a = max(cond_a, float(np.sqrt((np.abs(Gi - Fi) ** 2).sum(1)).max()))
+
+    mask_b = bd.in_padded_arc(theta, pad2)
+    idx = np.flatnonzero(mask_b)
+    cond_b = 0.0
+    rho = np.linspace(bd.r, 1.0, n_radial)
+    orth_max = 0.0
+    for rr in rho:
+        Gr = G.circle_values(rr, n)[idx]
+        db = disc_distance(Gr, Fb[idx], rays[idx])
+        cond_b = max(cond_b, float(db.max()))
+
+    r_in = F.r0 if F.domain == "annulus" else 0.0
+    radii = np.linspace(r_in, 1.0, n_interior_radii)
+    h = TWO_PI / n
+    val_c = deriv_c = val_d = deriv_d = 0.0
+    for rr in radii:
+        Gv = G.circle_values(rr, n)
+        Fv = F.circle_values(rr, n)
+        diff = Gv - Fv
+        dn = np.sqrt((np.abs(diff) ** 2).sum(axis=1))
+        fd = (np.roll(diff, -1, axis=0) - np.roll(diff, 1, axis=0)) / (2.0 * h)
+        fdn = np.sqrt((np.abs(fd) ** 2).sum(axis=1))
+        if orth_dir is not None:
+            orth_max = max(orth_max, float(np.abs(diff @ np.conj(orth_dir)).max()))
+        in_collar = rr >= bd.r - 1e-12
+        for pad, acc in ((pad2, "c"), (pad1, "d")):
+            if in_collar:
+                keep = ~bd.in_padded_arc(theta, pad)
+            else:
+                keep = np.ones(n, dtype=bool)
+            if not keep.any():
+                continue
+            vmax = float(dn[keep].max())
+            dmax = float(fdn[keep].max())
+            if acc == "c":
+                val_c, deriv_c = max(val_c, vmax), max(deriv_c, dmax)
+            else:
+                val_d, deriv_d = max(val_d, vmax), max(deriv_d, dmax)
+    return RHCertificate(
+        k=k,
+        r_prime=bd.r,
+        epsilon=bd.epsilon,
+        cond_a=cond_a,
+        cond_b=cond_b,
+        cond_c=val_c + deriv_c,
+        cond_d=val_d + deriv_d,
+        cond_orth=orth_max if orth_dir is not None else None,
+        omega=(lo - pad2, hi + pad2),
+        n_samples=n,
+    )
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["disc", "annulus", "general_orth", "empty_keep_mask"],
+)
+def test_certify_null_matches_per_radius_reference(case):
+    orth = _unit([0.0, 0.0, 1.0])
+    if case == "annulus":
+        F = annulus_curve()
+        bd = linear_datum(arc=(1.0, 1.0 + np.pi / 2), mu=np.array([0.05]), r=0.99)
+    else:
+        # a wide collar, so the keep-masks decide where the maxima sit
+        F = linear_curve()
+        bd = linear_datum(r=0.5)
+    if case == "general_orth":
+        orth = _unit([0.3 - 0.2j, -1.1 + 0.5j, 0.7j])
+    if case == "empty_keep_mask":
+        # arc width + 2 * taper exceeds a full turn, so inside the collar
+        # both keep-masks are empty
+        bd = linear_datum(arc=(0.5, 4.5), taper=1.2, r=0.9)
+        assert bd.in_padded_arc(TWO_PI * np.arange(512) / 512, bd.taper).all()
+    # a loose tolerance lets the pinned k through whatever the conditions say
+    G = _rh_null(F, replace(bd, epsilon=10.0), n_boundary=1024, k_fixed=160).G
+    for orth_dir in (None, orth):
+        got = _certify_null(G, F, bd, 160, 1024, orth_dir)
+        want = _certify_null_per_radius(G, F, bd, 160, 1024, orth_dir)
+        assert got.to_json() == want.to_json()

@@ -104,6 +104,34 @@ def test_circle_values_wide_span_exact():
     assert np.abs(vals[:, 0] - z**300).max() < 1e-12
 
 
+def _ring_maps():
+    r = np.random.default_rng(7)
+    c = r.normal(size=(3, 40)) + 1j * r.normal(size=(3, 40))
+    return [SeriesMap(c, 0, "disc"), SeriesMap(c, -17, "annulus", 0.4)]
+
+
+@pytest.mark.parametrize("n", [64, 16])  # 16 < width 40: the fold wraps around
+@pytest.mark.parametrize("phases", ["none", "scalar", "per_ring"])
+def test_rings_equal_stacked_circle_values(n, phases):
+    radii = np.linspace(0.4, 1.0, 11)
+    ph = {"none": np.zeros(11), "scalar": np.full(11, 0.3),
+          "per_ring": np.linspace(-2.0, 2.5, 11)}[phases]
+    for s in _ring_maps():
+        if phases == "none":
+            got = s.rings(radii, n)
+        elif phases == "scalar":
+            got = s.rings(radii, n, 0.3)
+        else:
+            got = s.rings(radii, n, ph)
+        want = np.stack([s.circle_values(r, n, p) for r, p in zip(radii, ph)])
+        assert got.shape == (11, n, 3)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        z = radii[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + ph[:, None]))
+        direct = s.eval_many(z.ravel()).reshape(got.shape)
+        assert np.abs(got - direct).max() < 1e-10 * np.abs(direct).max()
+
+
 # -- algebra ------------------------------------------------------------------
 
 
