@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -27,8 +27,8 @@ from .errors import (
     PoleError,
     ToleranceUnachievableError,
 )
-from .geometry import NullVector, SpinorPair, _tmap_entries, tmap_on_curve
-from .rh import BoundaryData, NullDeformation, _rh_null
+from .geometry import NullVector, _tmap_entries, tmap_on_curve
+from .rh import BoundaryData, _rh_null
 from .series import SeriesMap
 
 __all__ = [
@@ -102,7 +102,6 @@ class PipelineConfig:
     mu_cap: float = 2e-3
     collar_r: float = 0.9
     k_max: int = 4096
-    relax_tolerance: bool = True
     third_budget: float = 0.2
     toy_exponent: int = 50
     grid: Tuple[int, int] = (128, 512)
@@ -168,7 +167,6 @@ class PipelineConfig:
             "mu_cap",
             "collar_r",
             "k_max",
-            "relax_tolerance",
             "third_budget",
             "toy_exponent",
             "seed",
@@ -328,51 +326,6 @@ def _round_frequency(mu: float, k_max: int) -> int:
     return min(k_max, max(96, int(round(1.3 / mu))))
 
 
-def _push_arc(
-    F: SeriesMap,
-    spinor: Optional[SpinorPair],
-    bd: BoundaryData,
-    cfg: PipelineConfig,
-    k_fixed: int,
-    orth_budget: Optional[float] = None,
-    orth_direction: Optional[np.ndarray] = None,
-) -> Tuple[NullDeformation, float]:
-    """One certified arc push, doubling the tolerance when allowed.
-
-    The push's frequency-mixing residue grows with the steepness of the
-    current curve, so late rounds cannot always hold the seed tolerance;
-    the ledger records the tolerance each certificate was valid at.
-    """
-    attempts = 0
-    while True:
-        try:
-            out = _rh_null(
-                F,
-                bd,
-                spinor=spinor,
-                k_max=cfg.k_max,
-                k_fixed=k_fixed,
-                orth_budget=orth_budget,
-                orth_direction=orth_direction,
-            )
-            return out, bd.epsilon
-        except ToleranceUnachievableError as err:
-            cert = err.certificate
-            if (
-                orth_budget is not None
-                and cert is not None
-                and cert.cond_orth is not None
-                and cert.cond_orth >= orth_budget
-            ):
-                # a tolerance relaxation cannot shrink the orthogonal
-                # leak; the caller must raise the frequency instead
-                raise
-            if not cfg.relax_tolerance or attempts >= 8:
-                raise
-            attempts += 1
-            bd = replace(bd, epsilon=2.0 * bd.epsilon)
-
-
 def _seed_curve(cfg: PipelineConfig) -> SeriesMap:
     name = cfg.seed_curve
     if name is None:
@@ -410,8 +363,12 @@ def _measure_row(
 def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
     """Shared driver; choose_direction(F, arc, round, arc_i, chosen) -> info.
 
-    The spinor factorization is threaded through every push, so the curve
-    is re-lifted exactly once (at the seed) per run.
+    info is (direction, label, budget, fixed direction).  The driver, not
+    the certificate search, enforces the budget: a certified push whose
+    leak cond_orth along the fixed direction reaches it restarts the
+    round, and the 7th breach in a round aborts the run.  The spinor
+    factorization is threaded through every push, so the curve is
+    re-lifted exactly once (at the seed) per run.
     """
     F = _seed_curve(cfg)
     ledger = GrowthLedger()
@@ -426,9 +383,6 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
     for rnd in range(1, cfg.iterations + 1):
         delta_k = cfg.delta_at(rnd)
         arcs, tau = _round_arcs(cfg.arcs)
-        certs = []
-        rh_ks = []
-        arc_meta = []
         # delta_k caps the push; the realized amplitude is halved until the
         # measured outer radius stays inside the round's quadratic allowance
         # (the push's frequency-mixing residue scales like sqrt(mu), so it
@@ -477,23 +431,25 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
                         r=r_arc,
                     )
                     try:
-                        out, eps_used = _push_arc(
-                            curve, spinor, bd, cfg, k_round, orth_budget, orth_direction
+                        out = _rh_null(
+                            curve,
+                            bd,
+                            spinor=spinor,
+                            k_max=cfg.k_max,
+                            k_fixed=k_round,
+                            orth_direction=orth_direction,
                         )
-                    except ToleranceUnachievableError as err:
-                        cert = err.certificate
-                        orth_limited = (
-                            orth_budget is not None
-                            and cert is not None
-                            and cert.cond_orth is not None
-                            and cert.cond_orth >= orth_budget
-                        )
-                        if orth_limited and restarts < 6:
-                            retry_round = True
-                            break
-                        ledger.meta["aborted"] = "round %d: %s" % (rnd, err)
-                        err.partial_ledger = ledger
-                        raise
+                        # checked before growth: a leaky push is never kept
+                        if orth_budget is not None and out.cert.cond_orth >= orth_budget:
+                            if restarts < 6:
+                                retry_round = True
+                                break
+                            raise ToleranceUnachievableError(
+                                "fixed-direction leak cond_orth = %.3g reaches the budget %.3g"
+                                " at k = %d after %d round restarts"
+                                % (out.cert.cond_orth, orth_budget, k_round, restarts),
+                                certificate=out.cert,
+                            )
                     except NullCurveError as err:
                         ledger.meta["aborted"] = "round %d: %s" % (rnd, err)
                         err.partial_ledger = ledger
@@ -511,7 +467,6 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
                     {
                         "theta": label,
                         "mu": mu_round,
-                        "epsilon": eps_used,
                         "rh_k": out.cert.k,
                         "r": r_arc,
                         "growth": growth,
@@ -567,8 +522,11 @@ def run_bounded_third(cfg: PipelineConfig) -> GrowthLedger:
     lower the boundary minimum.
 
     The push directions have no third component, but the spinor cross term
-    leaks one.  The certificate's fixed-direction condition caps the leak
-    of each arc push, not of each round, at third_budget / 2^(round+1).
+    leaks one.  The certificate measures that leak along e3 (cond_orth),
+    and the round driver, not the certificate search, caps it for each arc
+    push, not for each round, at third_budget / 2^(round+1): a push over
+    the cap replays the round at half the amplitude and, up to k_max,
+    twice the frequency, and the run aborts after 6 replays of one round.
     The certified bound on a round's sup|F3| change is therefore ``arcs``
     times that cap, and sup|F3| <= third_budget over a run is measured,
     not certified: at 8 arcs, rounds 3 and 4 of the four-round run with

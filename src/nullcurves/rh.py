@@ -32,6 +32,10 @@ from .series import SeriesMap
 from .weierstrass import kill_periods, periods
 
 K_MAX = 1 << 16
+# fit degree m of the null push's boundary profile: the first fit, and the
+# cap of the doubling retries when no k certifies
+_FIT_M_INIT = 64
+_FIT_M_MAX = 256
 # the certificate reduces its (radius, angle) grids this many radii at a
 # time: all ~100 rings of a certificate at once cost about 27 MB of peak
 # memory at 4096 angles
@@ -173,19 +177,19 @@ class RHCertificate:
     omega: Optional[Tuple[float, float]] = None
     n_samples: int = 0
 
-    @property
-    def valid(self) -> bool:
+    def _conds(self):
         conds = [self.cond_a, self.cond_b, self.cond_c]
         if self.cond_d is not None:
             conds.append(self.cond_d)
-        return all(c < self.epsilon for c in conds)
+        return conds
+
+    @property
+    def valid(self) -> bool:
+        return all(c < self.epsilon for c in self._conds())
 
     @property
     def worst(self) -> float:
-        conds = [self.cond_a, self.cond_b, self.cond_c]
-        if self.cond_d is not None:
-            conds.append(self.cond_d)
-        return max(conds)
+        return max(self._conds())
 
     def to_json(self) -> str:
         payload = {
@@ -357,18 +361,12 @@ def _certify_approx(
     )
 
 
-def _search_k(build_and_certify, m: int, k_max: int, k_init: Optional[int], is_valid=None):
+def _search_k(build_and_certify, m: int, k_max: int, k_init: Optional[int] = None):
     """Doubling-then-bisection search for the smallest certifying k > m.
 
     build_and_certify(k) -> (payload, cert).  Relies on the measured
-    monotone improvement of the conditions in k.  is_valid(cert) can add
-    side constraints on top of cert.valid.
+    monotone improvement of the conditions in k.
     """
-    if is_valid is None:
-        is_valid = lambda cert: cert.valid
-    else:
-        base = is_valid
-        is_valid = lambda cert: cert.valid and base(cert)
     best = None  # least-worst certificate for error reporting
     k = max(m + 1, k_init if k_init else 0)
 
@@ -380,12 +378,12 @@ def _search_k(build_and_certify, m: int, k_max: int, k_init: Optional[int], is_v
         return payload, cert
 
     payload, cert = attempt(k)
-    if not is_valid(cert):
+    if not cert.valid:
         k_lo = k
         while True:
             k = min(2 * (k - m) + m, k_max)
             payload, cert = attempt(k)
-            if is_valid(cert):
+            if cert.valid:
                 break
             k_lo = k
             if k >= k_max:
@@ -401,7 +399,7 @@ def _search_k(build_and_certify, m: int, k_max: int, k_init: Optional[int], is_v
     while k_hi - k_lo > 1:
         mid = (k_lo + k_hi) // 2
         payload, cert = attempt(mid)
-        if is_valid(cert):
+        if cert.valid:
             k_hi, good = mid, (payload, cert)
         else:
             k_lo = mid
@@ -607,8 +605,6 @@ class NullDeformation:
     G: SeriesMap
     cert: RHCertificate
     spinor: SpinorPair
-    S: Optional[SeriesMap]
-    t0: Optional[np.ndarray] = None  # period-kill parameter (annulus)
 
 
 def _rh_null(
@@ -616,15 +612,16 @@ def _rh_null(
     bd: BoundaryData,
     spinor: Optional[SpinorPair] = None,
     n_boundary: int = 4096,
-    m_init: int = 64,
-    m_max: int = 256,
     k_max: int = K_MAX,
-    k_init: Optional[int] = None,
     k_fixed: Optional[int] = None,
-    orth_budget: Optional[float] = None,
     orth_direction: Optional[np.ndarray] = None,
-    fit_n: int = 8192,
 ) -> NullDeformation:
+    """Certified null push of F along bd; refit at a higher degree on failure.
+
+    The certificate measures cond_orth along orth_direction (or normal to
+    F' and the push direction at the arc midpoint) but does not bound it;
+    a caller with a budget for that leak checks it on the result.
+    """
     from .geometry import spinor_lift  # local import to avoid cycle at module load
 
     if F.ncomp != 3:
@@ -649,10 +646,7 @@ def _rh_null(
             omega=(bd.arc[0] - 2 * bd.taper, bd.arc[1] + 2 * bd.taper),
             n_samples=n_boundary,
         )
-        t0 = None
-        if F.domain == "annulus":
-            t0 = np.zeros(0, dtype=np.complex128)
-        return NullDeformation(G=F, cert=cert, spinor=spinor, S=None, t0=t0)
+        return NullDeformation(G=F, cert=cert, spinor=spinor)
 
     if orth_direction is not None:
         orth_dir = np.asarray(orth_direction, dtype=np.complex128)
@@ -667,7 +661,7 @@ def _rh_null(
         [a * a - b * b, 1j * (a * a + b * b), 2 * a * b], dtype=np.complex128
     )
 
-    m = m_init
+    m = _FIT_M_INIT
     if k_fixed is not None:
         if k_fixed < 2:
             raise ValueError("k_fixed must be at least 2")
@@ -675,7 +669,7 @@ def _rh_null(
         # fit just carries a larger honest tail into the certificate
         m = min(m, k_fixed - 1)
     while True:
-        s_hat, tail = _fit_boundary_profile(bd, m, n=fit_n)
+        s_hat, tail = _fit_boundary_profile(bd, m)
 
         def build(k):
             pushed, S = _push_spinor(spinor, s_hat, m, k, a, b)
@@ -688,43 +682,30 @@ def _rh_null(
                 S2.r0,
             )
             gprime = fprime + cross + circ
-            t0 = None
             if F.domain == "annulus":
                 P = periods(gprime)
                 if P.max_abs > 1e-12 * (1.0 + float(np.abs(gprime.coeffs).max())):
                     res = kill_periods(pushed, target=1e-10)
-                    pushed2, gprime2 = res.spinor, res.g
-                    t0 = res.t0
-                else:
-                    pushed2, gprime2 = pushed, gprime
-                    t0 = np.zeros(0, dtype=np.complex128)
-            else:
-                pushed2, gprime2 = pushed, gprime
-            G = gprime2.antiderivative(base_point, base_value)
+                    pushed, gprime = res.spinor, res.g
+            G = gprime.antiderivative(base_point, base_value)
             cert = _certify_null(G, F, bd, k, n_boundary, orth_dir)
-            return NullDeformation(G, cert, pushed2, S, t0), cert
+            return NullDeformation(G, cert, pushed), cert
 
-        extra = None
-        if orth_budget is not None:
-            extra = lambda cert: (
-                cert.cond_orth is None or cert.cond_orth < orth_budget
-            )
         try:
             if k_fixed is not None:
                 # caller pins the frequency (e.g. shared across arcs so the
                 # positive profiles add instead of interfering); no search
                 result, cert = build(k_fixed)
-                if not (cert.valid and (extra is None or extra(cert))):
+                if not cert.valid:
                     raise ToleranceUnachievableError(
                         "k = %d misses the tolerance (worst-case %.3g)"
                         % (k_fixed, cert.worst),
                         certificate=cert,
                     )
                 return result
-            result, cert = _search_k(build, m, k_max, k_init, is_valid=extra)
-            return result
+            return _search_k(build, m, k_max)[0]
         except ToleranceUnachievableError:
-            cap = m_max if k_fixed is None else min(m_max, k_fixed - 1)
+            cap = _FIT_M_MAX if k_fixed is None else min(_FIT_M_MAX, k_fixed - 1)
             if m >= cap:
                 raise
             m = min(2 * m, cap)

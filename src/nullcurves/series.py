@@ -293,10 +293,8 @@ class SeriesMap:
         lo = min(lo, 0)
         width = hi - lo + 1
         out = np.zeros((self.ncomp, width), dtype=np.complex128)
-        for j, deg in enumerate(d):
-            if deg == -1:
-                continue
-            out[:, (deg + 1) - lo] = self.coeffs[:, j] / (deg + 1)
+        keep = d != -1
+        out[:, d[keep] + 1 - lo] = self.coeffs[:, keep] / (d[keep] + 1)
         prim = SeriesMap(out, lo, self.domain, self.r0)
         base_value = np.atleast_1d(np.asarray(base_value, dtype=np.complex128))
         correction = base_value - prim.eval(base_point)

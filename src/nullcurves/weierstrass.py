@@ -193,6 +193,14 @@ def kill_periods(
     def period_vec(t: np.ndarray) -> np.ndarray:
         return periods(spinor_project(_shift(s, spec, t))).columns[:, 0]
 
+    def jacobian(t: np.ndarray) -> np.ndarray:
+        J = np.empty((3, spec.dim), dtype=np.complex128)
+        for j in range(spec.dim):
+            e = np.zeros(spec.dim, dtype=np.complex128)
+            e[j] = fd_step
+            J[:, j] = (period_vec(t + e) - period_vec(t - e)) / (2 * fd_step)
+        return J
+
     g0 = spinor_project(s)
     scale = g0.sup_boundary(1024)
     if target is None:
@@ -207,11 +215,7 @@ def kill_periods(
         )
 
     # domination check at t = 0
-    J = np.empty((3, spec.dim), dtype=np.complex128)
-    for j in range(spec.dim):
-        e = np.zeros(spec.dim, dtype=np.complex128)
-        e[j] = fd_step
-        J[:, j] = (period_vec(t + e) - period_vec(t - e)) / (2 * fd_step)
+    J = jacobian(t)
     svals = np.linalg.svd(J, compute_uv=False)
     if svals[-1] < sigma_min:
         raise NonDominatingSprayError(
@@ -228,10 +232,7 @@ def kill_periods(
                 trace=trace,
             )
         if it > 1:
-            for j in range(spec.dim):
-                e = np.zeros(spec.dim, dtype=np.complex128)
-                e[j] = fd_step
-                J[:, j] = (period_vec(t + e) - period_vec(t - e)) / (2 * fd_step)
+            J = jacobian(t)
         step = np.linalg.lstsq(J, -P, rcond=None)[0]
         alpha = 1.0
         while alpha >= 2.0 ** -20:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_deform_non_finite_datum_is_domain_error(tmp_path, capsys):
     run(capsys, "construct", "linear_v1", "--out", str(curve))
     datum = write_datum(tmp_path)
     for key, value in (("mu", [float("nan")]), ("epsilon", float("nan"))):
-        blob = json.loads(open(datum).read())
+        blob = json.loads(Path(datum).read_text())
         blob[key] = value
         bad = tmp_path / ("bad_%s.json" % key)
         bad.write_text(json.dumps(blob))
@@ -172,6 +173,7 @@ MALFORMED = {
     "arcs_string": ("recurse", "config", _config_blob(arcs="3")),
     "grid_string_entry": ("recurse", "config", _config_blob(grid=["a", 4])),
     "unknown_key": ("recurse", "config", _config_blob(rounds=3)),
+    "relax_tolerance_key": ("recurse", "config", _config_blob(relax_tolerance=False)),
     "top_level_array": ("recurse", "config", [1, 2]),
     "delta_infinite": ("recurse", "config", _config_blob(delta=float("inf"))),
     "epsilon_infinite": ("recurse", "config", _config_blob(epsilon=float("inf"))),
@@ -186,7 +188,7 @@ MALFORMED = {
 def test_malformed_json_is_domain_error(case, tmp_path, capsys):
     command, which, blob = MALFORMED[case]
     if which == "datum":
-        blob = _without("theta", json.loads(open(write_datum(tmp_path)).read()))
+        blob = _without("theta", json.loads(Path(write_datum(tmp_path)).read_text()))
     path = tmp_path / "input.json"
     path.write_text(json.dumps(blob))
     if command == "recurse":
@@ -259,9 +261,7 @@ def test_recurse_honors_config_csv_path(tmp_path, capsys):
 
 
 def test_recurse_abort_writes_partial_ledger(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, iterations=1, epsilon=1e-12, k_max=64, relax_tolerance=False
-    )
+    cfg = write_config(tmp_path, iterations=1, epsilon=1e-12, k_max=64)
     target = tmp_path / "partial.csv"
     code, _, err = run(capsys, "recurse", cfg, "--out", str(target))
     assert code == 2

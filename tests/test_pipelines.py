@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullcurves.cli import main
 from nullcurves.diagnostics import bounded_coordinate_report, nullity_residual
 from nullcurves.errors import (
     DomainError,
@@ -222,11 +224,9 @@ def test_one_round_grows_intrinsic_radius():
     assert len(led.rows) == 2
     assert led.rows[1].intrinsic > led.rows[0].intrinsic
     assert led.rows[1].rh_k >= 96
-    # certificates were all valid at some relaxed tolerance, and the
-    # realized push settings are recorded per arc
+    # the realized push settings are recorded per arc
     arcs = led.meta["rounds"][1]["arcs"]
     assert len(arcs) == cfg.arcs
-    assert all(a["epsilon"] >= cfg.epsilon for a in arcs)
 
 
 def test_runs_are_deterministic():
@@ -243,9 +243,7 @@ def test_pipeline_name_checked():
 
 
 def test_unreachable_tolerance_surfaces_partial_ledger():
-    cfg = PipelineConfig(
-        iterations=1, epsilon=1e-12, k_max=64, relax_tolerance=False
-    )
+    cfg = PipelineConfig(iterations=1, epsilon=1e-12, k_max=64)
     with pytest.raises(ToleranceUnachievableError) as exc:
         run_completeness_recursion(cfg)
     led = exc.value.partial_ledger
@@ -282,6 +280,28 @@ def test_one_alternating_push():
     mins = [r["min_F12"] for r in led.meta["rounds"]]
     assert mins[1] > mins[0]
     assert led.rows[1].supF3 < 0.1
+
+
+def test_bounded_third_budget_abort(tmp_path, capsys):
+    # every push certifies at epsilon, but no restart brings its leak into
+    # F3 under a per-push cap of 1e-6 / 4
+    cfg = PipelineConfig(pipeline="bounded_third", iterations=1, arcs=3, third_budget=1e-6)
+    with pytest.raises(ToleranceUnachievableError) as exc:
+        run_bounded_third(cfg)
+    msg = str(exc.value)
+    assert "fixed-direction leak" in msg and "budget 2.5e-07" in msg
+    cert = exc.value.certificate
+    assert cert.valid
+    assert cert.cond_orth >= cfg.third_budget / 4
+    led = exc.value.partial_ledger
+    assert [row.k for row in led.rows] == [0]
+    assert led.meta["aborted"].startswith("round 1: fixed-direction leak")
+
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json())
+    code = main(["recurse", str(path), "--out", str(tmp_path / "partial.csv")])
+    assert code == 2
+    assert "fixed-direction leak" in capsys.readouterr().err
 
 
 def test_bounded_third_needs_disc():
@@ -370,4 +390,4 @@ def test_mesh_export_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.obj"), str(tmp_path / "b.obj")
     export_surface(catalog("cubic_enneper_like"), "r3", p1, grid=(6, 9))
     export_surface(catalog("cubic_enneper_like"), "r3", p2, grid=(6, 9))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()

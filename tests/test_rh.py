@@ -307,16 +307,6 @@ def test_null_disc_zero_amplitude_identity():
     assert max(cert.cond_a, cert.cond_b, cert.cond_c, cert.cond_d) == 0.0
 
 
-def test_null_disc_orth_budget_tightens():
-    F = linear_curve()
-    bd = linear_datum()
-    _, plain = rh_null_disc(F, bd)
-    budget = plain.cond_orth / 2
-    _, tight = rh_null_disc(F, bd, orth_budget=budget)
-    assert tight.cond_orth < budget
-    assert tight.k > plain.k
-
-
 def test_null_disc_wrong_domain():
     with pytest.raises(DomainError):
         rh_null_disc(annulus_curve(), linear_datum())
