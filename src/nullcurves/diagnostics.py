@@ -211,17 +211,15 @@ def intrinsic_radius(
 def bounded_coordinate_report(F: SeriesMap, n: int = 4096) -> Tuple[float, float]:
     """(sup |F3|, boundary min of |(F1, F2)|) on n boundary samples.
 
-    |F3| is subharmonic so its closed-domain sup sits on the boundary; an
-    interior circle grid is folded in anyway as a cheap cross-check of that
-    reduction.  The min is a pure boundary quantity (properness proxy).
+    |F3| is subharmonic, so by the maximum principle its closed-domain sup
+    sits on the boundary circles, the only ones sampled.  The min is a pure
+    boundary quantity (properness proxy).
     """
     if F.ncomp != 3:
         raise ValueError("bounded_coordinate_report expects a 3-component curve")
-    inner_floor = 0.0 if F.domain == "disc" else F.r0
     radii = [1.0] if F.domain == "disc" else [1.0, F.r0]
     boundary = F.rings(radii, n).reshape(-1, 3)
-    interior = F.rings(np.linspace(inner_floor, 1.0, 9)[1:-1], 256)
-    sup_f3 = max(float(np.abs(boundary[:, 2]).max()), float(np.abs(interior[..., 2]).max()))
+    sup_f3 = float(np.abs(boundary[:, 2]).max())
     min_12 = float(np.sqrt((np.abs(boundary[:, :2]) ** 2).sum(axis=1)).min())
     return sup_f3, min_12
 

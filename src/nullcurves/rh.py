@@ -10,8 +10,8 @@ sqrt(2k+1) z^k so that after integration the boundary circle term has
 exactly the tapered amplitude; the cross term decays like 1/sqrt(k) and
 the certificate measures everything rather than assuming it.
 
-All certificate grids are unions of circles, so every evaluation runs
-through the wrapped-FFT circle sampler regardless of series width.
+The null certificate samples G - F on the boundary of the region it claims,
+where the sup sits; every circle goes through the wrapped-FFT ring sampler.
 """
 
 import json
@@ -36,10 +36,13 @@ K_MAX = 1 << 16
 # cap of the doubling retries when no k certifies
 _FIT_M_INIT = 64
 _FIT_M_MAX = 256
-# the certificate reduces its (radius, angle) grids this many radii at a
-# time: all ~100 rings of a certificate at once cost about 27 MB of peak
-# memory at 4096 angles
+# radii of the certificates' collar grids, r..1
+_CERT_RADIAL = 64
+# the null certificate reduces its collar grid this many radii at a time
 _CERT_RING_BLOCK = 8
+# the C^n certificate's grids for J >= 2 discs: torus angles, disc grid side
+_APPROX_N_TAU = 256
+_APPROX_W_GRID = 16
 
 TWO_PI = 2.0 * np.pi
 
@@ -315,9 +318,6 @@ def _certify_approx(
     r_prime: float,
     eps: float,
     n_boundary: int,
-    n_tau: int,
-    n_radial: int,
-    w_grid: int,
 ) -> RHCertificate:
     n = n_boundary
     fb = f.circle_values(1.0, n)
@@ -326,21 +326,21 @@ def _certify_approx(
     if fam.J == 1:
         cond_a = float(circle_distance(Fb, fb, cj[:, 0, :]).max())
     else:
-        tau = TWO_PI * np.arange(n_tau) / n_tau
+        tau = TWO_PI * np.arange(_APPROX_N_TAU) / _APPROX_N_TAU
         powers = np.exp(1j * np.outer(np.arange(1, fam.J + 1), tau))  # (J, n_tau)
         cloud = fb[:, None, :] + np.einsum("njc,jt->ntc", cj, powers)
         d2 = kernels.min_dist2_grouped(Fb[:, None, :], cloud)
         cond_a = float(np.sqrt(d2).max())
 
-    rho = np.linspace(r_prime, 1.0, n_radial)
+    rho = np.linspace(r_prime, 1.0, _CERT_RADIAL)
     Fr = np.ascontiguousarray(F.rings(rho, n).swapaxes(0, 1))  # (n, R, C)
     if fam.J == 1:
         centers = np.broadcast_to(fb[:, None, :], Fr.shape)
         rays = np.broadcast_to(cj[:, 0, :][:, None, :], Fr.shape)
         cond_b = float(disc_distance(Fr, centers, rays).max())
     else:
-        rw = np.linspace(0.0, 1.0, w_grid)
-        phw = TWO_PI * np.arange(w_grid) / w_grid
+        rw = np.linspace(0.0, 1.0, _APPROX_W_GRID)
+        phw = TWO_PI * np.arange(_APPROX_W_GRID) / _APPROX_W_GRID
         w = (rw[:, None] * np.exp(1j * phw)[None, :]).ravel()  # (w_grid^2,)
         wp = w[None, :] ** np.arange(1, fam.J + 1)[:, None]  # (J, W)
         cloud = fb[:, None, :] + np.einsum("njc,jw->nwc", cj, wp)
@@ -361,14 +361,14 @@ def _certify_approx(
     )
 
 
-def _search_k(build_and_certify, m: int, k_max: int, k_init: Optional[int] = None):
+def _search_k(build_and_certify, m: int, k_max: int):
     """Doubling-then-bisection search for the smallest certifying k > m.
 
     build_and_certify(k) -> (payload, cert).  Relies on the measured
     monotone improvement of the conditions in k.
     """
     best = None  # least-worst certificate for error reporting
-    k = max(m + 1, k_init if k_init else 0)
+    k = m + 1
 
     def attempt(kk):
         nonlocal best
@@ -413,11 +413,7 @@ def rh_approx(
     eps: float,
     r_prime: Optional[float] = None,
     n_boundary: int = 4096,
-    n_tau: int = 256,
-    n_radial: int = 64,
-    w_grid: int = 16,
     k_max: int = K_MAX,
-    k_init: Optional[int] = None,
 ) -> Tuple[SeriesMap, RHCertificate]:
     """Solve the approximate boundary-tracking problem in C^n.
 
@@ -454,12 +450,10 @@ def rh_approx(
 
     def build(k):
         F = _rh_sum(f, fam, k)
-        cert = _certify_approx(
-            f, fam, F, k, r_prime, eps, n_boundary, n_tau, n_radial, w_grid
-        )
+        cert = _certify_approx(f, fam, F, k, r_prime, eps, n_boundary)
         return F, cert
 
-    return _search_k(build, m, k_max, k_init)
+    return _search_k(build, m, k_max)
 
 
 # -- the null-curve variants --------------------------------------------------
@@ -530,10 +524,15 @@ def _certify_null(
     k: int,
     n_boundary: int,
     orth_dir: Optional[np.ndarray],
-    n_radial: int = 64,
-    n_interior_radii: int = 33,
 ) -> RHCertificate:
-    """Measure the four deformation conditions plus the orthogonal budget."""
+    """Measure the four deformation conditions plus the orthogonal leak.
+
+    (a) the unit circle, (b) the collar over the arc padded by 2*taper, and
+    (c)/(d) the C^0 closeness |G - F| on |z| <= r (from r0 on an annulus)
+    plus the collar off the arc padded by 2*taper / taper.  G - F is
+    holomorphic, so (c)/(d) and cond_orth sample it only on the boundary of
+    their region, where the maximum principle puts the sup.
+    """
     n = n_boundary
     theta = TWO_PI * np.arange(n) / n
     lo, hi = bd.arc
@@ -546,48 +545,48 @@ def _certify_null(
     rays = amp[:, None] * tv[None, :]
     dist_a = circle_distance(Gb, Fb, rays)
     cond_a = float(dist_a.max())
+
+    # h = G - F on the domain's boundary circles, then on the ring r
+    circles = [1.0] + ([F.r0] if F.domain == "annulus" else [])
+    hr = (G - F).rings(circles + [bd.r], n)  # (R, n, C)
+    hn = np.sqrt((np.abs(hr) ** 2).sum(axis=2))
     if F.domain == "annulus":
         # mu vanishes on the inner circle, so the target there is the point F(x)
-        Fi = F.circle_values(F.r0, n)
-        Gi = G.circle_values(G.r0, n)
-        cond_a = max(cond_a, float(np.sqrt((np.abs(Gi - Fi) ** 2).sum(1)).max()))
+        cond_a = max(cond_a, float(hn[1].max()))
 
-    # (b): the collar over the padded arc against the projected discs
-    idx = np.flatnonzero(bd.in_padded_arc(theta, pad2))
+    # (b): the collar over the padded arc against the projected discs; the
+    # same rings give G on the radial segments at the keep-masks' ends
+    keep = ~np.stack([bd.in_padded_arc(theta, pad) for pad in (pad2, pad1)])
+    ends = keep & ~(np.roll(keep, 1, axis=1) & np.roll(keep, -1, axis=1))
+    edges = np.flatnonzero(ends.any(axis=0))
+    idx = np.flatnonzero(~keep[0])
+    rho = np.linspace(bd.r, 1.0, _CERT_RADIAL)
     cond_b = 0.0
-    for rho in _blocks(np.linspace(bd.r, 1.0, n_radial)):
-        Gr = G.rings(rho, n)[:, idx]
-        cond_b = max(cond_b, float(disc_distance(Gr, Fb[idx], rays[idx]).max()))
+    Gs = []
+    for block in _blocks(rho):
+        Gr = G.rings(block, n)
+        cond_b = max(cond_b, float(disc_distance(Gr[:, idx], Fb[idx], rays[idx]).max()))
+        Gs.append(Gr[:, edges])
+    Gs = np.concatenate(Gs)  # (radial, edges, C)
+    Fs = F.eval_many(rho[:, None] * np.exp(1j * theta[edges])).reshape(Gs.shape)
+    seg = np.sqrt((np.abs(Gs - Fs) ** 2).sum(axis=2)).max(axis=0, initial=0.0)
 
-    # (c)/(d): C^1 closeness off the padded neighborhoods; inside the collar
-    # the keep-masks drop the padded arc, below it every angle counts
-    r_in = F.r0 if F.domain == "annulus" else 0.0
-    off_c = ~bd.in_padded_arc(theta, pad2)
-    off_d = ~bd.in_padded_arc(theta, pad1)
-    h = TWO_PI / n
-    val_c = deriv_c = val_d = deriv_d = orth_max = 0.0
-    for radii in _blocks(np.linspace(r_in, 1.0, n_interior_radii)):
-        diff = G.rings(radii, n) - F.rings(radii, n)  # (R, n, C)
-        dn = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
-        fd = (np.roll(diff, -1, axis=1) - np.roll(diff, 1, axis=1)) / (2.0 * h)
-        fdn = np.sqrt((np.abs(fd) ** 2).sum(axis=2))
-        if orth_dir is not None:
-            orth_max = max(orth_max, float(np.abs(diff @ np.conj(orth_dir)).max()))
-        below = (radii < bd.r - 1e-12)[:, None]
-        keep_c, keep_d = below | off_c, below | off_d
-        val_c = max(val_c, float(dn.max(where=keep_c, initial=0.0)))
-        deriv_c = max(deriv_c, float(fdn.max(where=keep_c, initial=0.0)))
-        val_d = max(val_d, float(dn.max(where=keep_d, initial=0.0)))
-        deriv_d = max(deriv_d, float(fdn.max(where=keep_d, initial=0.0)))
+    # (c)/(d): every angle of the ring r (and r0), the rest under the keep-mask
+    inner = float(hn[1:].max())
+    cond_c, cond_d = (max(inner, float(hn[0].max(where=kp, initial=0.0)),
+                          float(seg.max(where=kp[edges], initial=0.0))) for kp in keep)
+    orth_max = None
+    if orth_dir is not None:
+        orth_max = float(np.abs(hr[:-1] @ np.conj(orth_dir)).max())
     return RHCertificate(
         k=k,
         r_prime=bd.r,
         epsilon=bd.epsilon,
         cond_a=cond_a,
         cond_b=cond_b,
-        cond_c=val_c + deriv_c,
-        cond_d=val_d + deriv_d,
-        cond_orth=orth_max if orth_dir is not None else None,
+        cond_c=cond_c,
+        cond_d=cond_d,
+        cond_orth=orth_max,
         omega=(lo - pad2, hi + pad2),
         n_samples=n,
     )
@@ -718,7 +717,7 @@ def rh_null_disc(
 
     G is exactly null (spinor-generated) and agrees with F at the base
     point; the certificate measures the boundary-circle condition, the
-    collar-disc condition, and C^1 closeness off the padded arc.
+    collar-disc condition, and C^0 closeness |G - F| off the padded arc.
     """
     if F.domain != "disc":
         raise DomainError("use rh_null_annulus for annulus curves")
