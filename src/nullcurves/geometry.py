@@ -8,7 +8,7 @@ the extraction of conformal minimal immersions from real parts.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .series import BoundarySamples, SeriesMap, fit_from_boundary
 NULL_TOL = 1e-10
 POLE_TOL = 1e-10
 DET_TOL = 1e-9
+LIFT_ROUNDTRIP_TOL = 1e-10
+DEGENERATE_TOL = 1e-8
 
 
 def null_residual(v) -> float:
@@ -131,25 +133,6 @@ def _winding(values) -> Tuple[int, float]:
     return int(np.round(w)), float(abs(w - np.round(w)))
 
 
-def _sqrt_on_disc(g: SeriesMap, width: int) -> SeriesMap:
-    """Square root of a zero-free disc series via exp(half series-log).
-
-    The series-log is the antiderivative of g'/g with base value log g(0);
-    the exponential is evaluated on the boundary circle and refit, which is
-    exact whenever the root is polynomial.
-    """
-    inv = _taylor_reciprocal(g.coeffs[0], width)
-    gp = g.derivative()
-    n = _fit_samples(width)
-    logd = np.convolve(gp.coeffs[0], inv)[:width]
-    log_series = SeriesMap(logd[None, :], 0, "disc").antiderivative(
-        0.0, [np.log(g.coeffs[0, 0])]
-    )
-    vals = np.exp(0.5 * log_series.circle_values(1.0, n)[:, 0])
-    root, _ = _fit_scalar(vals[:, None], None, "disc", None, 0, width)
-    return root
-
-
 def _fit_samples(width: int) -> int:
     n = 512
     while n < 4 * (width + 2):
@@ -157,67 +140,57 @@ def _fit_samples(width: int) -> int:
     return n
 
 
-def _taylor_reciprocal(coeffs, width: int) -> np.ndarray:
-    """1/g as a Taylor series to the given width (Newton doubling)."""
-    c0 = coeffs[0]
-    if c0 == 0:
-        raise ZeroDivisionError("series has a zero constant term")
-    r = np.array([1.0 / c0], dtype=np.complex128)
-    while r.shape[0] < width:
-        m = min(2 * r.shape[0], width)
-        gr = np.zeros(m, dtype=np.complex128)
-        conv = np.convolve(coeffs[:m], r)[:m]
-        gr[: conv.shape[0]] = conv
-        corr = -gr
-        corr[0] += 2.0
-        r = np.convolve(r, corr)
-        r = r[:m] if r.shape[0] >= m else np.pad(r, (0, m - r.shape[0]))
-    return r[:width]
+def _sqrt(g: SeriesMap, width: int) -> SeriesMap:
+    """Square root of a zero-free series by exp(half log) of boundary samples.
 
-
-def _spectral_sqrt_annulus(g: SeriesMap, width: int) -> SeriesMap:
-    """Square root of a zero-free annulus series with even winding.
-
-    Branch bookkeeping: factor out z^w (w = boundary winding), take the
-    log of the remainder on both circles with the branches connected along
-    the radial segment at angle 0, exponentiate half, refit, multiply back
-    z^(w/2).
+    Branch bookkeeping: the boundary winding w must be even, and zero on
+    the disc or equal on both circles of the annulus.  Factor out z^w,
+    take the log of the remainder on each circle (the annulus's inner
+    branch joined to the outer one through g along the radial segment at
+    angle 0), exponentiate half, refit, multiply back z^(w/2).
     """
-    r0 = g.r0
     n = _fit_samples(width + g.width)
-    outer, inner = g.rings([1.0, r0], n)[..., 0]
-    if np.abs(outer).min() == 0 or np.abs(inner).min() == 0:
-        raise UnsupportedZeroConfigurationError("zero on a boundary circle")
-    w_out, slack_out = _winding(outer)
-    w_in, slack_in = _winding(inner)
-    if max(slack_out, slack_in) > 0.05:
+    vals = g.rings([1.0] if g.domain == "disc" else [1.0, g.r0], n)[..., 0]
+    mag = np.abs(vals)
+    top = mag.max(axis=1)
+    if (top == 0.0).any() or (mag.min(axis=1) <= 1e-13 * top).any():
+        raise UnsupportedZeroConfigurationError("candidate square vanishes on samples")
+    windings = [_winding(ring) for ring in vals]
+    if max(slack for _, slack in windings) > 0.05:
         raise UnsupportedZeroConfigurationError(
             "winding number poorly resolved; zeros too close to the boundary"
         )
-    if w_out != w_in:
+    w = windings[0][0]
+    if g.domain == "disc" and w != 0:
+        raise UnsupportedZeroConfigurationError(
+            "candidate square has %d zeros in the disc" % w
+        )
+    if g.domain == "annulus" and windings[1][0] != w:
         raise UnsupportedZeroConfigurationError(
             "series has zeros inside the annulus (winding %d vs %d)"
-            % (w_out, w_in)
+            % (w, windings[1][0])
         )
-    w = w_out
     if w % 2 != 0:
         raise UnsupportedZeroConfigurationError(
             "odd boundary winding %d admits no single-valued square root" % w
         )
     theta = 2 * np.pi * np.arange(n) / n
-    h_out = outer * np.exp(-1j * w * theta)
-    h_in = inner * (r0 ** (-w)) * np.exp(-1j * w * theta)
+    h_out = vals[0] * np.exp(-1j * w * theta)
     ang_out = np.unwrap(np.angle(h_out))
+    u_out = np.exp(0.5 * (np.log(np.abs(h_out)) + 1j * ang_out))
+    u_out = u_out * np.exp(1j * (w // 2) * theta)
+    if g.domain == "disc":
+        root, _ = _fit_scalar(u_out[:, None], None, "disc", None, 0, width)
+        return root
+    r0 = g.r0
+    h_in = vals[1] * (r0 ** (-w)) * np.exp(-1j * w * theta)
     # connect the inner branch through g along the radial segment at angle 0
     radial = g.eval_many(np.linspace(r0, 1.0, 257)).ravel()
     ang_radial = np.unwrap(np.angle(radial))
     offset = ang_out[0] - ang_radial[-1]
-    ang_in0 = ang_radial[0] + offset
     ang_in = np.unwrap(np.angle(h_in))
-    ang_in = ang_in - ang_in[0] + ang_in0
-    log_out = np.log(np.abs(h_out)) + 1j * ang_out
+    ang_in = ang_in - ang_in[0] + (ang_radial[0] + offset)
     log_in = np.log(np.abs(h_in)) + 1j * ang_in
-    u_out = np.exp(0.5 * log_out) * np.exp(1j * (w // 2) * theta)
     u_in = np.exp(0.5 * log_in) * (r0 ** (w // 2)) * np.exp(1j * (w // 2) * theta)
     root, _ = _fit_scalar(
         u_out[:, None], u_in[:, None], "annulus", r0, w // 2 - width, w // 2 + width
@@ -234,16 +207,22 @@ def _lift_roundtrip_error(f: SeriesMap, pair: SpinorPair) -> float:
     return float(np.abs(diff).max()) / (scale if scale > 0 else 1.0)
 
 
-def spinor_lift(
-    f: SeriesMap, null_tol: float = NULL_TOL, roundtrip_tol: float = 1e-10
-) -> SpinorPair:
+def spinor_lift(f: SeriesMap) -> SpinorPair:
     """Lift a map into the punctured null quadric through pi.
 
-    Candidate squares are u^2 = (f1 - i f2)/2 and v^2 = -(f1 + i f2)/2;
-    whichever is zero-free on the domain gets the exp(half log) square
-    root and the partner follows by division from f3 = 2uv.  The global
-    sign is fixed by pushing u (then v) at the first boundary sample into
-    the closed right half-plane.
+    Candidate squares are u^2 = (f1 - i f2)/2 and v^2 = -(f1 + i f2)/2.
+    The first that is zero-free on the domain gets the square root, one
+    boundary exp(half log) refit as a series (``_sqrt``), and the partner
+    follows by division from f3 = 2uv.  A candidate that vanishes on a
+    boundary circle, or whose winding admits no root, is refused at once:
+    neither depends on the fit width.  The fit starts at width max(2 * f.width + 8, 64), which holds
+    the roots of a projected polynomial spinor pair (at most half the
+    degree of f); a root that is not a polynomial, such as sqrt(1 - z/rho)
+    for rho just above 1, may need more, so a fit leak or a round trip
+    pi(u, v) off f by more than LIFT_ROUNDTRIP_TOL doubles the width, up
+    to 2^15, before it raises UnsupportedZeroConfigurationError.
+    The global sign is fixed by pushing u (then v) at the first boundary
+    sample into the closed right half-plane.
     """
     if f.ncomp != 3:
         raise ValueError("lift expects a 3-component map")
@@ -253,7 +232,7 @@ def spinor_lift(
     sos = np.abs(vals[..., 0] ** 2 + vals[..., 1] ** 2 + vals[..., 2] ** 2)
     scale2 = norms2.max()
     for n2, s in zip(norms2, sos):
-        if s.max() > null_tol * scale2 * 10:
+        if s.max() > NULL_TOL * scale2 * 10:
             raise NotInNullConeError(
                 "sum-of-squares residual %.3g on samples" % (s.max() / scale2)
             )
@@ -266,53 +245,43 @@ def spinor_lift(
     cscale = float(np.abs(f.coeffs).max())
     u2_zero = float(np.abs(u2.coeffs).max()) <= 1e-14 * cscale
     v2_zero = float(np.abs(v2.coeffs).max()) <= 1e-14 * cscale
-
-    width = max(2 * f.width + 8, 64)
-    last_exc: Optional[Exception] = None
-    while True:
-        try:
-            pair = _lift_at_width(f, u2, v2, u2_zero, v2_zero, width, n)
-            err = _lift_roundtrip_error(f, pair)
-            if err <= roundtrip_tol:
-                return _normalize_sign(pair)
-            last_exc = UnsupportedZeroConfigurationError(
-                "lift round-trip error %.3g exceeds %.3g" % (err, roundtrip_tol)
-            )
-        except (
-            UnsupportedZeroConfigurationError,
-            NonHolomorphicDataError,
-            ZeroDivisionError,
-        ) as exc:
-            last_exc = exc
-        width *= 2
-        if width > (1 << 15):
-            if isinstance(last_exc, UnsupportedZeroConfigurationError):
-                raise last_exc
-            raise UnsupportedZeroConfigurationError(str(last_exc))
-
-
-def _lift_at_width(f, u2, v2, u2_zero, v2_zero, width, n) -> SpinorPair:
-    f3 = f.component(2)
-    if v2_zero and not u2_zero:
-        u = _sqrt_nonvanishing(u2, width, n)
-        v = SeriesMap.zero(1, f.domain, f.r0)
-        return SpinorPair(u, v)
-    if u2_zero and not v2_zero:
-        v = _sqrt_nonvanishing(v2, width, n)
-        u = SeriesMap.zero(1, f.domain, f.r0)
-        return SpinorPair(u, v)
     if u2_zero and v2_zero:
         raise NotInNullConeError("map is identically zero")
 
+    width = max(2 * f.width + 8, 64)
+    while True:
+        try:
+            if u2_zero or v2_zero:
+                root = _sqrt(v2 if u2_zero else u2, width)
+                zero = SeriesMap.zero(1, f.domain, f.r0)
+                pair = SpinorPair(zero, root) if u2_zero else SpinorPair(root, zero)
+            else:
+                pair = _lift_general(f, u2, v2, width)
+            err = _lift_roundtrip_error(f, pair)
+            if err <= LIFT_ROUNDTRIP_TOL:
+                return _normalize_sign(pair)
+            failure = "lift round-trip error %.3g exceeds %.3g" % (
+                err,
+                LIFT_ROUNDTRIP_TOL,
+            )
+        except NonHolomorphicDataError as exc:
+            failure = str(exc)
+        width *= 2
+        if width > (1 << 15):
+            raise UnsupportedZeroConfigurationError(failure)
+
+
+def _lift_general(f, u2, v2, width) -> SpinorPair:
+    """Root of the first zero-free candidate square, partner from f3 = 2uv."""
     first_exc = None
     for primary, name in ((u2, "u"), (v2, "v")):
         try:
-            root = _sqrt_nonvanishing(primary, width, n)
+            root = _sqrt(primary, width)
         except UnsupportedZeroConfigurationError as exc:
             if first_exc is None:
                 first_exc = exc
             continue
-        other = _divide_by(f3 * 0.5, root, width, n)
+        other = _divide_by(f.component(2) * 0.5, root, width)
         if name == "u":
             return SpinorPair(root, other)
         return SpinorPair(other, root)
@@ -321,30 +290,9 @@ def _lift_at_width(f, u2, v2, u2_zero, v2_zero, width, n) -> SpinorPair:
     )
 
 
-def _sqrt_nonvanishing(g: SeriesMap, width: int, n: int) -> SeriesMap:
-    """Square root of g, verifying zero-freeness by winding numbers first."""
-    outer = g.circle_values(1.0, n)[:, 0]
-    amin = float(np.abs(outer).min())
-    scale = float(np.abs(outer).max())
-    if scale == 0.0 or amin <= 1e-13 * scale:
-        raise UnsupportedZeroConfigurationError("candidate square vanishes on samples")
-    if g.domain == "disc":
-        w, slack = _winding(outer)
-        if slack > 0.05:
-            raise UnsupportedZeroConfigurationError(
-                "winding number poorly resolved on the boundary"
-            )
-        if w != 0:
-            raise UnsupportedZeroConfigurationError(
-                "candidate square has %d zeros in the disc" % w
-            )
-        return _sqrt_on_disc(g, width)
-    return _spectral_sqrt_annulus(g, width)
-
-
-def _divide_by(num: SeriesMap, den: SeriesMap, width: int, n: int) -> SeriesMap:
+def _divide_by(num: SeriesMap, den: SeriesMap, width: int) -> SeriesMap:
     """num/den refit from boundary values (den zero-free by construction)."""
-    n = max(n, _fit_samples(width + max(num.width, den.width)))
+    n = _fit_samples(width + max(num.width, den.width))
     outer = num.circle_values(1.0, n)[:, 0] / den.circle_values(1.0, n)[:, 0]
     if num.domain == "disc":
         quot, _ = _fit_scalar(outer[:, None], None, "disc", None, 0, width)
@@ -438,7 +386,6 @@ def tmap_on_curve(
     n_theta: int = 256,
     n_boundary: int = 4096,
     pole_tol: float = POLE_TOL,
-    null_tol: float = NULL_TOL,
 ) -> TMapCurveReport:
     """Push a null curve through tmap, sampling grid and boundary.
 
@@ -453,7 +400,7 @@ def tmap_on_curve(
     sos = d.dot(d)
     scale = d.sup_boundary(1024)
     res = sos.sup_boundary(1024)
-    if res > null_tol * max(scale * scale, 1e-300):
+    if res > NULL_TOL * max(scale * scale, 1e-300):
         raise NotInNullConeError("curve is not null: residual %.3g" % (res / scale**2))
     grid = polar_grid(n_r, n_theta, F.domain, F.r0)
     flat = grid.ravel()
@@ -546,8 +493,6 @@ def minimal_part(
     F: SeriesMap,
     n_r: int = 17,
     n_theta: int = 64,
-    null_tol: float = NULL_TOL,
-    degenerate_tol: float = 1e-8,
 ) -> MinimalPartReport:
     """Real part of a null curve as a conformal minimal immersion.
 
@@ -560,14 +505,14 @@ def minimal_part(
     d = F.derivative()
     sos = d.dot(d)
     scale = d.sup_boundary(1024)
-    if sos.sup_boundary(1024) > null_tol * max(scale * scale, 1e-300):
+    if sos.sup_boundary(1024) > NULL_TOL * max(scale * scale, 1e-300):
         raise NotInNullConeError("curve is not null")
     grid = polar_grid(n_r, n_theta, F.domain, F.r0)
     flat = grid.ravel()
     vals = F.eval_many(flat).reshape(n_r, n_theta, 3)
     dvals = d.eval_many(flat).reshape(n_r, n_theta, 3)
     lam = np.sqrt((np.abs(dvals) ** 2).sum(axis=2))
-    degenerate = bool(lam.min() <= degenerate_tol * max(lam.max(), 1e-300))
+    degenerate = bool(lam.min() <= DEGENERATE_TOL * max(lam.max(), 1e-300))
     return MinimalPartReport(
         grid_z=grid,
         re_f=vals.real,

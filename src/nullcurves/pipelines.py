@@ -341,7 +341,7 @@ def _seed_curve(cfg: PipelineConfig) -> SeriesMap:
 
 
 def _measure_row(
-    F: SeriesMap, cfg: PipelineConfig, k: int, delta: float, certs, rh_ks
+    F: SeriesMap, cfg: PipelineConfig, k: int, delta: float, certs
 ) -> Tuple[LedgerRow, dict]:
     rep = intrinsic_radius(F, grid=cfg.grid)
     sup3, min12 = bounded_coordinate_report(F)
@@ -354,14 +354,14 @@ def _measure_row(
         cert_a=max((c.cond_a for c in certs), default=0.0),
         cert_b=max((c.cond_b for c in certs), default=0.0),
         cert_c=max((c.cond_c for c in certs), default=0.0),
-        rh_k=max(rh_ks, default=0),
+        rh_k=max((c.k for c in certs), default=0),
     )
     extra = {"min_F12": min12, "shortcut": rep.shortcut_length}
     return row, extra
 
 
 def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
-    """Shared driver; choose_direction(F, arc, round, arc_i, chosen) -> info.
+    """Shared driver; choose_direction(F, arc, round) -> info.
 
     info is (direction, label, budget, fixed direction).  The driver, not
     the certificate search, enforces the budget: a certified push whose
@@ -373,7 +373,7 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
     F = _seed_curve(cfg)
     ledger = GrowthLedger()
     ledger.meta["config"] = json.loads(cfg.to_json())
-    row, extra = _measure_row(F, cfg, 0, 0.0, [], [])
+    row, extra = _measure_row(F, cfg, 0, 0.0, [])
     ledger.append(row)
     ledger.meta["rounds"].append(extra)
 
@@ -408,13 +408,10 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
             curve, spinor = snapshot
             mu_round = mu_start * 0.5 ** restarts
             certs = []
-            rh_ks = []
             arc_meta = []
             retry_round = False
-            for arc_i, arc in enumerate(arcs):
-                theta, label, orth_budget, orth_direction = choose_direction(
-                    curve, arc, rnd, arc_i, [a["theta"] for a in arc_meta]
-                )
+            for arc in arcs:
+                theta, label, orth_budget, orth_direction = choose_direction(curve, arc, rnd)
                 # The curve's own radial drift across the collar is mostly
                 # perpendicular to the push disc, so it lower-bounds the
                 # drift condition at sup|F'| * (1 - r).  Narrow the collar
@@ -462,7 +459,6 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
                     break
                 curve, spinor = out.G, out.spinor
                 certs.append(out.cert)
-                rh_ks.append(out.cert.k)
                 arc_meta.append(
                     {
                         "theta": label,
@@ -478,7 +474,7 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
             if 2 * k_round <= cfg.k_max:
                 k_round *= 2
         mu_carry = mu_round
-        row, extra = _measure_row(curve, cfg, rnd, delta_k, certs, rh_ks)
+        row, extra = _measure_row(curve, cfg, rnd, delta_k, certs)
         extra["arcs"] = arc_meta
         ledger.append(row)
         ledger.meta["rounds"].append(extra)
@@ -499,7 +495,7 @@ def run_completeness_recursion(cfg: PipelineConfig) -> GrowthLedger:
         raise ValueError("config names pipeline %r" % cfg.pipeline)
     dictionary = _null_direction_dictionary()
 
-    def choose(F, arc, rnd, arc_i, chosen):
+    def choose(F, arc, rnd):
         idx, theta = _pick_direction(F, arc, dictionary)
         return theta, idx, None, None
 
@@ -542,7 +538,7 @@ def run_bounded_third(cfg: PipelineConfig) -> GrowthLedger:
     v1 = NullVector(np.array([1.0, 1.0j, 0.0]) / sqrt2)
     e3 = np.array([0.0, 0.0, 1.0], dtype=np.complex128)
 
-    def choose(F, arc, rnd, arc_i, chosen):
+    def choose(F, arc, rnd):
         theta = v2 if rnd % 2 == 1 else v1
         label = "V2" if rnd % 2 == 1 else "V1"
         budget = cfg.third_budget / (2.0 ** (rnd + 1))

@@ -540,22 +540,17 @@ def _certify_null(
     tv = bd.theta.v
 
     Fb = F.circle_values(1.0, n)
-    Gb = G.circle_values(1.0, n)
     amp = bd.amplitude_at(theta)
     rays = amp[:, None] * tv[None, :]
-    dist_a = circle_distance(Gb, Fb, rays)
-    cond_a = float(dist_a.max())
 
     # h = G - F on the domain's boundary circles, then on the ring r
     circles = [1.0] + ([F.r0] if F.domain == "annulus" else [])
     hr = (G - F).rings(circles + [bd.r], n)  # (R, n, C)
     hn = np.sqrt((np.abs(hr) ** 2).sum(axis=2))
-    if F.domain == "annulus":
-        # mu vanishes on the inner circle, so the target there is the point F(x)
-        cond_a = max(cond_a, float(hn[1].max()))
 
     # (b): the collar over the padded arc against the projected discs; the
-    # same rings give G on the radial segments at the keep-masks' ends
+    # same rings give G on the radial segments at the keep-masks' ends, and
+    # the last one (rho = 1) gives G on the unit circle for (a)
     keep = ~np.stack([bd.in_padded_arc(theta, pad) for pad in (pad2, pad1)])
     ends = keep & ~(np.roll(keep, 1, axis=1) & np.roll(keep, -1, axis=1))
     edges = np.flatnonzero(ends.any(axis=0))
@@ -568,6 +563,10 @@ def _certify_null(
         cond_b = max(cond_b, float(disc_distance(Gr[:, idx], Fb[idx], rays[idx]).max()))
         Gs.append(Gr[:, edges])
     Gs = np.concatenate(Gs)  # (radial, edges, C)
+    cond_a = float(circle_distance(Gr[-1], Fb, rays).max())
+    if F.domain == "annulus":
+        # mu vanishes on the inner circle, so the target there is the point F(x)
+        cond_a = max(cond_a, float(hn[1].max()))
     Fs = F.eval_many(rho[:, None] * np.exp(1j * theta[edges])).reshape(Gs.shape)
     seg = np.sqrt((np.abs(Gs - Fs) ** 2).sum(axis=2)).max(axis=0, initial=0.0)
 

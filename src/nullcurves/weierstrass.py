@@ -26,6 +26,12 @@ from .series import SeriesMap
 
 NULL_TOL = 1e-10
 PERIOD_TOL = 1e-9
+# kill_periods: Newton iteration cap, centered-difference step, smallest
+# admissible singular value of the period Jacobian, relative stopping tolerance
+KILL_MAX_ITER = 50
+KILL_FD_STEP = 1e-6
+KILL_SIGMA_MIN = 1e-8
+KILL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,6 @@ def integrate_null(
     f: SeriesMap,
     base_point: Optional[complex] = None,
     base_value=(0.0, 0.0, 0.0),
-    null_tol: float = NULL_TOL,
-    period_tol: float = PERIOD_TOL,
 ) -> SeriesMap:
     """Integrate a map into the punctured cone to a null curve.
 
@@ -79,19 +83,19 @@ def integrate_null(
     if f.ncomp != 3:
         raise ValueError("expected a 3-component map")
     res = _nullity(f)
-    if res > null_tol:
-        raise NotInNullConeError("nullity residual %.3g exceeds %.3g" % (res, null_tol))
+    if res > NULL_TOL:
+        raise NotInNullConeError("nullity residual %.3g exceeds %.3g" % (res, NULL_TOL))
     if base_point is None:
         base_point = 0.0 if f.domain == "disc" else float(np.sqrt(f.r0))
     if f.domain == "annulus":
         P = periods(f)
-        if P.max_abs > period_tol:
+        if P.max_abs > PERIOD_TOL:
             raise PeriodObstructionError(
                 "loop period of modulus %.3g obstructs integration" % P.max_abs,
                 periods=P,
             )
     return f.antiderivative(
-        base_point, base_value, residue_tol=period_tol / (2 * np.pi) + 1e-300
+        base_point, base_value, residue_tol=PERIOD_TOL / (2 * np.pi) + 1e-300
     )
 
 
@@ -171,10 +175,6 @@ def _shift(s: SpinorPair, spec: SpraySpec, t: np.ndarray) -> SpinorPair:
 def kill_periods(
     s: SpinorPair,
     spec: Optional[SpraySpec] = None,
-    max_iter: int = 50,
-    fd_step: float = 1e-6,
-    sigma_min: float = 1e-8,
-    tol: float = 1e-10,
     target: Optional[float] = None,
 ) -> KillPeriodsResult:
     """Newton-drive the period vector of pi(shifted spinor) to zero.
@@ -182,7 +182,7 @@ def kill_periods(
     The period map is polynomial in the complex spray parameter t, so the
     Jacobian comes from centered real-step differences on each complex
     coordinate.  Steps are damped by backtracking halving and accepted
-    only on residual decrease.  Stops at |P| <= tol*(1 + boundary scale),
+    only on residual decrease.  Stops at |P| <= KILL_TOL*(1 + boundary scale),
     or at the explicit absolute target when one is given.
     """
     if s.u.domain != "annulus":
@@ -197,14 +197,14 @@ def kill_periods(
         J = np.empty((3, spec.dim), dtype=np.complex128)
         for j in range(spec.dim):
             e = np.zeros(spec.dim, dtype=np.complex128)
-            e[j] = fd_step
-            J[:, j] = (period_vec(t + e) - period_vec(t - e)) / (2 * fd_step)
+            e[j] = KILL_FD_STEP
+            J[:, j] = (period_vec(t + e) - period_vec(t - e)) / (2 * KILL_FD_STEP)
         return J
 
     g0 = spinor_project(s)
     scale = g0.sup_boundary(1024)
     if target is None:
-        target = tol * (1.0 + scale)
+        target = KILL_TOL * (1.0 + scale)
     t = np.zeros(spec.dim, dtype=np.complex128)
     P = period_vec(t)
     rnorm = float(np.linalg.norm(P))
@@ -217,7 +217,7 @@ def kill_periods(
     # domination check at t = 0
     J = jacobian(t)
     svals = np.linalg.svd(J, compute_uv=False)
-    if svals[-1] < sigma_min:
+    if svals[-1] < KILL_SIGMA_MIN:
         raise NonDominatingSprayError(
             "period Jacobian nearly rank-deficient (sigma_min %.3g)" % svals[-1]
         )
@@ -225,10 +225,10 @@ def kill_periods(
     it = 0
     while rnorm > target:
         it += 1
-        if it > max_iter:
+        if it > KILL_MAX_ITER:
             raise ConvergenceFailureError(
                 "no convergence after %d iterations (residual %.3g)"
-                % (max_iter, rnorm),
+                % (KILL_MAX_ITER, rnorm),
                 trace=trace,
             )
         if it > 1:

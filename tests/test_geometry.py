@@ -189,6 +189,85 @@ def test_lift_random_suite():
         assert err < 1e-10 * max(scale, 1.0)
 
 
+def test_lift_seeded_sweep_roundtrips_to_roundoff():
+    # 600 projected spinor pairs of degree 1..19: every third on the annulus
+    # r0 = 1/4 with Laurent terms down to z^-2, the rest on the disc; on odd
+    # t the constant term of u dominates, so u^2 is zero-free there.  The
+    # boundary exp(half log) square root is exact for these polynomial
+    # roots, so every accepted lift reproduces f to roundoff.
+    r = np.random.default_rng(5)
+    accepted = 0
+    for t in range(600):
+        du, dv = (int(d) for d in r.integers(1, 20, size=2))
+        uc = r.normal(size=du + 1) + 1j * r.normal(size=du + 1)
+        vc = r.normal(size=dv + 1) + 1j * r.normal(size=dv + 1)
+        if t % 2:
+            uc[0] = 1.5 * np.abs(uc[1:]).sum() + 1.0
+        if t % 3 == 0:
+            lo = -int(r.integers(0, 3))
+            s = pair_from_coeffs(uc, vc, lo, lo, domain="annulus", r0=0.25)
+        else:
+            s = pair_from_coeffs(uc, vc)
+        f = spinor_project(s)
+        try:
+            lifted = spinor_lift(f)
+        except UnsupportedZeroConfigurationError:
+            continue
+        accepted += 1
+        err = np.abs((spinor_project(lifted) - f).coeffs).max()
+        assert err <= 1e-12 * np.abs(f.coeffs).max(), (t, err)
+    assert accepted >= 300
+
+
+def test_lift_non_polynomial_root():
+    # f = (1 - z/rho)(0, 2i, 2) has u = v = sqrt(1 - z/rho), not a
+    # polynomial: its coefficients decay like rho^-k, past the first width
+    rho = 1.02
+    g = np.array([1.0, -1.0 / rho])
+    f = SeriesMap(np.stack([0 * g, 2j * g, 2 * g]).astype(complex), 0, "disc")
+    lifted = spinor_lift(f)
+    assert np.abs((spinor_project(lifted) - f).coeffs).max() < 1e-12
+    z = 0.9 * np.exp(1j * np.linspace(0, 2 * np.pi, 7))
+    want = np.sqrt(1 - z / rho)
+    for s in (lifted.u, lifted.v):
+        assert np.abs(s.eval_many(z)[:, 0] - want).max() < 1e-10
+
+
+def test_lift_null_maps_with_simple_zeros_off_the_disc():
+    # f built from candidate squares P = c p A^2 and Q = d p B^2 that share
+    # simple zeros p at 1.1 <= |z| <= 1.5, so f3 = 2 sqrt(cd) p A B is a
+    # polynomial; A is zero-free on the disc, so P has a root u, u^2 = P
+    r = np.random.default_rng(8)
+    for _ in range(12):
+        roots = r.uniform(1.1, 1.5, 2) * np.exp(2j * np.pi * r.random(2))
+        p = np.convolve([-roots[0], 1.0], [-roots[1], 1.0])
+        A = r.normal(size=4) + 1j * r.normal(size=4)
+        A[0] = 1.5 * np.abs(A[1:]).sum() + 1.0
+        B = r.normal(size=3) + 1j * r.normal(size=3)
+        c, d = r.normal(size=2) + 1j * r.normal(size=2)
+        P = c * np.convolve(p, np.convolve(A, A))
+        Q = np.pad(d * np.convolve(p, np.convolve(B, B)), (0, 2))
+        f3 = np.pad(2 * np.sqrt(c * d) * np.convolve(p, np.convolve(A, B)), (0, 1))
+        f = SeriesMap(np.stack([P - Q, 1j * (P + Q), f3]), 0, "disc")
+        lifted = spinor_lift(f)
+        scale = np.abs(f.coeffs).max()
+        assert np.abs((spinor_project(lifted) - f).coeffs).max() <= 1e-10 * scale
+        z = 0.95 * np.exp(1j * np.linspace(0, 2 * np.pi, 9))
+        u2 = lifted.u.eval_many(z)[:, 0] ** 2
+        assert np.abs(u2 - np.polyval(P[::-1], z)).max() <= 1e-9 * scale
+
+
+def test_lift_annulus_large_winding_square():
+    # u^2 = z^22 is zero-free on r0 = 1/4 <= |z| <= 1 but spans 0.25^22 ~ 6e-14
+    # across the two circles; v^2 = (z - 1/2)^2 has a zero inside, so only
+    # u^2 can be rooted and its vanishing test must be per circle
+    s = pair_from_coeffs([0.0] * 11 + [1.0], [-0.5, 1.0], domain="annulus", r0=0.25)
+    f = spinor_project(s)
+    lifted = spinor_lift(f)
+    assert np.abs((spinor_project(lifted) - f).coeffs).max() < 1e-12
+    assert np.abs((lifted.u - s.u).coeffs).max() < 1e-12
+
+
 # -- the SL2 transfer ----------------------------------------------------------
 
 
