@@ -53,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nullcurves", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="fixes all randomized choices (every choice here is already "
-        "deterministic; the flag is recorded for forward compatibility)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="write a catalog curve as JSON")

@@ -12,6 +12,9 @@ the certificate measures everything rather than assuming it.
 
 The null certificate samples G - F on the boundary of the region it claims,
 where the sup sits; every circle goes through the wrapped-FFT ring sampler.
+A null push decides before it builds anything: a datum whose collar floor
+reaches epsilon is refused, and the fit degree of the amplitude root is
+read off the fit's own floor, so each push runs one k-search.
 """
 
 import json
@@ -32,8 +35,8 @@ from .series import SeriesMap
 from .weierstrass import kill_periods, periods
 
 K_MAX = 1 << 16
-# fit degree m of the null push's boundary profile: the first fit, and the
-# cap of the doubling retries when no k certifies
+# fit degree m of the null push's boundary profile: the first tried, and the
+# largest the fit floor may call for
 _FIT_M_INIT = 64
 _FIT_M_MAX = 256
 # radii of the certificates' collar grids, r..1
@@ -88,6 +91,10 @@ class BoundaryData:
             raise DomainError("push direction must be finite")
         if mu.min() < 0:
             raise ValueError("mu must be nonnegative")
+        # the certificate squares the largest target radius max(mu) * |theta|
+        peak = float(mu.max()) * self.theta.norm
+        if not np.isfinite(peak * peak):
+            raise DomainError("mu * |theta| = %.3g overflows when squared" % peak)
         if mu.shape[0] == 1:
             mu = np.repeat(mu, 2)
         if not (0.0 < self.taper and 2.0 * self.taper <= width):
@@ -477,18 +484,21 @@ def _direction_lift(theta: NullVector) -> Tuple[complex, complex]:
 
 
 def _fit_boundary_profile(bd: BoundaryData, m: int, n: int = 8192):
-    """Fourier fit of chi*sqrt(mu) to degrees [-m, m]; returns (coeffs, tail).
+    """Fourier fit s_hat of chi*sqrt(mu) to degrees [-m, m]; returns (coeffs, floor).
 
-    tail is the sup over samples of |fit - profile|, the honest aliasing
-    plus truncation error of the tapered amplitude root.
+    The push puts |s_hat|^2 theta on the boundary where condition (a) wants
+    a circle of radius chi^2 mu |theta|, so floor, the max over the n
+    samples of ||s_hat|^2 - chi^2 mu| |theta|, is the fit's error in that
+    radius: the level the k-search's worst case settles at as k grows.
     """
     theta = TWO_PI * np.arange(n) / n
     prof = bd.sqrt_amplitude_at(theta)
     bins = np.fft.fft(prof) / n
     coeffs = bins[np.mod(np.arange(-m, m + 1), n)]
     fit = SeriesMap(coeffs[None, :], -m, "annulus", 0.5)  # any annulus holds it
-    tail = float(np.abs(fit.circle_values(1.0, n)[:, 0] - prof).max())
-    return coeffs, tail
+    fit_sq = np.abs(fit.circle_values(1.0, n)[:, 0]) ** 2
+    floor = float(np.abs(fit_sq - prof * prof).max()) * bd.theta.norm
+    return coeffs, floor
 
 
 def _push_spinor(
@@ -605,6 +615,23 @@ class NullDeformation:
     spinor: SpinorPair
 
 
+def _collar_floor(F: SeriesMap, bd: BoundaryData, n: int) -> float:
+    """A lower bound on the worse of conditions (b) and (c) for any push.
+
+    D is the max, over the angles (b) reads (the arc padded by 2*taper), of
+    the distance from F(r zeta) to the target disc at F(zeta).  Every push
+    gives G = F + h, and the disc distance is 1-Lipschitz in its point.  The
+    first collar radius of (b) is exactly r and (c) reads |h| at every angle
+    of the ring r, so cond_b >= D - sup|h(r .)| and cond_c >= sup|h(r .)|:
+    no k and no fit degree brings both below D/2, which this returns.
+    """
+    theta = TWO_PI * np.arange(n) / n
+    idx = np.flatnonzero(bd.in_padded_arc(theta, 2.0 * bd.taper))
+    Fb, Fr = F.rings([1.0, bd.r], n)[:, idx]
+    rays = bd.amplitude_at(theta[idx])[:, None] * bd.theta.v[None, :]
+    return 0.5 * float(disc_distance(Fr, Fb, rays).max())
+
+
 def _rh_null(
     F: SeriesMap,
     bd: BoundaryData,
@@ -614,7 +641,15 @@ def _rh_null(
     k_fixed: Optional[int] = None,
     orth_direction: Optional[np.ndarray] = None,
 ) -> NullDeformation:
-    """Certified null push of F along bd; refit at a higher degree on failure.
+    """Certified null push of F along bd, or ToleranceUnachievableError.
+
+    A datum whose collar floor (_collar_floor) reaches epsilon is refused
+    before any push is built.  Zero amplitude returns G = F with its
+    measured certificate.  Otherwise the fit degree m is chosen once: the
+    first of 64, 128, 256 (below k_fixed when given) whose fit floor is
+    below epsilon, else the largest.  The floor picks the degree but never
+    refuses: a search can dip somewhat below it.  Then one k-search (or
+    one build at k_fixed) certifies or raises.
 
     The certificate measures cond_orth along orth_direction (or normal to
     F' and the push direction at the arc midpoint) but does not bound it;
@@ -631,20 +666,12 @@ def _rh_null(
         spinor = spinor_lift(fprime)
     a, b = _direction_lift(bd.theta)
 
-    if float(bd.mu.max()) == 0.0:
-        cert = RHCertificate(
-            k=0,
-            r_prime=bd.r,
-            epsilon=bd.epsilon,
-            cond_a=0.0,
-            cond_b=0.0,
-            cond_c=0.0,
-            cond_d=0.0,
-            cond_orth=0.0,
-            omega=(bd.arc[0] - 2 * bd.taper, bd.arc[1] + 2 * bd.taper),
-            n_samples=n_boundary,
+    floor = _collar_floor(F, bd, n_boundary)
+    if not floor < bd.epsilon:
+        raise ToleranceUnachievableError(
+            "conditions (b)/(c) have a collar floor %.3g that reaches the tolerance %.3g"
+            % (floor, bd.epsilon)
         )
-        return NullDeformation(G=F, cert=cert, spinor=spinor)
 
     if orth_direction is not None:
         orth_dir = np.asarray(orth_direction, dtype=np.complex128)
@@ -654,59 +681,62 @@ def _rh_null(
         fp_mid = fprime.eval(np.exp(1j * mid))
         orth_dir = _orth_direction(fp_mid, bd.theta)
 
+    if float(bd.mu.max()) == 0.0:
+        cert = _certify_null(F, F, bd, 0, n_boundary, orth_dir)
+        if not cert.valid:
+            raise ToleranceUnachievableError(
+                "the unpushed curve misses the tolerance (worst-case %.3g)" % cert.worst,
+                certificate=cert,
+            )
+        return NullDeformation(G=F, cert=cert, spinor=spinor)
+
+    cap = _FIT_M_MAX
+    if k_fixed is not None:
+        if k_fixed < 2:
+            raise ValueError("k_fixed must be at least 2")
+        cap = min(cap, k_fixed - 1)  # the fit degree stays below the frequency
+    m = min(_FIT_M_INIT, cap)
+    s_hat, fit_floor = _fit_boundary_profile(bd, m)
+    while not fit_floor < bd.epsilon and m < cap:
+        m = min(2 * m, cap)
+        s_hat, fit_floor = _fit_boundary_profile(bd, m)
+
     B = spinor_bilinear(spinor, a, b)
     pi_ab = np.array(
         [a * a - b * b, 1j * (a * a + b * b), 2 * a * b], dtype=np.complex128
     )
 
-    m = _FIT_M_INIT
-    if k_fixed is not None:
-        if k_fixed < 2:
-            raise ValueError("k_fixed must be at least 2")
-        # the fit degree must stay below the pinned frequency; a coarser
-        # fit just carries a larger honest tail into the certificate
-        m = min(m, k_fixed - 1)
-    while True:
-        s_hat, tail = _fit_boundary_profile(bd, m)
+    def build(k):
+        pushed, S = _push_spinor(spinor, s_hat, m, k, a, b)
+        S2 = S * S
+        cross = B * (2.0 * S)
+        circ = SeriesMap(
+            (S2.coeffs[0][None, :] * pi_ab[:, None]),
+            S2.degree_lo,
+            S2.domain,
+            S2.r0,
+        )
+        gprime = fprime + cross + circ
+        if F.domain == "annulus":
+            P = periods(gprime)
+            if P.max_abs > 1e-12 * (1.0 + float(np.abs(gprime.coeffs).max())):
+                res = kill_periods(pushed, target=1e-10)
+                pushed, gprime = res.spinor, res.g
+        G = gprime.antiderivative(base_point, base_value)
+        cert = _certify_null(G, F, bd, k, n_boundary, orth_dir)
+        return NullDeformation(G, cert, pushed), cert
 
-        def build(k):
-            pushed, S = _push_spinor(spinor, s_hat, m, k, a, b)
-            S2 = S * S
-            cross = B * (2.0 * S)
-            circ = SeriesMap(
-                (S2.coeffs[0][None, :] * pi_ab[:, None]),
-                S2.degree_lo,
-                S2.domain,
-                S2.r0,
-            )
-            gprime = fprime + cross + circ
-            if F.domain == "annulus":
-                P = periods(gprime)
-                if P.max_abs > 1e-12 * (1.0 + float(np.abs(gprime.coeffs).max())):
-                    res = kill_periods(pushed, target=1e-10)
-                    pushed, gprime = res.spinor, res.g
-            G = gprime.antiderivative(base_point, base_value)
-            cert = _certify_null(G, F, bd, k, n_boundary, orth_dir)
-            return NullDeformation(G, cert, pushed), cert
-
-        try:
-            if k_fixed is not None:
-                # caller pins the frequency (e.g. shared across arcs so the
-                # positive profiles add instead of interfering); no search
-                result, cert = build(k_fixed)
-                if not cert.valid:
-                    raise ToleranceUnachievableError(
-                        "k = %d misses the tolerance (worst-case %.3g)"
-                        % (k_fixed, cert.worst),
-                        certificate=cert,
-                    )
-                return result
-            return _search_k(build, m, k_max)[0]
-        except ToleranceUnachievableError:
-            cap = _FIT_M_MAX if k_fixed is None else min(_FIT_M_MAX, k_fixed - 1)
-            if m >= cap:
-                raise
-            m = min(2 * m, cap)
+    if k_fixed is None:
+        return _search_k(build, m, k_max)[0]
+    # the caller pins the frequency (e.g. shared across arcs so the positive
+    # profiles add instead of interfering); no search
+    result, cert = build(k_fixed)
+    if not cert.valid:
+        raise ToleranceUnachievableError(
+            "k = %d misses the tolerance (worst-case %.3g)" % (k_fixed, cert.worst),
+            certificate=cert,
+        )
+    return result
 
 
 def rh_null_disc(

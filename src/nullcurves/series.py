@@ -29,7 +29,6 @@ from .errors import (
 )
 from .kernels import horner_eval
 
-DEFAULT_DEGREE_CAP = 256
 DEFAULT_BOUNDARY_SAMPLES = 4096
 _BOUNDARY_SLACK = 1e-9
 # switch convolution products to FFT above this combined width
@@ -232,26 +231,6 @@ class SeriesMap:
             prod.coeffs.sum(axis=0, keepdims=True), prod.degree_lo, self.domain, self.r0
         )
 
-    def shift(self, power: int) -> "SeriesMap":
-        """Multiply by z**power (exact reindexing)."""
-        return SeriesMap(self.coeffs, self.degree_lo + power, self.domain, self.r0)
-
-    def truncate(self, degree_lo: int, degree_hi: int) -> Tuple["SeriesMap", float]:
-        """Restrict to a window; returns (map, dropped-energy fraction)."""
-        lo = max(degree_lo, 0) if self.domain == "disc" else degree_lo
-        d = self.degrees
-        keep = (d >= lo) & (d <= degree_hi)
-        total = float(np.sum(np.abs(self.coeffs) ** 2))
-        dropped = float(np.sum(np.abs(self.coeffs[:, ~keep]) ** 2))
-        leakage = dropped / total if total > 0 else 0.0
-        width = degree_hi - lo + 1
-        out = np.zeros((self.ncomp, width), dtype=np.complex128)
-        src = self.coeffs[:, keep]
-        if src.shape[1]:
-            off = max(self.degree_lo, lo) - lo
-            out[:, off : off + src.shape[1]] = src
-        return SeriesMap(out, lo, self.domain, self.r0), leakage
-
     # -- calculus ---------------------------------------------------------
 
     def derivative(self) -> "SeriesMap":
@@ -306,6 +285,8 @@ class SeriesMap:
 
     def eval(self, z: complex) -> np.ndarray:
         """Value at one point of the closed domain, (ncomp,) complex."""
+        if z == 0 and self.domain == "disc":
+            return self.coeffs[:, 0].copy()  # the disc's center: no Horner pass
         return self.eval_many(np.asarray([z]))[0]
 
     def eval_many(self, z) -> np.ndarray:

@@ -8,7 +8,6 @@ everything exactly null) and driving the period vector to zero with a
 damped least-squares Newton iteration.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -147,19 +146,6 @@ class KillPeriodsResult:
     spinor: SpinorPair  # the shifted spinor pair
     residual: float
     iterations: List[dict] = field(default_factory=list)
-
-    def trace_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": [
-                    {
-                        "t": [[float(c.real), float(c.imag)] for c in it["t"]],
-                        "residual_norm": it["residual_norm"],
-                    }
-                    for it in self.iterations
-                ]
-            }
-        )
 
 
 def _shift(s: SpinorPair, spec: SpraySpec, t: np.ndarray) -> SpinorPair:

@@ -1,11 +1,16 @@
 """CLI surface: subcommands, exit codes, byte-level determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullcurves import series
 from nullcurves.cli import main
@@ -27,7 +32,7 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
-def write_datum(tmp_path, **overrides):
+def _datum_blob(**overrides):
     kw = dict(
         arc=(0.0, math.pi / 2),
         mu=np.array([0.05]),
@@ -37,8 +42,12 @@ def write_datum(tmp_path, **overrides):
         r=0.98,
     )
     kw.update(overrides)
+    return json.loads(BoundaryData(**kw).to_json())
+
+
+def write_datum(tmp_path, **overrides):
     path = tmp_path / "datum.json"
-    path.write_text(BoundaryData(**kw).to_json())
+    path.write_text(json.dumps(_datum_blob(**overrides)))
     return str(path)
 
 
@@ -177,7 +186,8 @@ MALFORMED = {
     "top_level_array": ("recurse", "config", [1, 2]),
     "delta_infinite": ("recurse", "config", _config_blob(delta=float("inf"))),
     "epsilon_infinite": ("recurse", "config", _config_blob(epsilon=float("inf"))),
-    "datum_without_theta": ("deform", "datum", None),
+    "datum_without_theta": ("deform", "datum", _without("theta", _datum_blob())),
+    "mu_overflows_when_squared": ("deform", "datum", dict(_datum_blob(), mu=[1e308])),
     "bare_number_components": ("deform", "curve", dict(_CURVE, components=[1.0, 2.0])),
     "curve_without_components": ("deform", "curve", _without("components", _CURVE)),
     "fractional_degree": ("deform", "curve", dict(_CURVE, degree_lo=0.5)),
@@ -187,8 +197,6 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_json_is_domain_error(case, tmp_path, capsys):
     command, which, blob = MALFORMED[case]
-    if which == "datum":
-        blob = _without("theta", json.loads(Path(write_datum(tmp_path)).read_text()))
     path = tmp_path / "input.json"
     path.write_text(json.dumps(blob))
     if command == "recurse":
@@ -317,8 +325,65 @@ def test_export_bad_grid_is_usage_error(tmp_path, capsys):
     assert code == 64
 
 
-def test_seed_flag_accepted_and_inert(tmp_path, capsys):
-    code1, out1, _ = run(capsys, "--seed", "0", "construct", "linear_v1")
-    code2, out2, _ = run(capsys, "--seed", "7", "construct", "linear_v1")
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_seed_flag_is_gone(capsys):
+    code, out, _ = run(capsys, "--seed", "0", "construct", "linear_v1")
+    assert code == 64 and out == ""
+
+
+# -- fuzzed inputs -------------------------------------------------------------
+
+_DELETE = "<delete>"
+_VALUES = (None, True, "", "x", [], {}, [[1]], -1, 0, 1.5, 1e308, 10**30,
+           float("nan"), float("inf"), -float("inf"))
+# each base input keeps every valid mutant fast: the curve is pushed with
+# zero amplitude, the datum is the refused one (its collar floor refuses any
+# nonzero mu at once), the config runs no round on a tiny grid
+_BASES = {
+    "curve": _CURVE,
+    "datum": _datum_blob(mu=np.array([0.0]), epsilon=1e-9, r=0.5),
+    "config": _config_blob(iterations=0, grid=[2, 8]),
+}
+
+
+@st.composite
+def _mutants(draw):
+    which = draw(st.sampled_from(sorted(_BASES)))
+    blob = dict(_BASES[which])
+    key = draw(st.sampled_from(sorted(blob) + ["unknown_key"]))
+    values = _VALUES + (_DELETE,)
+    if which == "config" and key == "iterations":
+        values = tuple(v for v in _VALUES if v != 10**30)  # a run of 10**30 rounds
+    value = draw(st.sampled_from(values))
+    if value is _DELETE:
+        blob.pop(key, None)
+    else:
+        blob[key] = value
+    return which, blob
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mutants())
+def test_mutated_json_exits_cleanly(tmp_path_factory, mutant):
+    which, blob = mutant
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "input.json"
+    path.write_text(json.dumps(blob))
+    if which == "config":
+        argv = ["recurse", str(path), "--out", str(work / "ledger.csv")]
+    else:
+        curve = work / "curve.json"
+        curve.write_text(json.dumps(_CURVE))
+        datum = work / "datum.json"
+        datum.write_text(json.dumps(_datum_blob(mu=np.array([0.0]))))  # the identity push
+        argv = ["deform", str(path if which == "curve" else curve),
+                str(path if which == "datum" else datum)]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # a mutated csv_path or obj_path writes here
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in err.getvalue()

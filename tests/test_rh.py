@@ -11,6 +11,7 @@ from nullcurves.errors import (
     NotInNullConeError,
     ToleranceUnachievableError,
 )
+from nullcurves import rh
 from nullcurves.geometry import NullVector, SpinorPair, spinor_project
 from nullcurves.rh import (
     TWO_PI,
@@ -18,6 +19,7 @@ from nullcurves.rh import (
     BoundaryDiscFamily,
     RHCertificate,
     _certify_null,
+    _fit_boundary_profile,
     _rh_null,
     circle_distance,
     disc_distance,
@@ -232,6 +234,13 @@ def test_boundary_data_rejects_non_finite():
             BoundaryData.from_json(json.dumps(blob))
 
 
+def test_boundary_data_rejects_amplitude_that_overflows_when_squared():
+    for mu in (1e308, 1e200):  # finite, but (mu |theta|)^2 is not
+        with pytest.raises(DomainError, match="overflows"):
+            linear_datum(mu=np.array([0.1, mu]))
+    linear_datum(mu=np.array([1e150]))
+
+
 def test_amplitude_profile_taper():
     bd = linear_datum()
     lo, hi = bd.arc
@@ -295,8 +304,62 @@ def test_null_disc_zero_amplitude_identity():
     bd = linear_datum(mu=np.array([0.0]))
     G, cert = rh_null_disc(F, bd)
     assert G is F
-    assert cert.k == 0
-    assert max(cert.cond_a, cert.cond_b, cert.cond_c, cert.cond_d) == 0.0
+    assert cert.k == 0 and cert.valid
+    # measured, not assumed: the collar drifts by sup|F'| (1 - r) = 0.02 sqrt 2
+    assert cert.cond_a == 0.0
+    assert cert.cond_b == pytest.approx(0.02 * np.sqrt(2.0))
+    assert max(cert.cond_c, cert.cond_d, cert.cond_orth) < 1e-14
+
+
+def test_null_disc_zero_amplitude_outside_tolerance_raises():
+    # the floor (0.035) lets it through; the measured (b) (0.0707) does not
+    with pytest.raises(ToleranceUnachievableError) as info:
+        rh_null_disc(linear_curve(), linear_datum(mu=np.array([0.0]), r=0.95))
+    assert info.value.certificate.cond_b == pytest.approx(0.05 * np.sqrt(2.0))
+
+
+def _count_certificates(monkeypatch):
+    calls = []
+    original = rh._certify_null
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rh, "_certify_null", counted)
+    return calls
+
+
+def test_collar_floor_refuses_before_any_push(monkeypatch):
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("a push was built")
+
+    monkeypatch.setattr(rh, "_certify_null", no_certificate)
+    bd = linear_datum(mu=np.array([0.05]), epsilon=1e-9, r=0.5)
+    with pytest.raises(ToleranceUnachievableError, match="tolerance") as info:
+        rh_null_disc(linear_curve(), bd)
+    # half of sup|F'| (1 - r) = sqrt 2 / 2: no k and no fit degree gets under it
+    assert "(b)/(c)" in str(info.value) and "0.354" in str(info.value)
+
+
+def test_fit_floor_picks_the_degree_once(monkeypatch):
+    F = linear_curve()
+    bd = linear_datum(arc=(0.3, 0.3 + np.pi / 2), taper=0.02, r=0.98232)
+    # the level a search at m = 64 or 128 settles at, and m = 256 clears epsilon
+    floors = [_fit_boundary_profile(bd, m)[1] for m in (64, 128, 256)]
+    assert floors == pytest.approx([0.0784, 0.0528, 0.0200], abs=5e-4)
+    ks = _count_certificates(monkeypatch)
+    G, cert = rh_null_disc(F, bd)
+    assert cert.valid and cert.k == 423
+    assert len(ks) == 16  # one search, at m = 256 only
+    assert min(ks) == 257
+
+
+def test_fixed_k_push_builds_once(monkeypatch):
+    ks = _count_certificates(monkeypatch)
+    with pytest.raises(ToleranceUnachievableError, match="k = 300"):
+        _rh_null(linear_curve(), linear_datum(epsilon=0.02), k_fixed=300)
+    assert ks == [300]
 
 
 def test_null_disc_wrong_domain():

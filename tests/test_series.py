@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullcurves import series
 from nullcurves.errors import (
     AliasingError,
     DomainError,
@@ -170,19 +171,6 @@ def test_dot_is_componentwise_sum_without_conj():
     assert abs(d.coeffs[0, 0]) == 0.0
 
 
-def test_shift_reindexes():
-    s = poly(1.0, 2.0).shift(2)
-    assert s.degree_lo == 0
-    assert np.allclose(s.coeffs[0], [0, 0, 1, 2])
-
-
-def test_truncate_reports_dropped_energy():
-    s = poly(3.0, 0.0, 4.0)
-    t, leak = s.truncate(0, 0)
-    assert t.degree_hi == 0
-    assert leak == pytest.approx(16.0 / 25.0)
-
-
 # -- calculus -----------------------------------------------------------------
 
 
@@ -196,6 +184,22 @@ def test_antiderivative_pins_base_value():
     s = poly(1.0, 1.0)
     F = s.antiderivative(0.5, [7.0])
     assert F.eval(0.5)[0] == pytest.approx(7.0, abs=1e-14)
+
+
+def test_disc_center_skips_horner_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(3)
+    s = SeriesMap(rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40)), 0, "disc")
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    with monkeypatch.context() as m:  # the Horner route, kept as the reference
+        m.setattr(SeriesMap, "eval", lambda self, z: self.eval_many(np.asarray([z]))[0])
+        want_eval, want_prim = s.eval(0.0), s.antiderivative(0.0, v).coeffs
+
+    def no_horner(*args):
+        raise AssertionError("Horner pass at the disc's center")
+
+    monkeypatch.setattr(series, "horner_eval", no_horner)
+    assert s.eval(0.0).tobytes() == want_eval.tobytes()
+    assert s.antiderivative(0, v).coeffs.tobytes() == want_prim.tobytes()
 
 
 def test_annulus_derivative_and_residue():

@@ -1,7 +1,5 @@
 """Periods, null integration, and the period-killing Newton iteration."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -129,16 +127,6 @@ def test_kill_residual_decreases_monotonically():
     res = kill_periods(s, target=1e-10)
     norms = [it["residual_norm"] for it in res.iterations]
     assert all(b < a for a, b in zip(norms, norms[1:]))
-
-
-def test_kill_trace_json_schema():
-    v = np.array([1.0, 0.0, 0.05], dtype=complex)
-    s = spinor([1.0], 0, v, -1)
-    res = kill_periods(s, target=1e-10)
-    doc = json.loads(res.trace_json())
-    assert len(doc["iterations"]) == len(res.iterations)
-    assert doc["iterations"][0]["residual_norm"] == pytest.approx(4 * np.pi)
-    assert len(doc["iterations"][0]["t"]) == 6
 
 
 def test_kill_rejects_disc():
