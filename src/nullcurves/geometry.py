@@ -220,7 +220,9 @@ def spinor_lift(f: SeriesMap) -> SpinorPair:
     degree of f); a root that is not a polynomial, such as sqrt(1 - z/rho)
     for rho just above 1, may need more, so a fit leak or a round trip
     pi(u, v) off f by more than LIFT_ROUNDTRIP_TOL doubles the width, up
-    to 2^15, before it raises UnsupportedZeroConfigurationError.
+    to 2^15, before it raises UnsupportedZeroConfigurationError.  On an
+    annulus the doubling also stops, with the last failure, before a width
+    whose inner-circle scale r0^-width leaves the float range.
     The global sign is fixed by pushing u (then v) at the first boundary
     sample into the closed right half-plane.
     """
@@ -269,6 +271,16 @@ def spinor_lift(f: SeriesMap) -> SpinorPair:
         width *= 2
         if width > (1 << 15):
             raise UnsupportedZeroConfigurationError(failure)
+        if f.domain == "annulus":
+            # a fit at this width reads degrees down to about -(width + f.width)
+            # on the inner circle; past the float range its scale r0^d is inf
+            with np.errstate(over="ignore"):
+                inner_scale = np.float64(f.r0) ** -(width + f.width)
+            if not np.isfinite(inner_scale):
+                raise UnsupportedZeroConfigurationError(
+                    "%s; width %d would overflow the inner circle's scale r0^-%d"
+                    % (failure, width, width + f.width)
+                )
 
 
 def _lift_general(f, u2, v2, width) -> SpinorPair:

@@ -12,6 +12,7 @@ call only gathers the four weight arrays into the matrix data.
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.sparse
@@ -21,13 +22,19 @@ import scipy.sparse.csgraph
 BACKEND = "numpy"
 
 _CHUNK = 64
+# horner_eval evaluates this many points per matrix product
+_HORNER_POINTS = 256
 
 
 def horner_eval(coeffs, z):
     """Evaluate polynomials given by coeffs (C, W) at points z (M,).
 
-    Returns an (M, C) complex array; column j is component j evaluated by
-    Horner's scheme in ascending-degree storage.
+    Returns an (M, C) complex array; column j is component j in
+    ascending-degree storage.  The coefficients are cut into B blocks of
+    L = ceil(sqrt(W)); one matrix product against z^0 .. z^(L-1) gives
+    every block's value, and Horner's scheme in z^L combines the blocks.
+    Points go _HORNER_POINTS at a time, so the scratch memory stays at a
+    few MB for any width.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     z = np.ascontiguousarray(z, dtype=np.complex128)
@@ -35,11 +42,25 @@ def horner_eval(coeffs, z):
     out = np.zeros((z.shape[0], ncomp), dtype=np.complex128)
     if width == 0:
         return out
-    acc = np.broadcast_to(coeffs[:, width - 1], (z.shape[0], ncomp)).copy()
-    for j in range(width - 2, -1, -1):
-        acc *= z[:, None]
-        acc += coeffs[:, j]
-    return acc
+    span = math.isqrt(width - 1) + 1
+    nblocks = -(-width // span)
+    # row b * C + j holds degrees b*L .. b*L + L - 1 of component j
+    blocks = np.zeros((ncomp, nblocks * span), dtype=np.complex128)
+    blocks[:, :width] = coeffs
+    blocks = blocks.reshape(ncomp, nblocks, span).transpose(1, 0, 2).reshape(-1, span)
+    for lo in range(0, z.shape[0], _HORNER_POINTS):
+        zc = z[lo:lo + _HORNER_POINTS]
+        powers = np.empty((span, zc.shape[0]), dtype=np.complex128)
+        powers[0] = 1.0
+        np.cumprod(np.broadcast_to(zc, (span - 1, zc.shape[0])), axis=0, out=powers[1:])
+        zspan = powers[-1] * zc
+        vals = (blocks @ powers).reshape(nblocks, ncomp, zc.shape[0])
+        acc = vals[-1].copy()
+        for block in vals[-2::-1]:
+            acc *= zspan
+            acc += block
+        out[lo:lo + _HORNER_POINTS] = acc.T
+    return out
 
 
 def min_dist2(queries, cloud):

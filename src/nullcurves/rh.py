@@ -12,6 +12,8 @@ the certificate measures everything rather than assuming it.
 
 The null certificate samples G - F on the boundary of the region it claims,
 where the sup sits; every circle goes through the wrapped-FFT ring sampler.
+F's values on the radial segments at the keep-masks' ends come from
+SeriesMap.eval_many, the blocked Horner kernel, at those few hundred points.
 A null push decides before it builds anything: a datum whose collar floor
 reaches epsilon is refused, and the fit degree of the amplitude root is
 read off the fit's own floor, so each push runs one k-search.
@@ -249,15 +251,27 @@ def circle_distance(points, centers, rays) -> np.ndarray:
 def disc_distance(points, centers, rays) -> np.ndarray:
     """Distance from points to the discs {center + w ray : |w| <= 1}."""
     d = points - centers
-    d2 = (np.abs(d) ** 2).sum(axis=-1)
-    r2 = (np.abs(rays) ** 2).sum(axis=-1)
-    ip = (d * np.conj(rays)).sum(axis=-1)
+    d2 = _component_sum(np.abs(d) ** 2)
+    r2 = _component_sum(np.abs(rays) ** 2)
+    ip = np.abs(_component_sum(d * np.conj(rays)))
     safe = np.maximum(r2, 1e-300)
-    along2 = np.abs(ip) ** 2 / safe
-    excess = np.maximum(np.abs(ip) / safe - 1.0, 0.0)
+    along2 = ip ** 2 / safe
+    excess = np.maximum(ip / safe - 1.0, 0.0)
     dist2 = d2 - along2 + excess * excess * r2
     dist2 = np.where(r2 == 0.0, d2, dist2)
     return np.sqrt(np.maximum(dist2, 0.0))
+
+
+def _component_sum(x) -> np.ndarray:
+    """x summed over its last (component) axis, one term after the other.
+
+    For the few components of a map that is the order .sum(axis=-1) adds
+    in, so the bits agree, without NumPy's slow reduction over a short axis.
+    """
+    total = x[..., 0]
+    for c in range(1, x.shape[-1]):
+        total = total + x[..., c]
+    return total
 
 
 # -- the general C^n solver --------------------------------------------------

@@ -122,12 +122,15 @@ class SeriesMap:
         return SeriesMap(self.coeffs[k : k + 1], self.degree_lo, self.domain, self.r0)
 
     def in_domain(self, z: complex) -> bool:
-        az = abs(z)
-        if az > 1.0 + _BOUNDARY_SLACK:
-            return False
-        if self.domain == "annulus" and az < self.r0 - _BOUNDARY_SLACK:
-            return False
-        return True
+        return not self._outside(z)
+
+    def _outside(self, z):
+        """Which points z (a scalar or an array) lie outside the closed domain."""
+        az = np.abs(z)
+        outside = az > 1.0 + _BOUNDARY_SLACK
+        if self.domain == "annulus":
+            outside = outside | (az < self.r0 - _BOUNDARY_SLACK)
+        return outside
 
     def _same_domain(self, other: "SeriesMap"):
         if self.domain != other.domain or (
@@ -292,9 +295,10 @@ class SeriesMap:
     def eval_many(self, z) -> np.ndarray:
         """Values at points z (M,), -> (M, ncomp); Horner over the window."""
         z = np.asarray(z, dtype=np.complex128).ravel()
-        for zz in z:
-            if not self.in_domain(zz):
-                raise DomainError("evaluation point %r outside the domain" % zz)
+        outside = self._outside(z)
+        if outside.any():
+            zz = z[np.argmax(outside)]
+            raise DomainError("evaluation point %r outside the domain" % zz)
         vals = horner_eval(self.coeffs, z)
         if self.degree_lo != 0:
             vals = vals * (z[:, None] ** self.degree_lo)
@@ -317,8 +321,11 @@ class SeriesMap:
         nblocks = -(-(off + self.width) // n)
         buf = np.zeros((self.ncomp, nblocks * n), dtype=np.complex128)
         folded = np.empty((radii.size, self.ncomp, n), dtype=np.complex128)
+        fd = d.astype(np.float64)
         for i, (radius, phase) in enumerate(zip(radii, phases)):
-            scale = (radius ** d.astype(np.float64)) * np.exp(1j * phase * d)
+            scale = radius ** fd
+            if phase != 0.0:
+                scale = scale * np.exp(1j * phase * d)
             buf[:, off : off + self.width] = self.coeffs * scale[None, :]
             folded[i] = buf.reshape(self.ncomp, nblocks, n).sum(axis=1)
         vals = n * np.fft.ifft(folded, axis=2)

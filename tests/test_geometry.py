@@ -1,10 +1,13 @@
 """Null-cone geometry: spinor parametrization, lifts, the SL2 transfer."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullcurves import geometry
 from nullcurves.errors import (
     NotInH3Error,
     NotInNullConeError,
@@ -28,6 +31,7 @@ from nullcurves.geometry import (
     tmap_inverse,
     tmap_on_curve,
 )
+from nullcurves.pipelines import catalog
 from nullcurves.series import SeriesMap
 
 
@@ -266,6 +270,20 @@ def test_lift_annulus_large_winding_square():
     lifted = spinor_lift(f)
     assert np.abs((spinor_project(lifted) - f).coeffs).max() < 1e-12
     assert np.abs((lifted.u - s.u).coeffs).max() < 1e-12
+
+
+def test_lift_annulus_width_doubling_stops_before_overflow(monkeypatch):
+    # a round trip that never passes doubles the width until the inner
+    # circle's scale leaves the float range (0.25^-512 = 2^1024); the lift
+    # refuses first, with the last finite failure and no overflow warning
+    monkeypatch.setattr(geometry, "LIFT_ROUNDTRIP_TOL", 0.0)
+    f = catalog("annulus_basic").derivative()
+    t0 = time.perf_counter()
+    with pytest.raises(UnsupportedZeroConfigurationError) as err:
+        spinor_lift(f)
+    assert time.perf_counter() - t0 < 1.0
+    assert "round-trip error" in str(err.value)
+    assert "nan" not in str(err.value)
 
 
 # -- the SL2 transfer ----------------------------------------------------------

@@ -11,11 +11,19 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from nullcurves import kernels
-from nullcurves.series import _CONV_FFT_CUTOFF, fftconvolve
+from nullcurves.series import _CONV_FFT_CUTOFF, SeriesMap, fftconvolve
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _polyval_columns(coeffs, z):
+    """Oracle values (M, C) and the scale sum_d |c_d| |z|^d of their roundoff."""
+    want = np.stack([np.polynomial.polynomial.polyval(z, c) for c in coeffs], axis=1)
+    scale = np.stack([np.polynomial.polynomial.polyval(np.abs(z), np.abs(c))
+                      for c in coeffs], axis=1)
+    return want, scale
 
 
 def test_horner_matches_polyval():
@@ -23,8 +31,29 @@ def test_horner_matches_polyval():
     coeffs = r.normal(size=(3, 17)) + 1j * r.normal(size=(3, 17))
     z = r.normal(size=40) * 0.6 + 1j * r.normal(size=40) * 0.6
     got = kernels.horner_eval(coeffs, z)
-    want = np.stack([np.polynomial.polynomial.polyval(z, c) for c in coeffs], axis=1)
+    want, _ = _polyval_columns(coeffs, z)
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    # wide series, one to many chunks of points (1000 is no multiple of the
+    # chunk), on and inside the unit circle
+    cases = [(w, m) for w in (1, 17, 1430, 5330) for m in (1, 256, 1000)]
+    for width, npts in cases + [(1430, 8192)]:
+        coeffs = (r.normal(size=(3, width)) + 1j * r.normal(size=(3, width))) \
+            / np.sqrt(1.0 + np.arange(width))
+        z = np.exp(2j * np.pi * r.random(npts)) * r.uniform(0.0, 1.0, npts)
+        z[::3] /= np.abs(z[::3])
+        got = kernels.horner_eval(coeffs, z)
+        want, scale = _polyval_columns(coeffs, z)
+        assert got.shape == (npts, 3)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    # a Laurent window on an annulus: the kernel's values times z^degree_lo
+    lo = -40
+    coeffs = r.normal(size=(3, 300)) + 1j * r.normal(size=(3, 300))
+    s = SeriesMap(coeffs, lo, "annulus", 0.4)
+    z = np.exp(2j * np.pi * r.random(300)) * r.uniform(0.4, 1.0, 300)
+    z[:2] = [0.4, -1.0]
+    want, scale = _polyval_columns(coeffs, z)
+    zlo = np.abs(z[:, None]) ** lo
+    assert np.all(np.abs(s.eval_many(z) - want * z[:, None] ** lo) <= 1e-12 * scale * zlo)
 
 
 def test_min_dist2_bruteforce():

@@ -103,6 +103,41 @@ def test_disc_distance_matches_dense_sampling():
         assert got[i] == pytest.approx(want, abs=1e-4)
 
 
+def _disc_distance_reference(points, centers, rays):
+    """disc_distance as reductions over the component axis, kept as the oracle."""
+    d = points - centers
+    d2 = (np.abs(d) ** 2).sum(axis=-1)
+    r2 = (np.abs(rays) ** 2).sum(axis=-1)
+    ip = (d * np.conj(rays)).sum(axis=-1)
+    safe = np.maximum(r2, 1e-300)
+    along2 = np.abs(ip) ** 2 / safe
+    excess = np.maximum(np.abs(ip) / safe - 1.0, 0.0)
+    dist2 = d2 - along2 + excess * excess * r2
+    dist2 = np.where(r2 == 0.0, d2, dist2)
+    return np.sqrt(np.maximum(dist2, 0.0))
+
+
+def test_disc_distance_matches_reference_bit_for_bit():
+    r = np.random.default_rng(2)
+
+    def cplx(*shape):
+        return r.normal(size=shape) + 1j * r.normal(size=shape)
+
+    n = 2048
+    centers = cplx(n, 3)
+    # the certificate's rays: a taper amplitude (zero off the arc) times a
+    # null direction, plus rays that are exactly zero
+    amp = np.clip(r.normal(size=n), 0.0, None)
+    rays = amp[:, None] * np.array([1.0, -1j, 0.0])[None, :]
+    rays[::7] = cplx(n, 3)[::7]
+    rays[5::11] = 0.0
+    for points in (cplx(n, 3), cplx(8, n, 3)):
+        points[..., ::13, :] = centers[::13]  # points on the centers
+        got = disc_distance(points, centers, rays)
+        assert got.shape == points.shape[:-1]
+        assert np.array_equal(got, _disc_distance_reference(points, centers, rays))
+
+
 def test_degenerate_ray_is_point_distance():
     p = np.array([[1.0, 0.0, 0.0]], dtype=complex)
     c = np.zeros((1, 3), dtype=complex)

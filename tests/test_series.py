@@ -105,6 +105,21 @@ def test_circle_values_wide_span_exact():
     assert np.abs(vals[:, 0] - z**300).max() < 1e-12
 
 
+def _rings_reference(s, radii, n, phases):
+    """rings with the phase factor on every ring, one ring at a time."""
+    d = s.degrees
+    off = s.degree_lo % n
+    nblocks = -(-(off + s.width) // n)
+    out = []
+    for radius, phase in zip(radii, phases):
+        scale = (radius ** d.astype(np.float64)) * np.exp(1j * phase * d)
+        buf = np.zeros((s.ncomp, nblocks * n), dtype=np.complex128)
+        buf[:, off : off + s.width] = s.coeffs * scale[None, :]
+        folded = buf.reshape(s.ncomp, nblocks, n).sum(axis=1)
+        out.append((n * np.fft.ifft(folded, axis=1)).T)
+    return np.stack(out)
+
+
 def _ring_maps():
     r = np.random.default_rng(7)
     c = r.normal(size=(3, 40)) + 1j * r.normal(size=(3, 40))
@@ -128,6 +143,7 @@ def test_rings_equal_stacked_circle_values(n, phases):
         assert got.shape == (11, n, 3)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+        assert np.array_equal(got, _rings_reference(s, radii, n, ph))
         z = radii[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + ph[:, None]))
         direct = s.eval_many(z.ravel()).reshape(got.shape)
         assert np.abs(got - direct).max() < 1e-10 * np.abs(direct).max()
