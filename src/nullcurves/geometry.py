@@ -36,6 +36,19 @@ def null_residual(v) -> float:
     return float(abs(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
 
 
+def require_null(f: SeriesMap) -> None:
+    """Raise NotInNullConeError unless f . f vanishes on the boundary.
+
+    The sup of |f1^2 + f2^2 + f3^2| over 1024 boundary samples must stay
+    under NULL_TOL times the squared sup of |f| there.
+    """
+    scale = f.sup_boundary(1024)
+    scale2 = max(scale * scale, 1e-300)
+    res = f.dot(f).sup_boundary(1024)
+    if res > NULL_TOL * scale2:
+        raise NotInNullConeError("map is not null: residual %.3g" % (res / scale2))
+
+
 @dataclass(frozen=True)
 class NullVector:
     """A point of the punctured null quadric, validated on construction."""
@@ -408,12 +421,7 @@ def tmap_on_curve(
     """
     if F.ncomp != 3:
         raise ValueError("expected a 3-component curve")
-    d = F.derivative()
-    sos = d.dot(d)
-    scale = d.sup_boundary(1024)
-    res = sos.sup_boundary(1024)
-    if res > NULL_TOL * max(scale * scale, 1e-300):
-        raise NotInNullConeError("curve is not null: residual %.3g" % (res / scale**2))
+    require_null(F.derivative())
     grid = polar_grid(n_r, n_theta, F.domain, F.r0)
     flat = grid.ravel()
     gvals = F.eval_many(flat)
@@ -515,10 +523,7 @@ def minimal_part(
     if F.ncomp != 3:
         raise ValueError("expected a 3-component curve")
     d = F.derivative()
-    sos = d.dot(d)
-    scale = d.sup_boundary(1024)
-    if sos.sup_boundary(1024) > NULL_TOL * max(scale * scale, 1e-300):
-        raise NotInNullConeError("curve is not null")
+    require_null(d)
     grid = polar_grid(n_r, n_theta, F.domain, F.r0)
     flat = grid.ravel()
     vals = F.eval_many(flat).reshape(n_r, n_theta, 3)

@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-CSV_HEADER = "k,delta,intrinsic,extrinsic,supF3,cert_a,cert_b,cert_c,rh_k"
 
 _CATALOG_NAMES = ("linear_v1", "cubic_enneper_like", "annulus_basic")
 
@@ -155,25 +154,7 @@ class PipelineConfig:
 
     def to_json(self) -> str:
         d = {"schema": 1}
-        for key in (
-            "pipeline",
-            "domain",
-            "r0",
-            "seed_curve",
-            "delta",
-            "iterations",
-            "epsilon",
-            "arcs",
-            "mu_cap",
-            "collar_r",
-            "k_max",
-            "third_budget",
-            "toy_exponent",
-            "seed",
-            "csv_path",
-            "obj_path",
-        ):
-            d[key] = getattr(self, key)
+        d.update((f.name, getattr(self, f.name)) for f in fields(self))
         d["grid"] = list(self.grid)
         return json.dumps(d)
 
@@ -206,19 +187,11 @@ class LedgerRow:
     rh_k: int
 
     def to_csv(self) -> str:
-        cells = [str(self.k)]
-        for v in (
-            self.delta,
-            self.intrinsic,
-            self.extrinsic,
-            self.supF3,
-            self.cert_a,
-            self.cert_b,
-            self.cert_c,
-        ):
-            cells.append("%.17g" % v)
-        cells.append(str(self.rh_k))
-        return ",".join(cells)
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(str(v) if _is_a(numbers.Integral, v) else "%.17g" % v for v in values)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(LedgerRow))
 
 
 class GrowthLedger:
@@ -340,13 +313,20 @@ def _seed_curve(cfg: PipelineConfig) -> SeriesMap:
     return F
 
 
-def _measure_row(
-    F: SeriesMap, cfg: PipelineConfig, k: int, delta: float, certs
-) -> Tuple[LedgerRow, dict]:
-    rep = intrinsic_radius(F, grid=cfg.grid)
-    sup3, min12 = bounded_coordinate_report(F)
-    row = LedgerRow(
-        k=k,
+def _record(
+    ledger: GrowthLedger,
+    curve: SeriesMap,
+    cfg: PipelineConfig,
+    rnd: int,
+    delta: float,
+    certs,
+    arcs=None,
+) -> None:
+    """Measure the curve after round rnd and append its ledger row and metadata."""
+    rep = intrinsic_radius(curve, grid=cfg.grid)
+    sup3, min12 = bounded_coordinate_report(curve)
+    ledger.append(LedgerRow(
+        k=rnd,
         delta=delta,
         intrinsic=rep.intrinsic_radius,
         extrinsic=rep.extrinsic_radius,
@@ -355,129 +335,119 @@ def _measure_row(
         cert_b=max((c.cond_b for c in certs), default=0.0),
         cert_c=max((c.cond_c for c in certs), default=0.0),
         rh_k=max((c.k for c in certs), default=0),
-    )
+    ))
     extra = {"min_F12": min12, "shortcut": rep.shortcut_length}
-    return row, extra
+    if arcs is not None:
+        extra["arcs"] = arcs
+    ledger.meta["rounds"].append(extra)
+
+
+class _Breach(Exception):
+    """args (cert, budget): a certified push whose leak cond_orth reaches the budget."""
+
+
+def _push_round(
+    cfg: PipelineConfig,
+    choose_direction,
+    rnd: int,
+    curve: SeriesMap,
+    spinor,
+    mu: float,
+    k: int,
+):
+    """Push every arc of round rnd once, at frequency k and amplitude up to mu.
+
+    delta_k caps the push; the realized amplitude is halved until the
+    measured outer radius stays inside the round's quadratic allowance (the
+    push's frequency-mixing residue scales like sqrt(mu), so it cannot be
+    certified away at any fixed tolerance), and the halved mu carries on to
+    the next arc.  A push whose leak cond_orth reaches the budget of
+    choose_direction raises _Breach before its growth is read: a leaky push
+    is never kept.  Returns (curve, spinor, mu, certs, arc_meta).
+    """
+    delta_k = cfg.delta_at(rnd)
+    arcs, tau = _round_arcs(cfg.arcs)
+    allowance = 3.4 * delta_k * delta_k
+    e_start = curve.sup_boundary(4096)
+    certs = []
+    arc_meta = []
+    for arc in arcs:
+        theta, label, orth_budget, orth_direction = choose_direction(curve, arc, rnd)
+        # The curve's own radial drift across the collar is mostly
+        # perpendicular to the push disc, so it lower-bounds the drift
+        # condition at sup|F'| * (1 - r).  Narrow the collar until that
+        # floor sits at half the tolerance.
+        sup_fp = curve.derivative().sup_boundary(2048)
+        r_arc = max(cfg.collar_r, 1.0 - 0.5 * cfg.epsilon / max(sup_fp, 1e-12))
+        while True:
+            bd = BoundaryData(
+                arc=arc, mu=np.array([mu]), theta=theta, taper=tau, epsilon=cfg.epsilon, r=r_arc
+            )
+            out = _rh_null(curve, bd, spinor=spinor, k_fixed=k, orth_direction=orth_direction)
+            if orth_budget is not None and out.cert.cond_orth >= orth_budget:
+                raise _Breach(out.cert, orth_budget)
+            growth = out.G.sup_boundary(4096) - e_start
+            if growth <= allowance or mu <= delta_k / 1024.0:
+                break
+            mu *= 0.5
+        curve, spinor = out.G, out.spinor
+        certs.append(out.cert)
+        arc_meta.append(
+            {"theta": label, "mu": mu, "rh_k": out.cert.k, "r": r_arc, "growth": growth}
+        )
+    return curve, spinor, mu, certs, arc_meta
 
 
 def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
     """Shared driver; choose_direction(F, arc, round) -> info.
 
-    info is (direction, label, budget, fixed direction).  The driver, not
-    the certificate search, enforces the budget: a certified push whose
-    leak cond_orth along the fixed direction reaches it restarts the
-    round, and the 7th breach in a round aborts the run.  The spinor
+    info is (direction, label, budget, fixed direction).  Each round
+    starts at the amplitude min(delta_k, mu_cap, twice the last round's
+    final mu) and one frequency shared by its arcs, frozen before any
+    amplitude halving: the arc profiles are nonnegative, so same-k pushes
+    reinforce where they overlap instead of cancelling at anti-phase
+    angles.  The driver, not the certificate search, enforces the budget.
+    The orthogonal leak of a push scales like sqrt(mu / k), so a breach
+    replays the round from its starting curve at half the amplitude and,
+    up to k_max, twice the frequency; the 7th breach in a round aborts the
+    run.  Any library error in a round attaches the ledger so far
+    (``partial_ledger``, with ``meta["aborted"]``).  The spinor
     factorization is threaded through every push, so the curve is
     re-lifted exactly once (at the seed) per run.
     """
-    F = _seed_curve(cfg)
+    curve = _seed_curve(cfg)
     ledger = GrowthLedger()
     ledger.meta["config"] = json.loads(cfg.to_json())
-    row, extra = _measure_row(F, cfg, 0, 0.0, [])
-    ledger.append(row)
-    ledger.meta["rounds"].append(extra)
-
+    _record(ledger, curve, cfg, 0, 0.0, [])
     spinor = None
-    curve = F
-    mu_carry = None
-    for rnd in range(1, cfg.iterations + 1):
-        delta_k = cfg.delta_at(rnd)
-        arcs, tau = _round_arcs(cfg.arcs)
-        # delta_k caps the push; the realized amplitude is halved until the
-        # measured outer radius stays inside the round's quadratic allowance
-        # (the push's frequency-mixing residue scales like sqrt(mu), so it
-        # cannot be certified away at any fixed tolerance).
-        allowance = 3.4 * delta_k * delta_k
-        e_start = curve.sup_boundary(4096)
-        mu_round = min(delta_k, cfg.mu_cap)
-        if mu_carry is not None:
-            mu_round = min(mu_round, 2.0 * mu_carry)
-        # one shared frequency per round, frozen before any amplitude
-        # halving: the arc profiles are nonnegative, so same-k pushes
-        # reinforce where they overlap instead of cancelling at
-        # anti-phase angles
-        k_round = _round_frequency(mu_round, cfg.k_max)
-        # the orthogonal leak of a push scales like sqrt(mu / k), so a
-        # budget breach is cured by doubling the round frequency and
-        # halving the amplitude, then replaying the round from its
-        # starting curve
-        snapshot = (curve, spinor)
-        mu_start = mu_round
-        restarts = 0
-        while True:
-            curve, spinor = snapshot
-            mu_round = mu_start * 0.5 ** restarts
-            certs = []
-            arc_meta = []
-            retry_round = False
-            for arc in arcs:
-                theta, label, orth_budget, orth_direction = choose_direction(curve, arc, rnd)
-                # The curve's own radial drift across the collar is mostly
-                # perpendicular to the push disc, so it lower-bounds the
-                # drift condition at sup|F'| * (1 - r).  Narrow the collar
-                # until that floor sits at half the tolerance.
-                sup_fp = curve.derivative().sup_boundary(2048)
-                r_arc = max(cfg.collar_r, 1.0 - 0.5 * cfg.epsilon / max(sup_fp, 1e-12))
-                while True:
-                    bd = BoundaryData(
-                        arc=arc,
-                        mu=np.array([mu_round]),
-                        theta=theta,
-                        taper=tau,
-                        epsilon=cfg.epsilon,
-                        r=r_arc,
+    mu = math.inf
+    try:
+        for rnd in range(1, cfg.iterations + 1):
+            delta_k = cfg.delta_at(rnd)
+            mu = min(delta_k, cfg.mu_cap, 2.0 * mu)
+            k = _round_frequency(mu, cfg.k_max)
+            for restarts in range(7):
+                try:
+                    curve, spinor, mu, certs, arc_meta = _push_round(
+                        cfg, choose_direction, rnd, curve, spinor, mu * 0.5 ** restarts, k
                     )
-                    try:
-                        out = _rh_null(
-                            curve,
-                            bd,
-                            spinor=spinor,
-                            k_max=cfg.k_max,
-                            k_fixed=k_round,
-                            orth_direction=orth_direction,
-                        )
-                        # checked before growth: a leaky push is never kept
-                        if orth_budget is not None and out.cert.cond_orth >= orth_budget:
-                            if restarts < 6:
-                                retry_round = True
-                                break
-                            raise ToleranceUnachievableError(
-                                "fixed-direction leak cond_orth = %.3g reaches the budget %.3g"
-                                " at k = %d after %d round restarts"
-                                % (out.cert.cond_orth, orth_budget, k_round, restarts),
-                                certificate=out.cert,
-                            )
-                    except NullCurveError as err:
-                        ledger.meta["aborted"] = "round %d: %s" % (rnd, err)
-                        err.partial_ledger = ledger
-                        raise
-                    growth = out.G.sup_boundary(4096) - e_start
-                    if growth <= allowance or mu_round <= delta_k / 1024.0:
-                        break
-                    mu_round *= 0.5
-                if retry_round:
                     break
-                curve, spinor = out.G, out.spinor
-                certs.append(out.cert)
-                arc_meta.append(
-                    {
-                        "theta": label,
-                        "mu": mu_round,
-                        "rh_k": out.cert.k,
-                        "r": r_arc,
-                        "growth": growth,
-                    }
-                )
-            if not retry_round:
-                break
-            restarts += 1
-            if 2 * k_round <= cfg.k_max:
-                k_round *= 2
-        mu_carry = mu_round
-        row, extra = _measure_row(curve, cfg, rnd, delta_k, certs)
-        extra["arcs"] = arc_meta
-        ledger.append(row)
-        ledger.meta["rounds"].append(extra)
+                except _Breach as breach:
+                    cert, budget = breach.args
+                    if restarts == 6:
+                        raise ToleranceUnachievableError(
+                            "fixed-direction leak cond_orth = %.3g reaches the budget %.3g"
+                            " at k = %d after %d round restarts"
+                            % (cert.cond_orth, budget, k, restarts),
+                            certificate=cert,
+                        ) from None
+                    if 2 * k <= cfg.k_max:
+                        k *= 2
+            _record(ledger, curve, cfg, rnd, delta_k, certs, arc_meta)
+    except NullCurveError as err:
+        ledger.meta["aborted"] = "round %d: %s" % (rnd, err)
+        err.partial_ledger = ledger
+        raise
     ledger.meta["final_width"] = curve.width
     ledger.meta["final_curve"] = curve
     return ledger
@@ -521,8 +491,9 @@ def run_bounded_third(cfg: PipelineConfig) -> GrowthLedger:
     leaks one.  The certificate measures that leak along e3 (cond_orth),
     and the round driver, not the certificate search, caps it for each arc
     push, not for each round, at third_budget / 2^(round+1): a push over
-    the cap replays the round at half the amplitude and, up to k_max,
-    twice the frequency, and the run aborts after 6 replays of one round.
+    the cap ends that pass of _push_round, _run_rounds replays the round
+    from its starting curve at half the amplitude and, up to k_max, twice
+    the frequency, and the run aborts at the 7th breach in one round.
     The certified bound on a round's sup|F3| change is therefore ``arcs``
     times that cap, and sup|F3| <= third_budget over a run is measured,
     not certified: at 8 arcs, rounds 3 and 4 of the four-round run with

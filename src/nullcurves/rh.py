@@ -37,6 +37,8 @@ from .series import SeriesMap
 from .weierstrass import kill_periods, periods
 
 K_MAX = 1 << 16
+# boundary samples per circle of the null push's certificate and collar floor
+_NULL_N = 4096
 # fit degree m of the null push's boundary profile: the first tried, and the
 # largest the fit floor may call for
 _FIT_M_INIT = 64
@@ -354,7 +356,7 @@ def _certify_approx(
         cond_a = float(np.sqrt(d2).max())
 
     rho = np.linspace(r_prime, 1.0, _CERT_RADIAL)
-    Fr = np.ascontiguousarray(F.rings(rho, n).swapaxes(0, 1))  # (n, R, C)
+    Fr = F.rings(rho, n).swapaxes(0, 1)  # (n, R, C)
     if fam.J == 1:
         centers = np.broadcast_to(fb[:, None, :], Fr.shape)
         rays = np.broadcast_to(cj[:, 0, :][:, None, :], Fr.shape)
@@ -650,8 +652,6 @@ def _rh_null(
     F: SeriesMap,
     bd: BoundaryData,
     spinor: Optional[SpinorPair] = None,
-    n_boundary: int = 4096,
-    k_max: int = K_MAX,
     k_fixed: Optional[int] = None,
     orth_direction: Optional[np.ndarray] = None,
 ) -> NullDeformation:
@@ -662,8 +662,8 @@ def _rh_null(
     measured certificate.  Otherwise the fit degree m is chosen once: the
     first of 64, 128, 256 (below k_fixed when given) whose fit floor is
     below epsilon, else the largest.  The floor picks the degree but never
-    refuses: a search can dip somewhat below it.  Then one k-search (or
-    one build at k_fixed) certifies or raises.
+    refuses: a search can dip somewhat below it.  Then one k-search up to
+    K_MAX (or one build at k_fixed) certifies or raises.
 
     The certificate measures cond_orth along orth_direction (or normal to
     F' and the push direction at the arc midpoint) but does not bound it;
@@ -680,7 +680,7 @@ def _rh_null(
         spinor = spinor_lift(fprime)
     a, b = _direction_lift(bd.theta)
 
-    floor = _collar_floor(F, bd, n_boundary)
+    floor = _collar_floor(F, bd, _NULL_N)
     if not floor < bd.epsilon:
         raise ToleranceUnachievableError(
             "conditions (b)/(c) have a collar floor %.3g that reaches the tolerance %.3g"
@@ -696,7 +696,7 @@ def _rh_null(
         orth_dir = _orth_direction(fp_mid, bd.theta)
 
     if float(bd.mu.max()) == 0.0:
-        cert = _certify_null(F, F, bd, 0, n_boundary, orth_dir)
+        cert = _certify_null(F, F, bd, 0, _NULL_N, orth_dir)
         if not cert.valid:
             raise ToleranceUnachievableError(
                 "the unpushed curve misses the tolerance (worst-case %.3g)" % cert.worst,
@@ -737,11 +737,11 @@ def _rh_null(
                 res = kill_periods(pushed, target=1e-10)
                 pushed, gprime = res.spinor, res.g
         G = gprime.antiderivative(base_point, base_value)
-        cert = _certify_null(G, F, bd, k, n_boundary, orth_dir)
+        cert = _certify_null(G, F, bd, k, _NULL_N, orth_dir)
         return NullDeformation(G, cert, pushed), cert
 
     if k_fixed is None:
-        return _search_k(build, m, k_max)[0]
+        return _search_k(build, m, K_MAX)[0]
     # the caller pins the frequency (e.g. shared across arcs so the positive
     # profiles add instead of interfering); no search
     result, cert = build(k_fixed)

@@ -311,7 +311,7 @@ class SeriesMap:
         constraint because this is evaluation, not fitting.  Each ring is
         scaled and folded mod n on its own, which keeps the scratch memory
         at one ring's worth for wide series; the FFT runs once over all
-        rings.  The result is C-contiguous.
+        rings.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
         phases = np.broadcast_to(np.asarray(phases, dtype=np.float64), radii.shape)
@@ -329,7 +329,7 @@ class SeriesMap:
             buf[:, off : off + self.width] = self.coeffs * scale[None, :]
             folded[i] = buf.reshape(self.ncomp, nblocks, n).sum(axis=1)
         vals = n * np.fft.ifft(folded, axis=2)
-        return np.ascontiguousarray(vals.transpose(0, 2, 1))
+        return vals.transpose(0, 2, 1)
 
     def circle_values(self, radius: float, n: int, phase: float = 0.0) -> np.ndarray:
         """Values at z = radius*exp(i(2pi j/n + phase)), j = 0..n-1 -> (n, ncomp)."""

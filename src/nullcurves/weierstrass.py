@@ -17,13 +17,11 @@ from .errors import (
     ConvergenceFailureError,
     DomainError,
     NonDominatingSprayError,
-    NotInNullConeError,
     PeriodObstructionError,
 )
-from .geometry import SpinorPair, spinor_project
+from .geometry import SpinorPair, require_null, spinor_project
 from .series import SeriesMap
 
-NULL_TOL = 1e-10
 PERIOD_TOL = 1e-9
 # kill_periods: Newton iteration cap, centered-difference step, smallest
 # admissible singular value of the period Jacobian, relative stopping tolerance
@@ -60,15 +58,6 @@ def periods(f: SeriesMap) -> PeriodMatrix:
     return PeriodMatrix(col[:, None], (float(np.sqrt(f.r0)),))
 
 
-def _nullity(f: SeriesMap, n: int = 1024) -> float:
-    """Normalized boundary sup of the sum-of-squares series."""
-    sos = f.dot(f)
-    scale = f.sup_boundary(n)
-    if scale == 0.0:
-        return 0.0
-    return sos.sup_boundary(n) / (scale * scale)
-
-
 def integrate_null(
     f: SeriesMap,
     base_point: Optional[complex] = None,
@@ -81,9 +70,7 @@ def integrate_null(
     """
     if f.ncomp != 3:
         raise ValueError("expected a 3-component map")
-    res = _nullity(f)
-    if res > NULL_TOL:
-        raise NotInNullConeError("nullity residual %.3g exceeds %.3g" % (res, NULL_TOL))
+    require_null(f)
     if base_point is None:
         base_point = 0.0 if f.domain == "disc" else float(np.sqrt(f.r0))
     if f.domain == "annulus":

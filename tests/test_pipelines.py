@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullcurves import pipelines
 from nullcurves.cli import main
-from nullcurves.diagnostics import bounded_coordinate_report, nullity_residual
+from nullcurves.diagnostics import bounded_coordinate_report, intrinsic_radius, nullity_residual
 from nullcurves.errors import (
+    DegenerateImmersionError,
     DomainError,
     PoleError,
     ToleranceUnachievableError,
@@ -249,6 +251,32 @@ def test_unreachable_tolerance_surfaces_partial_ledger():
     led = exc.value.partial_ledger
     assert [row.k for row in led.rows] == [0]
     assert "aborted" in led.meta
+
+
+def test_error_measuring_a_round_surfaces_partial_ledger(monkeypatch, tmp_path, capsys):
+    # the seed row is measured, then round 1's measurement fails
+    calls = []
+
+    def second_call_fails(F, **kwargs):
+        calls.append(F)
+        if len(calls) % 2 == 0:
+            raise DegenerateImmersionError("conformal factor vanishes")
+        return intrinsic_radius(F, **kwargs)
+
+    monkeypatch.setattr(pipelines, "intrinsic_radius", second_call_fails)
+    cfg = PipelineConfig(iterations=1, arcs=3)
+    with pytest.raises(DegenerateImmersionError) as exc:
+        run_completeness_recursion(cfg)
+    led = exc.value.partial_ledger
+    assert [row.k for row in led.rows] == [0]
+    assert led.meta["aborted"].startswith("round 1:")
+
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json())
+    target = tmp_path / "partial.csv"
+    assert main(["recurse", str(path), "--out", str(target)]) == 1
+    assert "conformal factor vanishes" in capsys.readouterr().err
+    assert target.read_text() == led.to_csv()
 
 
 def test_annulus_seed_mismatch_rejected():

@@ -493,7 +493,7 @@ def test_certify_null_matches_per_radius_reference(case):
         bd = linear_datum(arc=(0.5, 4.5), taper=1.2, r=0.9)
         assert bd.in_padded_arc(TWO_PI * np.arange(512) / 512, bd.taper).all()
     # a loose tolerance lets the pinned k through whatever the conditions say
-    G = _rh_null(F, replace(bd, epsilon=10.0), n_boundary=1024, k_fixed=160).G
+    G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=160).G
     # the boundary pieces (c) and (d) read are points of the dense grid, and
     # by the maximum principle no interior point of it goes higher
     want_c, want_d = _closeness_dense(G, F, bd, 1024)

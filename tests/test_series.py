@@ -141,7 +141,6 @@ def test_rings_equal_stacked_circle_values(n, phases):
             got = s.rings(radii, n, ph)
         want = np.stack([s.circle_values(r, n, p) for r, p in zip(radii, ph)])
         assert got.shape == (11, n, 3)
-        assert got.flags.c_contiguous
         assert np.array_equal(got, want)
         assert np.array_equal(got, _rings_reference(s, radii, n, ph))
         z = radii[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + ph[:, None]))
