@@ -75,7 +75,8 @@ class RadiusReport:
     """Intrinsic vs extrinsic size of the image surface.
 
     intrinsic_radius: shortest weighted-graph path from |z| = r_core to the
-    outer circle; an upper bound for the true metric distance.
+    outer circle, edges weighted by the midpoint rule: an estimate of the
+    metric distance with no bound in either direction (ROADMAP item 2).
     extrinsic_radius: boundary sup of the ambient euclidean norm.
     shortcut_length: minimal boundary-to-boundary path length between
     antipodal outer arcs, so curtain-style shortcuts show up in ledgers.
@@ -171,8 +172,10 @@ def intrinsic_radius(
     Shortest path from the circle |z| = r_core to the outer circle, edges
     weighted by the conformal factor at the edge midpoint times euclidean
     edge length (8-neighbour stencil).  Extrinsic radius is the boundary
-    sup of |F|.  Grid paths only over-estimate distances, so refinement can
-    only tighten the intrinsic figure.
+    sup of |F|.  The intrinsic figure is a midpoint-rule estimate with no
+    bound in either direction: on the cubic Enneper-like seed it reads below
+    the exact radius 4 sqrt(2)/3 and rises under grid refinement (ROADMAP
+    item 2).
     """
     nrad, nang = grid
     if nrad < 2 or nang < 8:
@@ -217,8 +220,7 @@ def bounded_coordinate_report(F: SeriesMap, n: int = 4096) -> Tuple[float, float
     """
     if F.ncomp != 3:
         raise ValueError("bounded_coordinate_report expects a 3-component curve")
-    radii = [1.0] if F.domain == "disc" else [1.0, F.r0]
-    boundary = F.rings(radii, n).reshape(-1, 3)
+    boundary = F.rings(F.boundary_radii, n).reshape(-1, 3)
     sup_f3 = float(np.abs(boundary[:, 2]).max())
     min_12 = float(np.sqrt((np.abs(boundary[:, :2]) ** 2).sum(axis=1)).min())
     return sup_f3, min_12

@@ -21,7 +21,7 @@ from .errors import (
     PoleError,
     UnsupportedZeroConfigurationError,
 )
-from .series import BoundarySamples, SeriesMap, fit_from_boundary
+from .series import SeriesMap, fit_from_boundary
 
 NULL_TOL = 1e-10
 POLE_TOL = 1e-10
@@ -121,6 +121,13 @@ def spinor_project(s: SpinorPair) -> SeriesMap:
     return SeriesMap.stack([u2 - v2, (u2 + v2) * 1j, uv * 2.0])
 
 
+def spinor_point(a, b) -> np.ndarray:
+    """pi on a constant spinor: (a^2 - b^2, i(a^2 + b^2), 2ab)."""
+    return np.array(
+        [a * a - b * b, 1j * (a * a + b * b), 2 * a * b], dtype=np.complex128
+    )
+
+
 def spinor_bilinear(s: SpinorPair, a: complex, b: complex) -> SeriesMap:
     """Symmetric companion B((u,v),(a,b)) = (ua - vb, i(ua + vb), ub + va).
 
@@ -131,11 +138,6 @@ def spinor_bilinear(s: SpinorPair, a: complex, b: complex) -> SeriesMap:
     ub = s.u * complex(b)
     va = s.v * complex(a)
     return SeriesMap.stack([ua - vb, (ua + vb) * 1j, ub + va])
-
-
-def _fit_scalar(outer, inner, domain, r0, lo, hi, fit_tol=1e-7):
-    samples = BoundarySamples(outer.shape[0], outer, inner, domain, r0)
-    return fit_from_boundary(samples, lo, hi, fit_tol=fit_tol)
 
 
 def _winding(values) -> Tuple[int, float]:
@@ -163,7 +165,7 @@ def _sqrt(g: SeriesMap, width: int) -> SeriesMap:
     angle 0), exponentiate half, refit, multiply back z^(w/2).
     """
     n = _fit_samples(width + g.width)
-    vals = g.rings([1.0] if g.domain == "disc" else [1.0, g.r0], n)[..., 0]
+    vals = g.rings(g.boundary_radii, n)[..., 0]
     mag = np.abs(vals)
     top = mag.max(axis=1)
     if (top == 0.0).any() or (mag.min(axis=1) <= 1e-13 * top).any():
@@ -193,8 +195,7 @@ def _sqrt(g: SeriesMap, width: int) -> SeriesMap:
     u_out = np.exp(0.5 * (np.log(np.abs(h_out)) + 1j * ang_out))
     u_out = u_out * np.exp(1j * (w // 2) * theta)
     if g.domain == "disc":
-        root, _ = _fit_scalar(u_out[:, None], None, "disc", None, 0, width)
-        return root
+        return fit_from_boundary(u_out[None, :, None], 0, width)[0]
     r0 = g.r0
     h_in = vals[1] * (r0 ** (-w)) * np.exp(-1j * w * theta)
     # connect the inner branch through g along the radial segment at angle 0
@@ -205,10 +206,8 @@ def _sqrt(g: SeriesMap, width: int) -> SeriesMap:
     ang_in = ang_in - ang_in[0] + (ang_radial[0] + offset)
     log_in = np.log(np.abs(h_in)) + 1j * ang_in
     u_in = np.exp(0.5 * log_in) * (r0 ** (w // 2)) * np.exp(1j * (w // 2) * theta)
-    root, _ = _fit_scalar(
-        u_out[:, None], u_in[:, None], "annulus", r0, w // 2 - width, w // 2 + width
-    )
-    return root
+    roots = np.stack([u_out, u_in])[..., None]
+    return fit_from_boundary(roots, w // 2 - width, w // 2 + width, r0)[0]
 
 
 def _lift_roundtrip_error(f: SeriesMap, pair: SpinorPair) -> float:
@@ -242,7 +241,7 @@ def spinor_lift(f: SeriesMap) -> SpinorPair:
     if f.ncomp != 3:
         raise ValueError("lift expects a 3-component map")
     n = _fit_samples(f.width)
-    vals = f.rings([1.0] if f.domain == "disc" else [1.0, f.r0], n)
+    vals = f.rings(f.boundary_radii, n)
     norms2 = (np.abs(vals) ** 2).sum(axis=2)
     sos = np.abs(vals[..., 0] ** 2 + vals[..., 1] ** 2 + vals[..., 2] ** 2)
     scale2 = norms2.max()
@@ -318,15 +317,9 @@ def _lift_general(f, u2, v2, width) -> SpinorPair:
 def _divide_by(num: SeriesMap, den: SeriesMap, width: int) -> SeriesMap:
     """num/den refit from boundary values (den zero-free by construction)."""
     n = _fit_samples(width + max(num.width, den.width))
-    outer = num.circle_values(1.0, n)[:, 0] / den.circle_values(1.0, n)[:, 0]
-    if num.domain == "disc":
-        quot, _ = _fit_scalar(outer[:, None], None, "disc", None, 0, width)
-        return quot
-    inner = num.circle_values(num.r0, n)[:, 0] / den.circle_values(den.r0, n)[:, 0]
-    quot, _ = _fit_scalar(
-        outer[:, None], inner[:, None], "annulus", num.r0, -width, width
-    )
-    return quot
+    quot = num.rings(num.boundary_radii, n) / den.rings(den.boundary_radii, n)
+    lo = 0 if num.domain == "disc" else -width
+    return fit_from_boundary(quot, lo, width, num.r0)[0]
 
 
 def _normalize_sign(pair: SpinorPair) -> SpinorPair:
@@ -396,13 +389,17 @@ class TMapCurveReport:
 
 
 def polar_grid(n_r: int, n_theta: int, domain: str = "disc", r0=None):
-    """Complex polar nodes (n_r, n_theta); disc includes the center ring."""
+    """Ring radii (n_r,) and complex polar nodes (n_r, n_theta).
+
+    The disc grid includes the center ring.  Node (i, j) is
+    radii[i] * exp(2 pi i j / n_theta): the layout of rings(radii, n_theta).
+    """
     if domain == "annulus":
         radii = np.linspace(r0, 1.0, n_r)
     else:
         radii = np.linspace(0.0, 1.0, n_r)
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    return radii[:, None] * np.exp(1j * theta)[None, :]
+    return radii, radii[:, None] * np.exp(1j * theta)[None, :]
 
 
 def tmap_on_curve(
@@ -422,9 +419,9 @@ def tmap_on_curve(
     if F.ncomp != 3:
         raise ValueError("expected a 3-component curve")
     require_null(F.derivative())
-    grid = polar_grid(n_r, n_theta, F.domain, F.r0)
+    radii, grid = polar_grid(n_r, n_theta, F.domain, F.r0)
     flat = grid.ravel()
-    gvals = F.eval_many(flat)
+    gvals = F.rings(radii, n_theta).reshape(-1, 3)
     f3 = np.abs(gvals[:, 2])
     bad = int(np.argmin(f3))
     if f3[bad] <= pole_tol:
@@ -524,10 +521,9 @@ def minimal_part(
         raise ValueError("expected a 3-component curve")
     d = F.derivative()
     require_null(d)
-    grid = polar_grid(n_r, n_theta, F.domain, F.r0)
-    flat = grid.ravel()
-    vals = F.eval_many(flat).reshape(n_r, n_theta, 3)
-    dvals = d.eval_many(flat).reshape(n_r, n_theta, 3)
+    radii, grid = polar_grid(n_r, n_theta, F.domain, F.r0)
+    vals = F.rings(radii, n_theta)
+    dvals = d.rings(radii, n_theta)
     lam = np.sqrt((np.abs(dvals) ** 2).sum(axis=2))
     degenerate = bool(lam.min() <= DEGENERATE_TOL * max(lam.max(), 1e-300))
     return MinimalPartReport(

@@ -27,7 +27,7 @@ from .errors import (
     PoleError,
     ToleranceUnachievableError,
 )
-from .geometry import NullVector, _tmap_entries, tmap_on_curve
+from .geometry import NullVector, _tmap_entries, spinor_point, tmap_on_curve
 from .rh import BoundaryData, _rh_null
 from .series import SeriesMap
 
@@ -146,6 +146,8 @@ class PipelineConfig:
             raise ValueError("mu_cap must be positive")
         if not self.third_budget > 0:
             raise ValueError("third_budget must be positive")
+        if self.toy_exponent < 2:
+            raise ValueError("toy_exponent must be at least 2")
         object.__setattr__(self, "grid", tuple(self.grid))
 
     def delta_at(self, round_index: int) -> float:
@@ -253,7 +255,7 @@ def _null_direction_dictionary() -> Tuple[NullVector, ...]:
         params.append((math.cos(half), math.sin(half) * np.exp(1j * phi)))
     out = []
     for a, b in params:
-        v = np.array([a * a - b * b, 1j * (a * a + b * b), 2.0 * a * b])
+        v = spinor_point(a, b)
         out.append(NullVector(v / np.linalg.norm(v)))
     return tuple(out)
 

@@ -32,7 +32,7 @@ from .errors import (
     ToleranceUnachievableError,
     _parsing,
 )
-from .geometry import NullVector, SpinorPair, spinor_bilinear
+from .geometry import NullVector, SpinorPair, spinor_bilinear, spinor_point
 from .series import SeriesMap
 from .weierstrass import kill_periods, periods
 
@@ -493,8 +493,8 @@ def _direction_lift(theta: NullVector) -> Tuple[complex, complex]:
     else:
         b = np.sqrt(b2)
         a = t[2] / (2.0 * b)
-    check = np.array([a * a - b * b, 1j * (a * a + b * b), 2 * a * b])
-    if np.abs(check - t).max() > 1e-12 * max(1.0, float(np.abs(t).max())):
+    err = np.abs(spinor_point(a, b) - t).max()
+    if err > 1e-12 * max(1.0, float(np.abs(t).max())):
         raise NotInNullConeError("direction does not lift through the covering")
     return complex(a), complex(b)
 
@@ -570,8 +570,7 @@ def _certify_null(
     rays = amp[:, None] * tv[None, :]
 
     # h = G - F on the domain's boundary circles, then on the ring r
-    circles = [1.0] + ([F.r0] if F.domain == "annulus" else [])
-    hr = (G - F).rings(circles + [bd.r], n)  # (R, n, C)
+    hr = (G - F).rings(F.boundary_radii + (bd.r,), n)  # (R, n, C)
     hn = np.sqrt((np.abs(hr) ** 2).sum(axis=2))
 
     # (b): the collar over the padded arc against the projected discs; the
@@ -716,9 +715,7 @@ def _rh_null(
         s_hat, fit_floor = _fit_boundary_profile(bd, m)
 
     B = spinor_bilinear(spinor, a, b)
-    pi_ab = np.array(
-        [a * a - b * b, 1j * (a * a + b * b), 2 * a * b], dtype=np.complex128
-    )
+    pi_ab = spinor_point(a, b)
 
     def build(k):
         pushed, S = _push_spinor(spinor, s_hat, m, k, a, b)

@@ -31,6 +31,8 @@ from .kernels import horner_eval
 
 DEFAULT_BOUNDARY_SAMPLES = 4096
 _BOUNDARY_SLACK = 1e-9
+# the largest relative sample energy a boundary fit may leave unexplained
+FIT_LEAK_TOL = 1e-7
 # switch convolution products to FFT above this combined width
 _CONV_FFT_CUTOFF = 1024
 
@@ -69,8 +71,8 @@ class SeriesMap:
     r0: Optional[float] = None  # inner radius when domain == "annulus"
 
     def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if coeffs.ndim != 2 or coeffs.shape[1] == 0:
+        src = np.asarray(self.coeffs, dtype=np.complex128)
+        if src.ndim != 2 or src.shape[1] == 0:
             raise ValueError("coeffs must be (ncomp, width) with width >= 1")
         lo = int(self.degree_lo)
         if self.domain == "disc":
@@ -78,24 +80,17 @@ class SeriesMap:
                 raise ValueError("disc domain takes no inner radius")
             if lo < 0:
                 raise DomainError("disc series cannot carry negative degrees")
-            if lo > 0:
-                coeffs = np.concatenate(
-                    [np.zeros((coeffs.shape[0], lo), dtype=np.complex128), coeffs],
-                    axis=1,
-                )
-                lo = 0
         elif self.domain == "annulus":
             if self.r0 is None or not (0.0 < self.r0 < 1.0):
                 raise DomainError("annulus needs inner radius r0 in (0, 1)")
-            if lo > 0:
-                coeffs = np.concatenate(
-                    [np.zeros((coeffs.shape[0], lo), dtype=np.complex128), coeffs],
-                    axis=1,
-                )
-                lo = 0
         else:
             raise DomainError("domain must be 'disc' or 'annulus'")
-        coeffs = coeffs.copy()
+        # one C-contiguous copy, zero-padded so that degree_lo <= 0
+        if lo > 0:
+            zeros = np.zeros((src.shape[0], lo), dtype=np.complex128)
+            coeffs, lo = np.concatenate([zeros, src], axis=1), 0
+        else:
+            coeffs = src.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "degree_lo", lo)
@@ -117,6 +112,11 @@ class SeriesMap:
     @property
     def degrees(self) -> np.ndarray:
         return np.arange(self.degree_lo, self.degree_hi + 1)
+
+    @property
+    def boundary_radii(self) -> Tuple[float, ...]:
+        """Radii of the circles that bound the domain: (1.0,) or (1.0, r0)."""
+        return (1.0,) if self.domain == "disc" else (1.0, self.r0)
 
     def component(self, k: int) -> "SeriesMap":
         return SeriesMap(self.coeffs[k : k + 1], self.degree_lo, self.domain, self.r0)
@@ -341,71 +341,31 @@ class SeriesMap:
         Components are holomorphic so each |component| is subharmonic and
         the closed-domain sup sits on the boundary.
         """
-        radii = [1.0] if self.domain == "disc" else [1.0, self.r0]
-        vals = self.rings(radii, n)
+        vals = self.rings(self.boundary_radii, n)
         return float(np.sqrt((np.abs(vals) ** 2).sum(axis=2)).max())
 
 
-@dataclass(frozen=True)
-class BoundarySamples:
-    """Uniform circle samples of a map, carrier for fit_from_boundary."""
-
-    n_samples: int
-    values: np.ndarray  # (N, ncomp) outer-circle values
-    inner_values: Optional[np.ndarray]  # (N, ncomp) for annuli, else None
-    domain: str
-    r0: Optional[float] = None
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if self.inner_values is not None:
-            iv = np.ascontiguousarray(self.inner_values, dtype=np.complex128)
-            if iv.ndim == 1:
-                iv = iv[:, None]
-            iv = iv.copy()
-            iv.flags.writeable = False
-            object.__setattr__(self, "inner_values", iv)
-
-
-def boundary_samples(series: SeriesMap, n: int) -> BoundarySamples:
-    """Alias-free boundary sampling; n must be a power of two >= 4*span."""
-    span = series.degree_hi - series.degree_lo
-    if n < 4 or (n & (n - 1)) != 0:
-        raise AliasingError("sample count must be a power of two >= 4")
-    if n < 4 * span:
-        raise AliasingError(
-            "%d samples alias a degree span of %d (need >= %d)" % (n, span, 4 * span)
-        )
-    outer = series.circle_values(1.0, n)
-    inner = None
-    if series.domain == "annulus":
-        inner = series.circle_values(series.r0, n)
-    return BoundarySamples(n, outer, inner, series.domain, series.r0)
-
-
 def fit_from_boundary(
-    samples: BoundarySamples,
-    degree_lo: int,
-    degree_hi: int,
-    fit_tol: float = 1e-8,
+    values, degree_lo: int, degree_hi: int, r0: Optional[float] = None
 ) -> Tuple[SeriesMap, float]:
-    """Project boundary samples onto a coefficient window.
+    """Invert ``rings`` on a domain's boundary: samples -> coefficient window.
 
-    Returns (series, leakage) where leakage is the relative sample energy
+    values is the (R, N, C) array ``s.rings(s.boundary_radii, N)`` returns:
+    R = 1 is the disc, R = 2 the annulus with inner radius r0.  Returns
+    (series, leakage) where leakage is the relative sample energy
     unexplained by the window: out-of-window Fourier bins of the outer
-    circle, plus (for annuli) the mismatch of the fit against the inner
-    circle samples.  leakage > fit_tol raises NonHolomorphicDataError.
+    circle, plus (for annuli) the mismatch of the fit against both circles.
+    leakage > FIT_LEAK_TOL raises NonHolomorphicDataError.
     """
-    n = samples.n_samples
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 3 or values.shape[0] not in (1, 2):
+        raise ValueError("samples must be (R, N, C) with R = 1 or 2 boundary circles")
+    n = values.shape[1]
+    domain = "disc" if values.shape[0] == 1 else "annulus"
     span = degree_hi - degree_lo
     if span >= n:
         raise AliasingError("window wider than the number of samples")
-    bins = np.fft.fft(samples.values, axis=0) / n  # (N, ncomp)
+    bins = np.fft.fft(values[0], axis=0) / n  # (N, ncomp)
     degrees = np.arange(degree_lo, degree_hi + 1)
     idx = np.mod(degrees, n)
     coeffs = bins[idx].T.copy()  # (ncomp, width)
@@ -414,26 +374,26 @@ def fit_from_boundary(
     mask[idx] = True
     out_energy = float(np.sum(np.abs(bins[~mask]) ** 2))
     leakage = out_energy / total if total > 0 else 0.0
-    if samples.domain == "annulus" and samples.inner_values is not None:
+    if domain == "annulus":
         # Negative degrees are ill-conditioned against outer samples (noise
         # scales like r0^-|d| at the inner circle), so read them off the
         # inner circle instead, where the rescaling attenuates.
         neg = degrees < 0
         if neg.any():
-            bins_in = np.fft.fft(samples.inner_values, axis=0) / n
-            scale = samples.r0 ** (-degrees[neg]).astype(np.float64)
+            bins_in = np.fft.fft(values[1], axis=0) / n
+            scale = r0 ** (-degrees[neg]).astype(np.float64)
             coeffs[:, neg] = (bins_in[idx[neg]] * scale[:, None]).T
-    series = SeriesMap(coeffs, degree_lo, samples.domain, samples.r0)
-    if samples.domain == "annulus" and samples.inner_values is not None:
-        pred_out, pred_in = series.rings([1.0, samples.r0], n)
-        mm_in = float(np.sum(np.abs(pred_in - samples.inner_values) ** 2))
-        itotal = float(np.sum(np.abs(samples.inner_values) ** 2))
+    series = SeriesMap(coeffs, degree_lo, domain, r0)
+    if domain == "annulus":
+        pred_out, pred_in = series.rings(series.boundary_radii, n)
+        mm_in = float(np.sum(np.abs(pred_in - values[1]) ** 2))
+        itotal = float(np.sum(np.abs(values[1]) ** 2))
         if itotal > 0:
             leakage = max(leakage, mm_in / itotal)
-        mm_out = float(np.sum(np.abs(pred_out - samples.values) ** 2))
+        mm_out = float(np.sum(np.abs(pred_out - values[0]) ** 2))
         if total > 0:
             leakage = max(leakage, mm_out / (total * n))
-    if leakage > fit_tol:
+    if leakage > FIT_LEAK_TOL:
         raise NonHolomorphicDataError(
             "boundary data leaks %.3g of its energy outside degrees [%d, %d]"
             % (leakage, degree_lo, degree_hi),

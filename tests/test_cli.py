@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullcurves import series
+from nullcurves import pipelines, series
 from nullcurves.cli import main
 from nullcurves.geometry import NullVector
 from nullcurves.pipelines import CSV_HEADER, PipelineConfig, catalog
@@ -276,6 +276,19 @@ def test_recurse_abort_writes_partial_ledger(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2  # seed row survived the abort
+
+
+def test_recurse_refuses_toy_exponent_before_any_push(tmp_path, capsys, monkeypatch):
+    def no_push(*args, **kwargs):
+        raise AssertionError("a push ran before the config was checked")
+
+    monkeypatch.setattr(pipelines, "_rh_null", no_push)
+    path = tmp_path / "config.json"
+    blob = _config_blob(pipeline="bounded_third", iterations=1, arcs=2, toy_exponent=1)
+    path.write_text(json.dumps(blob))
+    code, _, err = run(capsys, "recurse", str(path))
+    assert code == 1
+    assert "toy_exponent" in err
 
 
 def test_recurse_bounded_third(tmp_path, capsys):

@@ -155,6 +155,15 @@ def test_annulus_radial_integral():
     assert abs(rep.intrinsic_radius - exact) < 5e-3 * exact
 
 
+def test_disc_radial_integral():
+    # lambda = sqrt(2) (1 + r^2) for the Enneper-like curve; the radial
+    # geodesic gives sqrt(2) * 4/3
+    exact = SQRT2 * 4.0 / 3.0
+    rep = intrinsic_radius(enneper_curve(), grid=(128, 512))
+    assert rep.r_core == 0.0
+    assert abs(rep.intrinsic_radius - exact) < 1e-4 * exact
+
+
 def test_degenerate_immersion_raises():
     F = SeriesMap.from_components([[0, 0, 1], [0, 0, 1j], [0, 0, 0]])
     with pytest.raises(DegenerateImmersionError):

@@ -62,9 +62,8 @@ def annulus_curve(r0=0.25):
 
 def pointwise_nullity(G, n=2048):
     gp = G.derivative()
-    radii = [1.0] if G.domain == "disc" else [1.0, G.r0]
     worst = 0.0
-    for rad in radii:
+    for rad in G.boundary_radii:
         vals = gp.circle_values(rad, n)
         res = np.abs((vals**2).sum(axis=1)).max()
         scale = ((np.abs(vals) ** 2).sum(axis=1)).max()

@@ -16,7 +16,6 @@ from nullcurves.errors import (
 )
 from nullcurves.series import (
     SeriesMap,
-    boundary_samples,
     fit_from_boundary,
     from_json,
     to_json,
@@ -235,23 +234,22 @@ def test_nonzero_residue_blocks_antiderivative():
 # -- boundary sampling and fitting --------------------------------------------
 
 
-def test_boundary_samples_power_of_two():
-    s = poly(1.0, 1.0)
-    with pytest.raises(AliasingError):
-        boundary_samples(s, 48)
+def test_boundary_radii():
+    assert poly(1.0).boundary_radii == (1.0,)
+    assert SeriesMap.zero(1, "annulus", 0.3).boundary_radii == (1.0, 0.3)
 
 
-def test_boundary_samples_span_guard():
+def test_fit_refuses_window_wider_than_samples():
     s = SeriesMap(np.ones((1, 40), dtype=complex), 0, "disc")
     with pytest.raises(AliasingError):
-        boundary_samples(s, 64)  # need >= 4 * 39
+        fit_from_boundary(s.rings(s.boundary_radii, 32), 0, 39)
 
 
 def test_fit_roundtrip_disc():
     r = np.random.default_rng(1)
     c = r.normal(size=(2, 7)) + 1j * r.normal(size=(2, 7))
     s = SeriesMap(c, 0, "disc")
-    fit, leak = fit_from_boundary(boundary_samples(s, 64), 0, 6)
+    fit, leak = fit_from_boundary(s.rings(s.boundary_radii, 64), 0, 6)
     assert np.abs(fit.coeffs - s.coeffs).max() < 1e-13
     assert leak < 1e-25
 
@@ -260,8 +258,9 @@ def test_fit_roundtrip_annulus_negative_degrees():
     r = np.random.default_rng(2)
     c = r.normal(size=(1, 9)) + 1j * r.normal(size=(1, 9))
     s = SeriesMap(c, -4, "annulus", 0.4)
-    fit, leak = fit_from_boundary(boundary_samples(s, 64), -4, 4)
+    fit, leak = fit_from_boundary(s.rings(s.boundary_radii, 64), -4, 4, s.r0)
     assert fit.degree_lo == -4
+    assert fit.r0 == 0.4
     assert np.abs(fit.coeffs - s.coeffs).max() < 1e-12
     assert leak < 1e-20
 
@@ -269,12 +268,9 @@ def test_fit_roundtrip_annulus_negative_degrees():
 def test_fit_flags_nonholomorphic_data():
     n = 64
     z = np.exp(2j * np.pi * np.arange(n) / n)
-    vals = np.conj(z)[:, None]  # anti-holomorphic
-    from nullcurves.series import BoundarySamples
-
-    samples = BoundarySamples(n, vals, None, "disc", None)
+    vals = np.conj(z)[None, :, None]  # anti-holomorphic
     with pytest.raises(NonHolomorphicDataError) as info:
-        fit_from_boundary(samples, 0, 4)
+        fit_from_boundary(vals, 0, 4)
     assert info.value.leakage > 0.9
 
 
@@ -319,15 +315,17 @@ coeff_lists = st.lists(
 )
 
 
-@given(coeff_lists)
-@settings(max_examples=40, deadline=None)
-def test_fit_inverts_sampling(pairs):
+@given(coeff_lists, st.integers(-6, 0), st.sampled_from([None, 0.3, 0.6]))
+@settings(max_examples=60, deadline=None)
+def test_fit_inverts_sampling(pairs, lo, r0):
     c = np.array([complex(re, im) for re, im in pairs])[None, :]
-    s = SeriesMap(c, 0, "disc")
-    n = 64
-    while n < 4 * (s.width - 1):
-        n *= 2
-    fit, _ = fit_from_boundary(boundary_samples(s, n), 0, s.degree_hi)
+    if r0 is None:
+        s = SeriesMap(c, 0, "disc")
+    else:
+        s = SeriesMap(c, lo, "annulus", r0)
+    fit, _ = fit_from_boundary(
+        s.rings(s.boundary_radii, 32), s.degree_lo, s.degree_hi, s.r0
+    )
     scale = max(np.abs(c).max(), 1.0)
     assert np.abs(fit.coeffs - s.coeffs).max() < 1e-12 * scale
 
