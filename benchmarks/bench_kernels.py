@@ -1,8 +1,10 @@
 """Time the hot kernels on shapes taken from their real call sites.
 
 The shapes come from boundary evaluation, certificate distances, the
-intrinsic-radius Dijkstra and the embeddedness pair scan.  Prints the best
-time of each kernel over a few repeats.
+intrinsic-radius Dijkstra and the embeddedness pair scan.  The pair scan
+runs twice: on a random cloud, its worst case (samples without locality
+leave its bounds nothing to prune), and last on what ``verify`` passes it.
+Prints the best time of each kernel over a few repeats.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -13,6 +15,8 @@ import time
 import numpy as np
 
 from nullcurves import kernels
+from nullcurves.diagnostics import _sample_layout
+from nullcurves.pipelines import catalog
 
 
 def timeit(fn, args, repeat):
@@ -43,9 +47,16 @@ def workloads(rng):
     src = np.zeros((128, 512), dtype=bool)
     src[0] = True
     yield "dijkstra_polar (128x512)", "dijkstra_polar", (w[0], w[1], w[2], w[3], src)
-    yield "pair_scan (N=2000, C=3)", "pair_scan", (
+    yield "pair_scan worst case (random N=2000, C=3)", "pair_scan", (
         cplx(2000, 3),
         cplx(2000),
+        0.5,
+        1e-3,
+    )
+    dom, ambient = _sample_layout(catalog("cubic_enneper_like"), 4096)
+    yield "pair_scan (verify, cubic_enneper_like N=4096)", "pair_scan", (
+        ambient,
+        dom,
         0.5,
         1e-3,
     )

@@ -304,8 +304,10 @@ def embedded_check(
 ) -> EmbeddednessReport:
     """Scan all sample pairs with domain separation >= d_dom.
 
-    Exact chunked all-pairs scan (desk-scale N makes O(N^2) cheap and keeps
-    the report deterministic: lowest-index pair wins ties).  Flags ambient
+    The samples lie on rings (_sample_layout), so consecutive ones are close
+    in both the domain and the image.  kernels.pair_scan uses that to skip
+    the pairs a bound on their separation rules out, and its report equals
+    the all-pairs scan's: the lowest-index pair wins ties.  Flags ambient
     separations below d_amb.
     """
     dom, ambient = _sample_layout(F, n_samples)

@@ -4,11 +4,13 @@ horner_eval        polynomial values at scattered points
 min_dist2          per-query squared distance to a point cloud
 min_dist2_grouped  the same, group by group
 dijkstra_polar     multi-source shortest paths on the polar grid graph
-pair_scan          exact all-pairs separation scan with tie-breaking
+pair_scan          exact pair separation scan with tie-breaking
 
 Dijkstra runs in SciPy's csgraph.  The polar stencil's sparsity pattern
 depends only on the grid shape, so it is built once per shape and each
-call only gathers the four weight arrays into the matrix data.
+call only gathers the four weight arrays into the matrix data.  The pair
+scan bounds tiles of consecutive samples first and evaluates only the
+pairs those bounds cannot rule out; its answers are the all-pairs scan's.
 """
 
 import functools
@@ -24,6 +26,13 @@ BACKEND = "numpy"
 _CHUNK = 64
 # horner_eval evaluates this many points per matrix product
 _HORNER_POINTS = 256
+# pair_scan: samples per tile, the subsample stride of its first upper
+# bound, the relative slack on its pruning bounds, and the most pairs it
+# evaluates in one step
+_TILE = 4
+_STRIDE = 8
+_SLACK = 1e-9
+_PAIR_BLOCK = 1 << 16
 
 
 def horner_eval(coeffs, z):
@@ -159,6 +168,31 @@ def dijkstra_polar(w_tan, w_rad, w_dru, w_drl, src_mask):
     return dist.reshape(nrad, nang)
 
 
+def _separations(ambient, dom, i, j, d_dom2):
+    """Squared ambient separation of the pairs (i, j), inf where the pair's
+    squared domain separation is below d_dom2.  i and j are index arrays of
+    one shape; the result has it too."""
+    ddc = dom[j] - dom[i]
+    dd = ddc.real ** 2 + ddc.imag ** 2
+    dac = (ambient[j] - ambient[i]).reshape(-1, ambient.shape[1])
+    sep = (dac.real ** 2 + dac.imag ** 2).sum(axis=1).reshape(dd.shape)
+    return np.where(dd >= d_dom2, sep, np.inf)
+
+
+def _tile_bounds(points, idx):
+    """Centre (T, C) and radius (T,) of the tiles points[idx], points (N, C)."""
+    members = points[idx]
+    centre = members.mean(axis=1)
+    off = members - centre[:, None]
+    return centre, np.sqrt((off.real ** 2 + off.imag ** 2).sum(axis=2).max(axis=1))
+
+
+def _distance(a, b):
+    """Euclidean distances (A, B) between the rows of a (A, C) and b (B, C)."""
+    diff = b[None] - a[:, None]
+    return np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=2))
+
+
 def pair_scan(ambient, dom, d_dom, d_amb):
     """Exact scan over all sample pairs with domain separation >= d_dom.
 
@@ -166,34 +200,71 @@ def pair_scan(ambient, dom, d_dom, d_amb):
     Returns (min_sep, min_i, min_j, flag_i, flag_j) where (min_i, min_j) is
     the first pair attaining the minimal ambient separation and
     (flag_i, flag_j) is the first pair with ambient separation < d_amb
-    (-1, -1 if none).  "First" is lexicographic in (i, j).  One row of
-    pairs per step: a blocked, fully vectorised scan gave the same answers
-    but ran slower.
+    (-1, -1 if none).  "First" is lexicographic in (i, j).
+
+    The scan evaluates only the pairs a bound cannot rule out.  The pairs
+    of every _STRIDE-th sample give an upper bound U on the minimum.  The
+    samples are cut into tiles of _TILE consecutive ones, each with a
+    centre and a radius in the ambient space and in the domain.  A pair of
+    tiles is skipped when every pair in it is closer than d_dom in the
+    domain, or farther than sqrt(max(U, d_amb^2)) in the ambient space:
+    none of those pairs can be the minimum or flagged.  Both bounds carry
+    a relative slack of _SLACK, far above their rounding error.  The kept
+    pairs go through the row scan's own expression, so the answers equal
+    the unpruned scan's bit for bit.
     """
     ambient = np.asarray(ambient, dtype=np.complex128)
     dom = np.asarray(dom, dtype=np.complex128)
     n = ambient.shape[0]
     d_dom2 = d_dom * d_dom
     d_amb2 = d_amb * d_amb
-    best = np.inf
-    best_i = best_j = -1
-    flag_i = flag_j = -1
-    for i in range(n - 1):
-        ddc = dom[i + 1:] - dom[i]
-        dd = ddc.real ** 2 + ddc.imag ** 2
-        dac = ambient[i + 1:] - ambient[i]
-        sep = (dac.real ** 2 + dac.imag ** 2).sum(axis=1)
-        ok = dd >= d_dom2
-        if not ok.any():
-            continue
-        sep = np.where(ok, sep, np.inf)
-        jrel = int(np.argmin(sep))
-        if sep[jrel] < best:
-            best = float(sep[jrel])
-            best_i, best_j = i, i + 1 + jrel
-        if flag_i < 0:
-            hits = np.flatnonzero(sep < d_amb2)
-            if hits.size:
-                flag_i, flag_j = i, i + 1 + int(hits[0])
+    if n < 2:
+        return np.inf, -1, -1, -1, -1
+
+    # U: the least separation among the subsample's qualifying pairs
+    sub = np.arange(0, n, _STRIDE)
+    upper = np.inf
+    rows = max(1, _PAIR_BLOCK // sub.size)
+    for lo in range(0, sub.size, rows):
+        i = sub[lo:lo + rows, None]
+        sep = _separations(ambient, dom, i, sub[None, :], d_dom2)
+        upper = min(upper, float(sep.min(where=sub[None, :] > i, initial=np.inf)))
+    reach2 = max(upper, d_amb2)
+
+    ntile = -(-n // _TILE)
+    # the last tile repeats sample n - 1 to fill up; pairs need i < j anyway
+    idx = np.minimum(np.arange(ntile * _TILE), n - 1).reshape(ntile, _TILE)
+    amb_c, amb_r = _tile_bounds(ambient, idx)
+    dom_c, dom_r = _tile_bounds(dom[:, None], idx)
+
+    best, best_key = np.inf, -1
+    flag_key = n * n
+    rows = max(1, _PAIR_BLOCK // ntile)
+    step = max(1, _PAIR_BLOCK // (_TILE * _TILE))  # tile pairs per step
+    for lo in range(0, ntile, rows):
+        # tile rows a against tiles b >= lo; the pairs with b < a are masked
+        a = np.arange(lo, min(lo + rows, ntile))
+        span = _distance(dom_c[a], dom_c[lo:]) + dom_r[a, None] + dom_r[None, lo:]
+        reach = _distance(amb_c[a], amb_c[lo:])
+        radii = amb_r[a, None] + amb_r[None, lo:]
+        gap = np.maximum(reach - radii - _SLACK * (reach + radii), 0.0)
+        keep = (span * (1.0 + _SLACK) >= d_dom) & (gap * gap <= reach2)
+        keep &= np.arange(lo, ntile)[None] >= a[:, None]
+        ta, tb = np.nonzero(keep)
+        ta += lo
+        tb += lo
+        for s in range(0, ta.size, step):
+            i = idx[ta[s:s + step], :, None]
+            j = idx[tb[s:s + step], None, :]
+            sep = np.where(i < j, _separations(ambient, dom, i, j, d_dom2), np.inf)
+            key = i * n + j
+            low = float(sep.min())
+            if low < np.inf and low <= best:
+                best, best_key = min((best, best_key), (low, int(key[sep == low].min())))
+            hits = sep < d_amb2
+            if hits.any():
+                flag_key = min(flag_key, int(key[hits].min()))
+    best_i, best_j = divmod(best_key, n) if best_key >= 0 else (-1, -1)
+    flag_i, flag_j = divmod(flag_key, n) if flag_key < n * n else (-1, -1)
     return float(np.sqrt(best)) if np.isfinite(best) else np.inf, \
         best_i, best_j, flag_i, flag_j

@@ -16,9 +16,12 @@ F's values on the radial segments at the keep-masks' ends come from
 SeriesMap.eval_many, the blocked Horner kernel, at those few hundred points.
 A null push decides before it builds anything: a datum whose collar floor
 reaches epsilon is refused, and the fit degree of the amplitude root is
-read off the fit's own floor, so each push runs one k-search.
+read off the fit's own floor, so each push runs one k-search.  The search
+screens its attempts: one whose (a) on the unit circle already reaches
+epsilon is dropped before the rest of its certificate is measured.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -387,46 +390,69 @@ def _certify_approx(
 def _search_k(build_and_certify, m: int, k_max: int):
     """Doubling-then-bisection search for the smallest certifying k > m.
 
-    build_and_certify(k) -> (payload, cert).  Relies on the measured
-    monotone improvement of the conditions in k.
+    build_and_certify(k, screen) -> (payload, cert).  Relies on the measured
+    monotone improvement of the conditions in k.  Every attempt is
+    screened: the builder may stop at a cheap bound and return a float for
+    cert, a lower bound on the attempt's worst case that already reaches
+    the tolerance, so k certainly fails.  An exhausted search raises with
+    the certificate it would raise with unscreened (see _least_worst).
     """
-    best = None  # least-worst certificate for error reporting
+    tried = []  # (worst case or a lower bound on it, k, certificate or None)
     k = m + 1
 
     def attempt(kk):
-        nonlocal best
-        payload, cert = build_and_certify(kk)
-        if best is None or cert.worst < best[1].worst:
-            best = (payload, cert)
-        return payload, cert
+        """(payload, cert) when kk certifies, else None."""
+        payload, cert = build_and_certify(kk, True)
+        full = isinstance(cert, RHCertificate)
+        tried.append((cert.worst, kk, cert) if full else (cert, kk, None))
+        return (payload, cert) if full and cert.valid else None
 
-    payload, cert = attempt(k)
-    if not cert.valid:
+    good = attempt(k)
+    if good is None:
         k_lo = k
         while True:
             k = min(2 * (k - m) + m, k_max)
-            payload, cert = attempt(k)
-            if cert.valid:
+            good = attempt(k)
+            if good is not None:
                 break
             k_lo = k
             if k >= k_max:
+                best = _least_worst(tried, build_and_certify)
                 raise ToleranceUnachievableError(
                     "no k <= %d certifies the tolerance (best worst-case %.3g)"
-                    % (k_max, best[1].worst),
-                    certificate=best[1],
+                    % (k_max, best.worst),
+                    certificate=best,
                 )
     else:
         k_lo = m
     k_hi = k
-    good = (payload, cert)
     while k_hi - k_lo > 1:
         mid = (k_lo + k_hi) // 2
-        payload, cert = attempt(mid)
-        if cert.valid:
-            k_hi, good = mid, (payload, cert)
+        found = attempt(mid)
+        if found is not None:
+            k_hi, good = mid, found
         else:
             k_lo = mid
     return good
+
+
+def _least_worst(tried, build_and_certify) -> RHCertificate:
+    """The first attempt's certificate, in attempt order, of least worst case.
+
+    tried holds (worst, k, cert) per attempt; a screened attempt has cert
+    None and only a lower bound in place of its worst.  Those are rebuilt
+    and fully certified in increasing order of bound (ties in attempt
+    order), and only while the bound can still beat the best so far, or
+    tie it from an earlier attempt.
+    """
+    certs = {i: c for i, (_, _, c) in enumerate(tried) if c is not None}
+    best = min(((c.worst, i) for i, c in certs.items()), default=(np.inf, len(tried)))
+    for bound, i in sorted((w, i) for i, (w, _, c) in enumerate(tried) if c is None):
+        if (bound, i) > best:
+            break
+        certs[i] = build_and_certify(tried[i][1], False)[1]
+        best = min(best, (certs[i].worst, i))
+    return certs[best[1]]
 
 
 def rh_approx(
@@ -471,7 +497,7 @@ def rh_approx(
         )
         return f, cert
 
-    def build(k):
+    def build(k, screen=False):  # the C^n certificate is never cut short
         F = _rh_sum(f, fam, k)
         cert = _certify_approx(f, fam, F, k, r_prime, eps, n_boundary)
         return F, cert
@@ -550,7 +576,8 @@ def _certify_null(
     k: int,
     n_boundary: int,
     orth_dir: Optional[np.ndarray],
-) -> RHCertificate:
+    screen: bool = False,
+):
     """Measure the four deformation conditions plus the orthogonal leak.
 
     (a) the unit circle, (b) the collar over the arc padded by 2*taper, and
@@ -558,6 +585,12 @@ def _certify_null(
     plus the collar off the arc padded by 2*taper / taper.  G - F is
     holomorphic, so (c)/(d) and cond_orth sample it only on the boundary of
     their region, where the maximum principle puts the sup.
+
+    The collar block that holds rho = 1 comes first, and (a) is read off its
+    last ring.  With screen set, an (a) on the unit circle that already
+    reaches epsilon ends the measurement: the push certainly fails, and that
+    (a), a lower bound on its worst case, is returned as a float in place of
+    the certificate.
     """
     n = n_boundary
     theta = TWO_PI * np.arange(n) / n
@@ -568,27 +601,29 @@ def _certify_null(
     Fb = F.circle_values(1.0, n)
     amp = bd.amplitude_at(theta)
     rays = amp[:, None] * tv[None, :]
+    rho = np.linspace(bd.r, 1.0, _CERT_RADIAL)
+    blocks = _blocks(rho)
+    last = G.rings(blocks[-1], n)
+    cond_a = float(circle_distance(last[-1], Fb, rays).max())
+    if screen and cond_a >= bd.epsilon:
+        return cond_a
 
     # h = G - F on the domain's boundary circles, then on the ring r
     hr = (G - F).rings(F.boundary_radii + (bd.r,), n)  # (R, n, C)
     hn = np.sqrt((np.abs(hr) ** 2).sum(axis=2))
 
     # (b): the collar over the padded arc against the projected discs; the
-    # same rings give G on the radial segments at the keep-masks' ends, and
-    # the last one (rho = 1) gives G on the unit circle for (a)
+    # same rings give G on the radial segments at the keep-masks' ends
     keep = ~np.stack([bd.in_padded_arc(theta, pad) for pad in (pad2, pad1)])
     ends = keep & ~(np.roll(keep, 1, axis=1) & np.roll(keep, -1, axis=1))
     edges = np.flatnonzero(ends.any(axis=0))
     idx = np.flatnonzero(~keep[0])
-    rho = np.linspace(bd.r, 1.0, _CERT_RADIAL)
     cond_b = 0.0
     Gs = []
-    for block in _blocks(rho):
-        Gr = G.rings(block, n)
+    for Gr in itertools.chain((G.rings(block, n) for block in blocks[:-1]), [last]):
         cond_b = max(cond_b, float(disc_distance(Gr[:, idx], Fb[idx], rays[idx]).max()))
         Gs.append(Gr[:, edges])
     Gs = np.concatenate(Gs)  # (radial, edges, C)
-    cond_a = float(circle_distance(Gr[-1], Fb, rays).max())
     if F.domain == "annulus":
         # mu vanishes on the inner circle, so the target there is the point F(x)
         cond_a = max(cond_a, float(hn[1].max()))
@@ -717,7 +752,7 @@ def _rh_null(
     B = spinor_bilinear(spinor, a, b)
     pi_ab = spinor_point(a, b)
 
-    def build(k):
+    def push(k):
         pushed, S = _push_spinor(spinor, s_hat, m, k, a, b)
         S2 = S * S
         cross = B * (2.0 * S)
@@ -733,8 +768,18 @@ def _rh_null(
             if P.max_abs > 1e-12 * (1.0 + float(np.abs(gprime.coeffs).max())):
                 res = kill_periods(pushed, target=1e-10)
                 pushed, gprime = res.spinor, res.g
-        G = gprime.antiderivative(base_point, base_value)
-        cert = _certify_null(G, F, bd, k, _NULL_N, orth_dir)
+        return gprime.antiderivative(base_point, base_value), pushed
+
+    # the latest push, kept: an exhausted search certifies in full the
+    # screened attempt of least bound, which is most often its last one
+    latest = {}
+
+    def build(k, screen=False):
+        if k not in latest:
+            latest.clear()
+            latest[k] = push(k)
+        G, pushed = latest[k]
+        cert = _certify_null(G, F, bd, k, _NULL_N, orth_dir, screen=screen)
         return NullDeformation(G, cert, pushed), cert
 
     if k_fixed is None:

@@ -1,11 +1,13 @@
 """Hot kernels: correctness against independent oracles."""
 
+import functools
 import heapq
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy.signal
 import scipy.sparse
 import scipy.sparse.csgraph
@@ -261,6 +263,150 @@ def test_pair_scan_bruteforce():
         else:
             assert got[0] == want[0]
         assert got[1:] == want[1:]
+
+
+def _pair_scan_reference(ambient, dom, d_dom, d_amb):
+    """The unpruned scan: one NumPy step per row, every pair evaluated."""
+    ambient = np.asarray(ambient, dtype=np.complex128)
+    dom = np.asarray(dom, dtype=np.complex128)
+    n = ambient.shape[0]
+    d_dom2 = d_dom * d_dom
+    d_amb2 = d_amb * d_amb
+    best = np.inf
+    best_i = best_j = -1
+    flag_i = flag_j = -1
+    for i in range(n - 1):
+        ddc = dom[i + 1:] - dom[i]
+        dd = ddc.real ** 2 + ddc.imag ** 2
+        dac = ambient[i + 1:] - ambient[i]
+        sep = (dac.real ** 2 + dac.imag ** 2).sum(axis=1)
+        ok = dd >= d_dom2
+        if not ok.any():
+            continue
+        sep = np.where(ok, sep, np.inf)
+        jrel = int(np.argmin(sep))
+        if sep[jrel] < best:
+            best = float(sep[jrel])
+            best_i, best_j = i, i + 1 + jrel
+        if flag_i < 0:
+            hits = np.flatnonzero(sep < d_amb2)
+            if hits.size:
+                flag_i, flag_j = i, i + 1 + int(hits[0])
+    return float(np.sqrt(best)) if np.isfinite(best) else np.inf, \
+        best_i, best_j, flag_i, flag_j
+
+
+def _assert_scan_equal(ambient, dom, d_dom=0.5, d_amb=1e-3):
+    got = kernels.pair_scan(ambient, dom, d_dom, d_amb)
+    want = _pair_scan_reference(ambient, dom, d_dom, d_amb)
+    assert got == want
+    return got
+
+
+@functools.lru_cache(maxsize=1)
+def _verify_layouts():
+    from nullcurves.diagnostics import _sample_layout
+    from nullcurves.geometry import NullVector
+    from nullcurves.pipelines import catalog
+    from nullcurves.rh import BoundaryData, _rh_null
+
+    curves = [catalog(name) for name in ("linear_v1", "cubic_enneper_like", "annulus_basic")]
+    bd = BoundaryData(arc=(1.0, 1.0 + np.pi / 2), mu=np.array([0.1]),
+                      theta=NullVector(np.array([1.0, -1.0j, 0.0])), taper=np.pi / 8,
+                      epsilon=0.05, r=0.99)
+    curves.append(_rh_null(curves[1], bd, k_fixed=1024).G)
+    return [_sample_layout(F, 4096) for F in curves]
+
+
+def test_pair_scan_bit_equal_on_verify_layouts():
+    for dom, ambient in _verify_layouts():
+        min_sep, mi, mj, fi, fj = _assert_scan_equal(ambient, dom)
+        assert 0 <= mi < mj and (fi, fj) == (-1, -1)
+
+
+@pytest.mark.parametrize("block", [kernels._PAIR_BLOCK, 64])
+def test_pair_scan_bit_equal_on_random_clouds(monkeypatch, block):
+    # a small block splits every loop of the scan into many steps
+    monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+    r = rng(8)
+    for n in (0, 1, 2, 7, 2001 if block > 64 else 301):
+        pts = r.normal(size=(n, 3)) + 1j * r.normal(size=(n, 3))
+        dom = r.normal(size=n) + 1j * r.normal(size=n)
+        _assert_scan_equal(pts, dom)
+        _assert_scan_equal(pts, dom, d_dom=0.0, d_amb=0.5)
+
+
+@pytest.mark.parametrize("block", [kernels._PAIR_BLOCK, 64])
+def test_pair_scan_first_tied_pair_wins(monkeypatch, block):
+    monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+    r = rng(9)
+    # 300 samples drawn from 6 points: many pairs tie at separation 0
+    base = r.normal(size=(6, 3)) + 1j * r.normal(size=(6, 3))
+    pts = base[r.integers(0, 6, size=300)]
+    dom = np.exp(2j * np.pi * r.uniform(size=300))
+    got = _assert_scan_equal(pts, dom, d_dom=0.5, d_amb=1e-3)
+    assert got[0] == 0.0 and got[1:3] == got[3:]
+    # two tied pairs, (0, 40) and (3, 5): the second is met first, tile by
+    # tile, and with a small block in an earlier step
+    pts = r.normal(size=(60, 3)) + 1j * r.normal(size=(60, 3))
+    pts[40], pts[5] = pts[0], pts[3]
+    dom = np.exp(2j * np.pi * 0.37 * np.arange(60))
+    assert _assert_scan_equal(pts, dom, d_dom=0.5, d_amb=1e-3) == (0.0, 0, 40, 0, 40)
+
+
+def test_pair_scan_evaluates_every_pair_it_cannot_rule_out(monkeypatch):
+    """Every qualifying pair with squared separation <= max(U, d_amb^2) lies
+    in a tile pair the scan keeps: the argument that makes it exact."""
+    from nullcurves.diagnostics import _sample_layout
+    from nullcurves.pipelines import catalog
+
+    dom, ambient = _sample_layout(catalog("cubic_enneper_like"), 1024)
+    n = dom.size
+    d_dom, d_amb = 0.5, 1.2
+    evaluated = []
+    original = kernels._separations
+
+    def recorded(ambient_, dom_, i, j, d_dom2):
+        if i.ndim == 3:  # tile pairs; the subsample's rows are 2-d
+            evaluated.append(np.broadcast_arrays(i, j))
+        return original(ambient_, dom_, i, j, d_dom2)
+
+    monkeypatch.setattr(kernels, "_separations", recorded)
+    _assert_scan_equal(ambient, dom, d_dom, d_amb)
+    keys = np.unique(np.concatenate([(i * n + j).ravel() for i, j in evaluated]))
+    i, j = np.triu_indices(n, 1)
+    dd = np.abs(dom[j] - dom[i]) ** 2
+    sep = (np.abs(ambient[j] - ambient[i]) ** 2).sum(axis=1)
+    sub = (i % kernels._STRIDE == 0) & (j % kernels._STRIDE == 0) & (dd >= d_dom ** 2)
+    upper = sep[sub].min()
+    need = (dd >= d_dom ** 2) & (sep <= max(upper, d_amb ** 2))
+    # d_amb, not U, decides here: most of the pairs needed are above U
+    assert need.sum() > 10 * (need & (sep <= upper)).sum()
+    assert np.isin(i[need] * n + j[need], keys).all()
+    # and the bounds do prune
+    assert keys.size < 0.75 * i.size
+
+
+def test_pair_scan_bit_equal_on_flagged_even_map():
+    from nullcurves.diagnostics import _sample_layout
+
+    F = SeriesMap(np.array([[0, 0, 1], [0, 0, 1j], [0, 0, 0]], dtype=complex), 0, "disc")
+    dom, ambient = _sample_layout(F, 2000)
+    got = _assert_scan_equal(ambient, dom)
+    assert got[3] >= 0 and abs(dom[got[3]] + dom[got[4]]) < 1e-12
+
+
+def test_pair_scan_bit_equal_without_qualifying_pairs():
+    r = rng(10)
+    pts = r.normal(size=(500, 3)) + 1j * r.normal(size=(500, 3))
+    dom = np.exp(2j * np.pi * r.uniform(size=500))
+    assert _assert_scan_equal(pts, dom, d_dom=10.0) == (np.inf, -1, -1, -1, -1)
+
+
+def test_pair_scan_bit_equal_when_many_pairs_are_flagged():
+    dom, ambient = _verify_layouts()[1]
+    got = _assert_scan_equal(ambient, dom, d_amb=2.0)
+    assert got[3] >= 0
 
 
 # -- FFT convolution and import cost ----------------------------------------------

@@ -396,6 +396,64 @@ def test_fixed_k_push_builds_once(monkeypatch):
     assert ks == [300]
 
 
+def test_search_returns_the_least_certifying_k(monkeypatch):
+    # a CLI session datum: the collar radius by the drift rule
+    F = SeriesMap(np.array([[0, 1, 0, -1 / 3], [0, 1j, 0, 1j / 3], [0, 0, 1, 0]],
+                           dtype=complex), 0, "disc")
+    sup_fp = F.derivative().sup_boundary(2048)
+    bd = linear_datum(arc=(1.0, 1.0 + np.pi / 2), r=max(0.9, 1.0 - 0.025 / sup_fp))
+    calls = {}
+    original = rh._certify_null
+
+    def recorded(G, F_, bd_, k, n, orth_dir, screen=False):
+        out = original(G, F_, bd_, k, n, orth_dir, screen=screen)
+        calls[k] = (G, orth_dir, out)
+        return out
+
+    monkeypatch.setattr(rh, "_certify_null", recorded)
+    G, cert = rh_null_disc(F, bd)
+    k = cert.k
+    screened = [kk for kk, (_, _, out) in calls.items() if isinstance(out, float)]
+    assert screened and k - 1 in calls
+    G_k, orth_dir, _ = calls[k]
+    assert G_k is G
+    assert original(G_k, F, bd, k, rh._NULL_N, orth_dir) == cert
+    below = original(calls[k - 1][0], F, bd, k - 1, rh._NULL_N, orth_dir)
+    assert cert.valid and not below.valid
+    for kk in screened:
+        # a screened attempt fails in full too, by at least its bound
+        full = original(calls[kk][0], F, bd, kk, rh._NULL_N, orth_dir)
+        assert not full.valid and full.worst >= calls[kk][2]
+
+
+@pytest.mark.parametrize("winner, worsts", [
+    # k: (bound when screened or None, worst in full)
+    (2, {1: (0.3, 0.5), 2: (None, 0.4), 4: (0.2, 0.4), 8: (0.4, 0.4)}),
+    (1, {1: (0.3, 0.4), 2: (None, 0.4), 4: (0.2, 0.45), 8: (0.4, 0.4)}),
+])
+def test_exhausted_search_recertifies_only_what_can_win(winner, worsts):
+    rebuilt = []
+
+    def build(k, screen=False):
+        bound, worst = worsts[k]
+        if screen and bound is not None:
+            return None, bound
+        if not screen:
+            rebuilt.append(k)
+        return k, RHCertificate(k=k, r_prime=0.9, epsilon=0.1, cond_a=worst,
+                                cond_b=0.0, cond_c=0.0)
+
+    with pytest.raises(ToleranceUnachievableError, match="best worst-case 0.4") as info:
+        rh._search_k(build, 0, 8)
+    # unscreened, the search raises with the first attempt of least worst case
+    order = [1, 2, 4, 8]
+    assert winner == min(order, key=lambda k: (worsts[k][1], order.index(k)))
+    assert info.value.certificate.k == winner
+    # in order of bound (0.2 at k = 4, then 0.3 at k = 1); k = 8's bound
+    # 0.4 ties the best from an earlier attempt, so it cannot win
+    assert rebuilt == [4, 1]
+
+
 def test_null_disc_wrong_domain():
     with pytest.raises(DomainError):
         rh_null_disc(annulus_curve(), linear_datum())
