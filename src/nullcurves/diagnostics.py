@@ -2,9 +2,9 @@
 
 nullity_residual           coefficient-space membership check for the null
                            quadric of the derivative
-conformal_factor           pointwise metric factor of the pullback metric
-intrinsic_radius           shortest-path metric radius on a weighted polar
-                           grid, plus the extrinsic (ambient) radius
+intrinsic_radius           shortest-path metric radius on a polar grid
+                           weighted by the metric factor |F'|, plus the
+                           extrinsic (ambient) radius
 bounded_coordinate_report  sup of the third coordinate and boundary min of
                            the first two (bounded/proper split)
 embedded_check             sampled self-intersection scan
@@ -29,7 +29,6 @@ __all__ = [
     "RadiusReport",
     "EmbeddednessReport",
     "nullity_residual",
-    "conformal_factor",
     "intrinsic_radius",
     "bounded_coordinate_report",
     "embedded_check",
@@ -59,17 +58,6 @@ def nullity_residual(F: SeriesMap) -> float:
     return float(np.abs(squares.sum(axis=0)).max() / scale)
 
 
-def conformal_factor(F: SeriesMap, z) -> np.ndarray:
-    """Metric factor lambda at points z: lambda^2 = sum_i |F_i'(z)|^2.
-
-    This is the conformal factor of the pullback of the euclidean metric
-    under F viewed as a map into R^6; for null curves it equals
-    sqrt(2) * |d/dx Re F|.
-    """
-    vals = F.derivative().eval_many(z)
-    return np.sqrt((np.abs(vals) ** 2).sum(axis=1))
-
-
 @dataclass(frozen=True)
 class RadiusReport:
     """Intrinsic vs extrinsic size of the image surface.
@@ -91,28 +79,6 @@ class RadiusReport:
     def __post_init__(self):
         if self.intrinsic_radius < 0 or self.extrinsic_radius < 0:
             raise ValueError("radii must be nonnegative")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "intrinsic_radius": self.intrinsic_radius,
-                "extrinsic_radius": self.extrinsic_radius,
-                "grid": list(self.grid),
-                "r_core": self.r_core,
-                "shortcut_length": self.shortcut_length,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RadiusReport":
-        d = json.loads(text)
-        return RadiusReport(
-            intrinsic_radius=d["intrinsic_radius"],
-            extrinsic_radius=d["extrinsic_radius"],
-            grid=tuple(d["grid"]),
-            r_core=d["r_core"],
-            shortcut_length=d["shortcut_length"],
-        )
 
 
 def _polar_weights(F: SeriesMap, radii: np.ndarray, nang: int):
@@ -261,24 +227,6 @@ class EmbeddednessReport:
                 "d_dom": self.d_dom,
                 "d_amb": self.d_amb,
             }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "EmbeddednessReport":
-        d = json.loads(text)
-
-        def dec(pair):
-            if pair is None:
-                return None
-            return tuple(complex(re, im) for re, im in pair)
-
-        return EmbeddednessReport(
-            min_separation=d["min_separation"],
-            offending_pair=dec(d["offending_pair"]),
-            min_pair=dec(d["min_pair"]),
-            n_samples=d["n_samples"],
-            d_dom=d["d_dom"],
-            d_amb=d["d_amb"],
         )
 
 

@@ -3,8 +3,7 @@
 Covers the membership tests for the conical quadric {z1^2+z2^2+z3^2 = 0},
 the spinor parametrization pi(u, v) = (u^2-v^2, i(u^2+v^2), 2uv) with its
 two-sheeted lift, the rational map into SL2(C) carrying null curves to
-null curves there, the hermitian projection onto hyperbolic 3-space, and
-the extraction of conformal minimal immersions from real parts.
+null curves there, and the hermitian projection onto hyperbolic 3-space.
 """
 
 from dataclasses import dataclass
@@ -13,7 +12,6 @@ from typing import Tuple
 import numpy as np
 
 from .errors import (
-    DomainError,
     NonHolomorphicDataError,
     NotInH3Error,
     NotInNullConeError,
@@ -27,7 +25,6 @@ NULL_TOL = 1e-10
 POLE_TOL = 1e-10
 DET_TOL = 1e-9
 LIFT_ROUNDTRIP_TOL = 1e-10
-DEGENERATE_TOL = 1e-8
 
 
 def null_residual(v) -> float:
@@ -84,30 +81,6 @@ class SpinorPair:
         if self.u.ncomp != 1 or self.v.ncomp != 1:
             raise ValueError("spinor components must be scalar series")
         self.u._same_domain(self.v)
-
-
-@dataclass(frozen=True)
-class SL2Point:
-    m: np.ndarray  # (2, 2) complex
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.complex128).reshape(2, 2).copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-
-    @property
-    def det(self) -> complex:
-        return complex(self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0])
-
-
-@dataclass(frozen=True)
-class H3Point:
-    h: np.ndarray  # (2, 2) complex hermitian, det 1, positive definite
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.complex128).reshape(2, 2).copy()
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
 
 
 # -- spinor parametrization --------------------------------------------------
@@ -339,6 +312,43 @@ def _normalize_sign(pair: SpinorPair) -> SpinorPair:
 
 
 # -- SL2(C) and H^3 ----------------------------------------------------------
+#
+# Every map below takes one point or a whole array of them: matrices carry
+# leading axes (..., 2, 2), and each check holds for every entry.
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of the 2x2 matrices m (..., 2, 2)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _frozen_matrices(m) -> np.ndarray:
+    """Read-only complex copy of 2x2 matrices (..., 2, 2)."""
+    m = np.array(m, dtype=np.complex128)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError("expected 2x2 matrices, got shape %s" % (m.shape,))
+    m.flags.writeable = False
+    return m
+
+
+@dataclass(frozen=True)
+class SL2Point:
+    m: np.ndarray  # (..., 2, 2) complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", _frozen_matrices(self.m))
+
+    @property
+    def det(self):
+        return _det(self.m)
+
+
+@dataclass(frozen=True)
+class H3Point:
+    h: np.ndarray  # (..., 2, 2) complex hermitian, det 1, positive definite
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", _frozen_matrices(self.h))
 
 
 def _tmap_entries(p: np.ndarray) -> np.ndarray:
@@ -353,53 +363,30 @@ def _tmap_entries(p: np.ndarray) -> np.ndarray:
 
 
 def tmap(p, pole_tol: float = POLE_TOL) -> SL2Point:
-    """Rational map (z1,z2,z3) -> SL2(C) with unit determinant identically.
+    """Rational map (z1,z2,z3) -> SL2(C) on points p (..., 3).
 
     The determinant is (z1^2+z2^2+z3^2 - (z1+iz2)(z1-iz2))/z3^2 = 1 as an
-    algebraic identity, null or not.
+    algebraic identity, null or not.  Raises PoleError if any |z3| is at
+    most pole_tol.
     """
-    p = np.asarray(p, dtype=np.complex128).reshape(3)
-    if abs(p[2]) <= pole_tol:
-        raise PoleError("third coordinate %.3g at the pole of the map" % abs(p[2]))
+    p = np.asarray(p, dtype=np.complex128)
+    if p.shape[-1:] != (3,):
+        raise ValueError("points must have shape (..., 3), got %s" % (p.shape,))
+    f3 = np.abs(p[..., 2])
+    if (f3 <= pole_tol).any():
+        raise PoleError("third coordinate %.3g at the pole of the map" % f3.min())
     return SL2Point(_tmap_entries(p))
-
-
-def tmap_inverse(m: SL2Point, pole_tol: float = POLE_TOL) -> np.ndarray:
-    """Inverse of tmap on matrices with m11 != 0."""
-    mm = m.m if isinstance(m, SL2Point) else np.asarray(m, dtype=np.complex128)
-    if abs(mm[0, 0]) <= pole_tol:
-        raise PoleError("m11 = %.3g: point is outside the image chart" % abs(mm[0, 0]))
-    z3 = 1.0 / mm[0, 0]
-    z1 = (mm[0, 1] + mm[1, 0]) / (2.0 * mm[0, 0])
-    z2 = (mm[0, 1] - mm[1, 0]) / (2j * mm[0, 0])
-    return np.array([z1, z2, z3], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class TMapCurveReport:
     """Sampled SL2 image of a null curve with the quadric membership data."""
 
-    boundary_z: np.ndarray  # (N,) boundary nodes
-    boundary_matrices: np.ndarray  # (N, 2, 2)
-    grid_z: np.ndarray  # (R, A) polar nodes
-    grid_matrices: np.ndarray  # (R, A, 2, 2)
+    boundary_matrices: np.ndarray  # (N, 2, 2) at the N-th roots of unity
+    grid_matrices: np.ndarray  # (R, A, 2, 2) on the layout of rings(radii, A)
     max_det_error: float  # max |det - 1| over all samples
     max_tangent_det: float  # max |det d/dtheta (T o F)| on the boundary
     max_tangent_det_normalized: float  # same, over squared frobenius norm
-
-
-def polar_grid(n_r: int, n_theta: int, domain: str = "disc", r0=None):
-    """Ring radii (n_r,) and complex polar nodes (n_r, n_theta).
-
-    The disc grid includes the center ring.  Node (i, j) is
-    radii[i] * exp(2 pi i j / n_theta): the layout of rings(radii, n_theta).
-    """
-    if domain == "annulus":
-        radii = np.linspace(r0, 1.0, n_r)
-    else:
-        radii = np.linspace(0.0, 1.0, n_r)
-    theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    return radii, radii[:, None] * np.exp(1j * theta)[None, :]
 
 
 def tmap_on_curve(
@@ -414,47 +401,26 @@ def tmap_on_curve(
     Checks that F is null (derivative sum of squares), that F3 clears the
     pole on the whole grid, and reports the quadric membership of the
     image tangents: det of the centered theta-difference of T o F on the
-    boundary, which vanishes for exact null curves in SL2(C).
+    boundary, which vanishes for exact null curves in SL2(C).  The grid is
+    n_r evenly spaced rings from the inner boundary (the centre of the
+    disc) to |z| = 1, at n_theta angles each.
     """
     if F.ncomp != 3:
         raise ValueError("expected a 3-component curve")
     require_null(F.derivative())
-    radii, grid = polar_grid(n_r, n_theta, F.domain, F.r0)
-    flat = grid.ravel()
-    gvals = F.rings(radii, n_theta).reshape(-1, 3)
-    f3 = np.abs(gvals[:, 2])
-    bad = int(np.argmin(f3))
-    if f3[bad] <= pole_tol:
-        raise PoleError(
-            "third coordinate %.3g at z = %s hits the pole of the map"
-            % (f3[bad], flat[bad])
-        )
-    grid_mats = _tmap_entries(gvals).reshape(n_r, n_theta, 2, 2)
-    bz = np.exp(2j * np.pi * np.arange(n_boundary) / n_boundary)
-    bvals = F.circle_values(1.0, n_boundary)
-    if np.abs(bvals[:, 2]).min() <= pole_tol:
-        j = int(np.argmin(np.abs(bvals[:, 2])))
-        raise PoleError("third coordinate vanishes near boundary node %d" % j)
-    bmats = _tmap_entries(bvals)
-    dets = bmats[:, 0, 0] * bmats[:, 1, 1] - bmats[:, 0, 1] * bmats[:, 1, 0]
-    gdets = (
-        grid_mats[..., 0, 0] * grid_mats[..., 1, 1]
-        - grid_mats[..., 0, 1] * grid_mats[..., 1, 0]
-    )
+    radii = np.linspace(0.0 if F.domain == "disc" else F.r0, 1.0, n_r)
+    grid_mats = tmap(F.rings(radii, n_theta), pole_tol).m
+    bmats = tmap(F.circle_values(1.0, n_boundary), pole_tol).m
     max_det_err = max(
-        float(np.abs(dets - 1.0).max()), float(np.abs(gdets - 1.0).max())
+        float(np.abs(_det(bmats) - 1.0).max()), float(np.abs(_det(grid_mats) - 1.0).max())
     )
     h = 2 * np.pi / n_boundary
     dmats = (np.roll(bmats, -1, axis=0) - np.roll(bmats, 1, axis=0)) / (2 * h)
-    tangent_dets = (
-        dmats[:, 0, 0] * dmats[:, 1, 1] - dmats[:, 0, 1] * dmats[:, 1, 0]
-    )
+    tangent_dets = _det(dmats)
     fro2 = (np.abs(dmats) ** 2).sum(axis=(1, 2))
     normalized = np.abs(tangent_dets) / np.maximum(fro2, 1e-300)
     return TMapCurveReport(
-        boundary_z=bz,
         boundary_matrices=bmats,
-        grid_z=grid,
         grid_matrices=grid_mats,
         max_det_error=max_det_err,
         max_tangent_det=float(np.abs(tangent_dets).max()),
@@ -462,73 +428,39 @@ def tmap_on_curve(
     )
 
 
-def bryant_project(m: SL2Point, det_tol: float = DET_TOL) -> H3Point:
-    """m -> m conj(m)^T, landing in the hyperboloid model of H^3."""
+def bryant_project(m, det_tol: float = DET_TOL) -> H3Point:
+    """m -> m conj(m)^T, landing in the hyperboloid model of H^3.
+
+    Raises NotInSL2Error unless every |det m - 1| is at most det_tol.
+    """
     mat = m.m if isinstance(m, SL2Point) else np.asarray(m, dtype=np.complex128)
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    if abs(det - 1.0) > det_tol:
-        raise NotInSL2Error("determinant %s is not 1 within %.3g" % (det, det_tol))
-    h = mat @ np.conj(mat).T
-    return H3Point(h)
+    det = _det(mat)
+    defect = np.abs(det - 1.0)
+    if not (defect <= det_tol).all():
+        worst = np.ravel(det)[np.argmax(defect)]
+        raise NotInSL2Error("determinant %s is not 1 within %.3g" % (worst, det_tol))
+    return H3Point(mat @ np.conj(np.swapaxes(mat, -1, -2)))
 
 
-def h3_minkowski(h: H3Point, tol: float = 1e-10) -> np.ndarray:
-    """Hyperboloid coordinates (x0, x1, x2, x3) of a hermitian det-1 point.
+def h3_minkowski(h, tol: float = 1e-10) -> np.ndarray:
+    """Hyperboloid coordinates (..., 4) = (x0, x1, x2, x3) of hermitian det-1 points.
 
-    Convention: h = [[x0+x3, x1+ix2], [x1-ix2, x0-x3]].
+    Convention: h = [[x0+x3, x1+ix2], [x1-ix2, x0-x3]].  Raises NotInH3Error
+    unless every point is hermitian, has x0^2 - x1^2 - x2^2 - x3^2 = 1
+    within tol * max(1, x0^2) and lies on the upper sheet x0 > 0.
     """
     mat = h.h if isinstance(h, H3Point) else np.asarray(h, dtype=np.complex128)
-    herm = np.abs(mat - np.conj(mat).T).max()
-    if herm > 1e-12 * max(1.0, np.abs(mat).max()):
-        raise NotInH3Error("matrix is not hermitian (defect %.3g)" % herm)
-    x0 = 0.5 * (mat[0, 0].real + mat[1, 1].real)
-    x3 = 0.5 * (mat[0, 0].real - mat[1, 1].real)
-    x1 = mat[0, 1].real
-    x2 = mat[0, 1].imag
+    herm = np.abs(mat - np.conj(np.swapaxes(mat, -1, -2))).max(axis=(-2, -1))
+    if not (herm <= 1e-12 * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))).all():
+        raise NotInH3Error("matrix is not hermitian (defect %.3g)" % np.max(herm))
+    x0 = 0.5 * (mat[..., 0, 0].real + mat[..., 1, 1].real)
+    x3 = 0.5 * (mat[..., 0, 0].real - mat[..., 1, 1].real)
+    x1 = mat[..., 0, 1].real
+    x2 = mat[..., 0, 1].imag
     q = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
-    if abs(q - 1.0) > tol * max(1.0, x0 * x0):
-        raise NotInH3Error("minkowski norm %.12g is not 1" % q)
-    if x0 <= 0:
-        raise NotInH3Error("point lies on the lower sheet (x0 = %.3g)" % x0)
-    return np.array([x0, x1, x2, x3], dtype=np.float64)
-
-
-# -- minimal surfaces --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinimalPartReport:
-    """Re F on a polar grid with its conformal factor |F'|."""
-
-    grid_z: np.ndarray  # (R, A) complex nodes
-    re_f: np.ndarray  # (R, A, 3) real
-    conformal_factor: np.ndarray  # (R, A) = |F'| euclidean
-    degenerate: bool  # conformal factor vanishes somewhere
-
-
-def minimal_part(
-    F: SeriesMap,
-    n_r: int = 17,
-    n_theta: int = 64,
-) -> MinimalPartReport:
-    """Real part of a null curve as a conformal minimal immersion.
-
-    The metric it induces is 2(Re F)* ds^2; on samples the conformal
-    factor lambda = |F'| satisfies lambda^2 = 2 |d/dx Re F|^2, the factor
-    two being the null-curve metric identity.
-    """
-    if F.ncomp != 3:
-        raise ValueError("expected a 3-component curve")
-    d = F.derivative()
-    require_null(d)
-    radii, grid = polar_grid(n_r, n_theta, F.domain, F.r0)
-    vals = F.rings(radii, n_theta)
-    dvals = d.rings(radii, n_theta)
-    lam = np.sqrt((np.abs(dvals) ** 2).sum(axis=2))
-    degenerate = bool(lam.min() <= DEGENERATE_TOL * max(lam.max(), 1e-300))
-    return MinimalPartReport(
-        grid_z=grid,
-        re_f=vals.real,
-        conformal_factor=lam,
-        degenerate=degenerate,
-    )
+    defect = np.abs(q - 1.0)
+    if not (defect <= tol * np.maximum(1.0, x0 * x0)).all():
+        raise NotInH3Error("minkowski norm %.12g is not 1" % np.ravel(q)[np.argmax(defect)])
+    if not (x0 > 0).all():
+        raise NotInH3Error("point lies on the lower sheet (x0 = %.3g)" % np.min(x0))
+    return np.stack([x0, x1, x2, x3], axis=-1)

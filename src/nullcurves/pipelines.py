@@ -24,10 +24,16 @@ from .diagnostics import bounded_coordinate_report, intrinsic_radius
 from .errors import (
     DomainError,
     NullCurveError,
-    PoleError,
     ToleranceUnachievableError,
 )
-from .geometry import NullVector, _tmap_entries, spinor_point, tmap_on_curve
+from .geometry import (
+    NullVector,
+    bryant_project,
+    h3_minkowski,
+    spinor_point,
+    tmap,
+    tmap_on_curve,
+)
 from .rh import BoundaryData, _rh_null
 from .series import SeriesMap
 
@@ -576,9 +582,12 @@ def export_surface(
 ) -> str:
     """Write an OBJ mesh of the real part (r3) or the CMC-1 transfer (h3).
 
-    r3 meshes Re F on a polar grid.  h3 runs the full audited transfer
-    (nullity, pole clearance, unit determinant) and meshes the hyperboloid
-    points (x1, x2, x3); x0 is determined by the hyperboloid relation.
+    r3 meshes Re F on a polar grid.  h3 audits nullity with tmap_on_curve,
+    then sends every mesh vertex through tmap, bryant_project and
+    h3_minkowski, whose checks (pole clearance, unit determinant, hermitian
+    form, hyperboloid, upper sheet) raise on any failing vertex, and meshes
+    the hyperboloid points (x1, x2, x3); x0 is determined by the hyperboloid
+    relation.
     """
     if target not in ("r3", "h3"):
         raise ValueError("target must be r3 or h3")
@@ -587,14 +596,7 @@ def export_surface(
         verts = pts.real
     else:
         tmap_on_curve(F, n_r=9, n_theta=64, n_boundary=1024, pole_tol=pole_tol)
-        if np.abs(pts[:, 2]).min() <= pole_tol:
-            raise PoleError("third coordinate reaches the pole on the mesh grid")
-        mats = _tmap_entries(pts)
-        herm = mats @ np.conj(np.swapaxes(mats, 1, 2))
-        x1 = herm[:, 0, 1].real
-        x2 = herm[:, 0, 1].imag
-        x3 = 0.5 * (herm[:, 0, 0] - herm[:, 1, 1]).real
-        verts = np.stack([x1, x2, x3], axis=1)
+        verts = h3_minkowski(bryant_project(tmap(pts, pole_tol)))[:, 1:]
     lines = ["# %s mesh, %d x %d polar grid" % (target, grid[0], grid[1])]
     for v in verts:
         lines.append("v %.17g %.17g %.17g" % (v[0], v[1], v[2]))

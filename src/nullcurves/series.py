@@ -419,6 +419,13 @@ def to_json(series: SeriesMap) -> str:
     return json.dumps(payload)
 
 
+def _degree(payload: dict, key: str) -> int:
+    value = payload[key]
+    if isinstance(value, bool):  # JSON true and false are not degrees
+        raise DomainError("%s must be an integer" % key)
+    return operator.index(value)  # rejects fractions, not truncates
+
+
 def from_json(text: str) -> SeriesMap:
     payload = json.loads(text)
     with _parsing("curve"):
@@ -429,9 +436,10 @@ def from_json(text: str) -> SeriesMap:
         # checked here rather than in SeriesMap, whose constructor is on the hot path
         if not np.isfinite(coeffs).all():
             raise DomainError("series coefficients must be finite")
-        return SeriesMap(
-            coeffs,
-            operator.index(payload["degree_lo"]),  # rejects fractions, not truncates
-            payload["domain"],
-            payload["r0"],
-        )
+        lo = _degree(payload, "degree_lo")
+        if _degree(payload, "degree_hi") != lo + coeffs.shape[-1] - 1:
+            raise DomainError(
+                "degree_hi %r does not match degree_lo %d and %d coefficients per row"
+                % (payload["degree_hi"], lo, coeffs.shape[-1])
+            )
+        return SeriesMap(coeffs, lo, payload["domain"], payload["r0"])

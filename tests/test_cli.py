@@ -191,6 +191,10 @@ MALFORMED = {
     "bare_number_components": ("deform", "curve", dict(_CURVE, components=[1.0, 2.0])),
     "curve_without_components": ("deform", "curve", _without("components", _CURVE)),
     "fractional_degree": ("deform", "curve", dict(_CURVE, degree_lo=0.5)),
+    "degree_hi_past_the_coefficients": ("deform", "curve", dict(_CURVE, degree_hi=7)),
+    "degree_hi_string": ("deform", "curve", dict(_CURVE, degree_hi="x")),
+    "curve_without_degree_hi": ("deform", "curve", _without("degree_hi", _CURVE)),
+    "boolean_degree": ("deform", "curve", dict(_CURVE, degree_lo=False)),
 }
 
 
@@ -326,6 +330,17 @@ def test_export_h3_pole_is_domain_error(tmp_path, capsys):
     )
     assert code == 1
     assert "pole" in err.lower()
+
+
+def test_export_h3_off_sl2_is_domain_error(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    blob = dict(_CURVE, components=_CURVE["components"][:2] + [[[1e-5, 0.0], [0.0, 0.0]]])
+    curve.write_text(json.dumps(blob))
+    mesh = tmp_path / "x.obj"
+    code, _, err = run(capsys, "export", str(curve), "--target", "h3", "--out", str(mesh))
+    assert code == 1
+    assert "determinant" in err
+    assert not mesh.exists()
 
 
 def test_export_bad_grid_is_usage_error(tmp_path, capsys):

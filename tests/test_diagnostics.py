@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullcurves.diagnostics import (
-    EmbeddednessReport,
     RadiusReport,
     bounded_coordinate_report,
-    conformal_factor,
     embedded_check,
     intrinsic_radius,
     nullity_residual,
+    _polar_weights,
     _sample_layout,
 )
 from nullcurves.errors import DegenerateImmersionError, DomainError
@@ -80,17 +80,21 @@ def test_nullity_detects_perturbation():
 
 
 def test_conformal_factor_flat():
-    z = 0.3 * np.exp(1j * np.linspace(0, 6, 17))
-    lam = conformal_factor(linear_curve(), z)
-    assert np.max(np.abs(lam - SQRT2)) < 1e-14
+    # lambda = |F'| = sqrt 2 everywhere, so each edge weighs sqrt 2 times its length
+    radii = np.linspace(0.0, 1.0, 5)
+    w_tan, w_rad, w_dru, w_drl = _polar_weights(linear_curve(), radii, 16)
+    tan_length = 2.0 * radii * math.sin(math.pi / 16)
+    assert np.max(np.abs(w_tan - SQRT2 * tan_length[:, None])) < 1e-14
+    assert np.max(np.abs(w_rad - SQRT2 * 0.25)) < 1e-14
+    assert np.max(np.abs(w_dru - w_drl)) < 1e-14
 
 
 def test_metric_identity_null_curve():
-    # lambda^2 == 2 |d/dx Re F|^2 pointwise for null maps
+    # lambda^2 = |F'|^2 == 2 |d/dx Re F|^2 pointwise for null maps
     F = enneper_curve()
     z = 0.7 * np.exp(1j * np.linspace(0.1, 6.1, 23))
-    lam2 = conformal_factor(F, z) ** 2
     fp = F.derivative().eval_many(z)
+    lam2 = (np.abs(fp) ** 2).sum(axis=1)
     rhs = 2.0 * (fp.real**2).sum(axis=1)
     assert np.max(np.abs(lam2 - rhs)) < 1e-8 * np.max(lam2)
 
@@ -179,11 +183,6 @@ def test_radius_argument_guards():
         intrinsic_radius(annulus_curve(), r_core=0.1)
 
 
-def test_radius_report_json_roundtrip():
-    rep = intrinsic_radius(linear_curve(), r_core=0.0, grid=(16, 32))
-    assert RadiusReport.from_json(rep.to_json()) == rep
-
-
 def test_radius_report_validation():
     with pytest.raises(ValueError):
         RadiusReport(-1.0, 1.0, (8, 16), 0.0)
@@ -262,10 +261,4 @@ def test_embedded_no_qualifying_pairs():
     assert rep.min_separation == math.inf
     assert rep.min_pair is None
     assert not rep.flagged
-    assert EmbeddednessReport.from_json(rep.to_json()) == rep
-
-
-def test_embedded_report_json_roundtrip():
-    rep = embedded_check(enneper_curve(), n_samples=600)
-    back = EmbeddednessReport.from_json(rep.to_json())
-    assert back == rep
+    assert json.loads(rep.to_json())["min_separation"] == math.inf

@@ -22,13 +22,11 @@ from nullcurves.geometry import (
     SpinorPair,
     bryant_project,
     h3_minkowski,
-    minimal_part,
     null_residual,
     spinor_bilinear,
     spinor_lift,
     spinor_project,
     tmap,
-    tmap_inverse,
     tmap_on_curve,
 )
 from nullcurves.pipelines import catalog
@@ -300,18 +298,42 @@ def test_tmap_pole():
         tmap(np.array([1.0, 1j, 0.0]))
 
 
-def test_tmap_inverse_roundtrip_random():
-    r = np.random.default_rng(5)
-    for _ in range(50):
-        a = r.normal() + 1j * r.normal()
-        b = r.normal() + 1j * r.normal()
-        p = np.array([a * a - b * b, 1j * (a * a + b * b), 2 * a * b])
-        if abs(p[2]) < 1e-3:
-            continue
-        m = tmap(p)
-        assert abs(np.linalg.det(m.m) - 1.0) < 1e-12
-        back = tmap_inverse(m)
-        assert np.abs(back - p).max() < 1e-10 * max(1.0, np.abs(p).max())
+def _null_points(n, seed=5):
+    r = np.random.default_rng(seed)
+    a = r.normal(size=n) + 1j * r.normal(size=n)
+    b = r.normal(size=n) + 1j * r.normal(size=n)
+    return np.stack([a * a - b * b, 1j * (a * a + b * b), 2 * a * b], axis=-1)
+
+
+def test_transfer_on_arrays_matches_pointwise():
+    pts = _null_points(24).reshape(4, 6, 3)
+    pts = pts[np.abs(pts[..., 2]).min(axis=1) > 1e-3]
+    m = tmap(pts)
+    assert m.m.shape == pts.shape[:-1] + (2, 2)
+    assert np.abs(m.det - 1.0).max() < 1e-12
+    x = h3_minkowski(bryant_project(m))
+    assert x.shape == pts.shape[:-1] + (4,)
+    for idx in np.ndindex(*pts.shape[:-1]):
+        assert np.array_equal(tmap(pts[idx]).m, m.m[idx])
+        assert np.array_equal(h3_minkowski(bryant_project(tmap(pts[idx]))), x[idx])
+
+
+def test_transfer_checks_every_entry():
+    pts = _null_points(8)
+    pts[5, 2] = 0.0
+    with pytest.raises(PoleError):
+        tmap(pts)
+    mats = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
+    mats[1] *= 2.0
+    with pytest.raises(NotInSL2Error):
+        bryant_project(mats)
+    herm = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
+    herm[2] = -herm[2]
+    with pytest.raises(NotInH3Error):
+        h3_minkowski(herm)
+    herm[2, 0, 0] = np.nan
+    with pytest.raises(NotInH3Error):
+        h3_minkowski(herm)
 
 
 @given(
@@ -403,19 +425,3 @@ def test_tmap_on_curve_rejects_non_null():
     c[2, 0] = 1.0
     with pytest.raises(NotInNullConeError):
         tmap_on_curve(SeriesMap(c, 0, "disc"))
-
-
-def test_minimal_part_enneper():
-    s = pair_from_coeffs([0.0, 1.0], [1.0])
-    f = spinor_project(s).antiderivative(0.0, (0.0, 0.0, 0.0))
-    rep = minimal_part(f)
-    assert not rep.degenerate
-    assert rep.conformal_factor.min() > 0
-    assert rep.re_f.shape == rep.grid_z.shape + (3,)
-
-
-def test_minimal_part_flags_degenerate():
-    f = SeriesMap.constant([1.0, 1j, 0.0])
-    # constant curve: dF == 0 everywhere
-    rep = minimal_part(f.antiderivative(0.0, (0.0, 0.0, 0.0)) * 0.0)
-    assert rep.degenerate

@@ -15,6 +15,7 @@ from nullcurves.diagnostics import bounded_coordinate_report, intrinsic_radius, 
 from nullcurves.errors import (
     DegenerateImmersionError,
     DomainError,
+    NotInSL2Error,
     PoleError,
     ToleranceUnachievableError,
 )
@@ -407,6 +408,16 @@ def test_h3_rejects_pole(tmp_path):
         export_surface(
             catalog("cubic_enneper_like"), "h3", str(tmp_path / "x.obj")
         )
+
+
+def test_h3_export_checks_every_vertex(tmp_path):
+    # F3 = 1e-5 clears the pole tolerance, but T's entries reach 2e5 and
+    # the rounding in z1 + i z2 leaves a determinant defect near 1e-6
+    F = catalog("linear_v1") + SeriesMap.constant((0.0, 0.0, 1e-5))
+    path = tmp_path / "x.obj"
+    with pytest.raises(NotInSL2Error):
+        export_surface(F, "h3", str(path))
+    assert not path.exists()
 
 
 def test_unknown_target_rejected(tmp_path):

@@ -303,6 +303,17 @@ def test_from_json_rejects_non_finite_coefficients():
             from_json(json.dumps(blob))
 
 
+@pytest.mark.parametrize("degree_hi", [7, "x", True, None])
+def test_from_json_rejects_a_degree_hi_off_the_coefficients(degree_hi):
+    blob = json.loads(to_json(poly(1.0, 0.5j)))
+    if degree_hi is None:
+        del blob["degree_hi"]
+    else:
+        blob["degree_hi"] = degree_hi
+    with pytest.raises(DomainError):
+        from_json(json.dumps(blob))
+
+
 # -- property tests ------------------------------------------------------------
 
 
