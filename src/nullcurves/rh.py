@@ -14,14 +14,19 @@ The null certificate samples G - F on the boundary of the region it claims,
 where the sup sits; every circle goes through the wrapped-FFT ring sampler.
 F's values on the radial segments at the keep-masks' ends come from
 SeriesMap.eval_many, the blocked Horner kernel, at those few hundred points.
+(b) is still the maximum over 64 collar radii, but their rings are measured
+bound first: with L = sup|G'| on the boundary circles, bounded by sampling
+(Ehlich-Zeller), no radius between measured ones exceeds the tent
+(phi_i + phi_j + L gap) / 2, so only gaps whose tent reaches the running
+maximum are bisected (see _certify_null).
 A null push decides before it builds anything: a datum whose collar floor
 reaches epsilon is refused, and the fit degree of the amplitude root is
 read off the fit's own floor, so each push runs one k-search.  The search
-screens its attempts: one whose (a) on the unit circle already reaches
-epsilon is dropped before the rest of its certificate is measured.
+screens its attempts: one whose (a) on the unit circle, or whose running
+(b), already reaches epsilon is dropped before the rest of its certificate
+is measured.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -48,8 +53,14 @@ _FIT_M_INIT = 64
 _FIT_M_MAX = 256
 # radii of the certificates' collar grids, r..1
 _CERT_RADIAL = 64
-# the null certificate reduces its collar grid this many radii at a time
+# the null certificate evaluates at most this many collar radii at a time
 _CERT_RING_BLOCK = 8
+# relative margin by which a collar gap's bound must undercut the running
+# maximum before the null certificate skips the radii inside the gap
+_CERT_SLACK = 1e-9
+# the most samples per circle that bounding sup|G'| for the null certificate
+# may take: sampling a wider series costs more than the rings it can save
+_LIP_MAX_N = 1 << 14
 # the C^n certificate's grids for J >= 2 discs: torus angles, disc grid side
 _APPROX_N_TAU = 256
 _APPROX_W_GRID = 16
@@ -569,6 +580,29 @@ def _orth_direction(fp: np.ndarray, theta: NullVector) -> Optional[np.ndarray]:
     return n / np.linalg.norm(n)
 
 
+def _lipschitz(S: SeriesMap) -> float:
+    """An upper bound on sup |S'| over the closed domain of S.
+
+    |S'| is subharmonic, so the sup sits on the boundary circles.  On each,
+    S' times a power of z is a trigonometric polynomial of degree
+    m = ceil(span / 2) with the same modulus.  Sampled at N > 2m equispaced
+    angles, such a polynomial's sup is at most sec(pi m / N) times its
+    sampled max (Ehlich-Zeller; for vector values, apply it to the real
+    polynomial Re<S'(z), S'(z*)> at the maximiser z*).  N is the smallest
+    power of two >= max(_NULL_N, 4m), so the factor is at most sqrt 2.
+    Past _LIP_MAX_N samples per circle this returns the trivial bound inf
+    instead, under which the certificate measures its whole collar grid.
+    """
+    d = S.derivative()
+    m = d.width // 2  # ceil((width - 1) / 2)
+    N = 1 << (max(_NULL_N, 4 * m) - 1).bit_length()
+    if N > _LIP_MAX_N:
+        return np.inf
+    vals = d.rings(d.boundary_radii, N)
+    peak = float(np.sqrt(_component_sum(np.abs(vals) ** 2)).max())
+    return peak / np.cos(np.pi * m / N)
+
+
 def _certify_null(
     G: SeriesMap,
     F: SeriesMap,
@@ -586,11 +620,24 @@ def _certify_null(
     holomorphic, so (c)/(d) and cond_orth sample it only on the boundary of
     their region, where the maximum principle puts the sup.
 
-    The collar block that holds rho = 1 comes first, and (a) is read off its
-    last ring.  With screen set, an (a) on the unit circle that already
-    reaches epsilon ends the measurement: the push certainly fails, and that
-    (a), a lower bound on its worst case, is returned as a float in place of
-    the certificate.
+    (b) and the radial segments of (c)/(d) are the maxima over the collar
+    grid of _CERT_RADIAL radii r..1, but its rings are measured bound
+    first.  At a fixed angle, the disc distance of G(rho zeta) is
+    L-Lipschitz in rho with L = sup|G'| (_lipschitz), so no grid radius
+    strictly between two measured ones, rho_i < rho_j, exceeds the tent
+    (phi_i + phi_j + L (rho_j - rho_i)) / 2; likewise |G - F| on a segment
+    with sup|(G - F)'|.  The rings r and 1 come first, then every gap whose
+    tent, maximised over its angles, reaches the running maximum of (b),
+    (c) or (d) is bisected, up to _CERT_RING_BLOCK rings per evaluation.
+    A gap is skipped only below that maximum by the relative margin
+    _CERT_SLACK, far above the rounding of the measured values, so every
+    field equals the full grid's.
+
+    (a) is read off the ring rho = 1, which comes first.  With screen set,
+    an (a) that already reaches epsilon ends the measurement, and so does
+    a running (b) that does: the push certainly fails, and max((a), (b))
+    so far, a lower bound on its worst case, is returned as a float in
+    place of the certificate.
     """
     n = n_boundary
     theta = TWO_PI * np.arange(n) / n
@@ -602,38 +649,71 @@ def _certify_null(
     amp = bd.amplitude_at(theta)
     rays = amp[:, None] * tv[None, :]
     rho = np.linspace(bd.r, 1.0, _CERT_RADIAL)
-    blocks = _blocks(rho)
-    last = G.rings(blocks[-1], n)
-    cond_a = float(circle_distance(last[-1], Fb, rays).max())
+    top = _CERT_RADIAL - 1
+    Gb = G.circle_values(1.0, n)  # the ring rho[top] = 1
+    cond_a = float(circle_distance(Gb, Fb, rays).max())
     if screen and cond_a >= bd.epsilon:
         return cond_a
 
-    # h = G - F on the domain's boundary circles, then on the ring r
-    hr = (G - F).rings(F.boundary_radii + (bd.r,), n)  # (R, n, C)
-    hn = np.sqrt((np.abs(hr) ** 2).sum(axis=2))
-
-    # (b): the collar over the padded arc against the projected discs; the
-    # same rings give G on the radial segments at the keep-masks' ends
+    # (b) reads the collar over the padded arc against the projected discs;
+    # the same rings give G on the radial segments at the keep-masks' ends
     keep = ~np.stack([bd.in_padded_arc(theta, pad) for pad in (pad2, pad1)])
     ends = keep & ~(np.roll(keep, 1, axis=1) & np.roll(keep, -1, axis=1))
     edges = np.flatnonzero(ends.any(axis=0))
     idx = np.flatnonzero(~keep[0])
-    cond_b = 0.0
-    Gs = []
-    for Gr in itertools.chain((G.rings(block, n) for block in blocks[:-1]), [last]):
-        cond_b = max(cond_b, float(disc_distance(Gr[:, idx], Fb[idx], rays[idx]).max()))
-        Gs.append(Gr[:, edges])
-    Gs = np.concatenate(Gs)  # (radial, edges, C)
+    on_seg = keep[:, edges]  # the segments (c), then (d), reads
+    Fs = F.eval_many(rho[:, None] * np.exp(1j * theta[edges]))
+    Fs = Fs.reshape(_CERT_RADIAL, edges.size, F.ncomp)
+    phi = np.empty((_CERT_RADIAL, idx.size))  # disc distances, by radius
+    psi = np.empty((_CERT_RADIAL, edges.size))  # |G - F| on the segments
+
+    def measure(ids, Gr):
+        """Record the rings Gr at rho[ids]; their maxima for (b), (c), (d)."""
+        phi[ids] = disc_distance(Gr[:, idx], Fb[idx], rays[idx])
+        psi[ids] = np.sqrt((np.abs(Gr[:, edges] - Fs[ids]) ** 2).sum(axis=2))
+        return [float(phi[ids].max())] + [
+            float(psi[ids].max(where=kp, initial=0.0)) for kp in on_seg]
+
+    ring_r = G.rings(rho[:1], n)
+    cond_b, seg_c, seg_d = map(max, measure([top], Gb[None]), measure([0], ring_r))
+    if screen and cond_b >= bd.epsilon:
+        return max(cond_a, cond_b)
+
+    # h = G - F on the domain's boundary circles, then on the ring r
+    h = G - F
+    hr = h.rings(F.boundary_radii + (bd.r,), n)  # (R, n, C)
+    hn = np.sqrt((np.abs(hr) ** 2).sum(axis=2))
     if F.domain == "annulus":
         # mu vanishes on the inner circle, so the target there is the point F(x)
         cond_a = max(cond_a, float(hn[1].max()))
-    Fs = F.eval_many(rho[:, None] * np.exp(1j * theta[edges])).reshape(Gs.shape)
-    seg = np.sqrt((np.abs(Gs - Fs) ** 2).sum(axis=2)).max(axis=0, initial=0.0)
 
     # (c)/(d): every angle of the ring r (and r0), the rest under the keep-mask
     inner = float(hn[1:].max())
-    cond_c, cond_d = (max(inner, float(hn[0].max(where=kp, initial=0.0)),
-                          float(seg.max(where=kp[edges], initial=0.0))) for kp in keep)
+    cond_c, cond_d = (max(inner, float(hn[0].max(where=kp, initial=0.0)), seg)
+                      for kp, seg in zip(keep, (seg_c, seg_d)))
+
+    lip, lip_h = _lipschitz(G), _lipschitz(h)
+    lo_i, hi_i = np.array([0]), np.array([top])
+    while lo_i.size:
+        half = 0.5 * (rho[hi_i] - rho[lo_i])
+        tent_b = 0.5 * (phi[lo_i] + phi[hi_i]).max(axis=1) + lip * half
+        split = tent_b >= cond_b * (1.0 - _CERT_SLACK)
+        mean = 0.5 * (psi[lo_i] + psi[hi_i])
+        for kp, cond in zip(on_seg, (cond_c, cond_d)):
+            tent = mean.max(axis=1, where=kp, initial=-np.inf) + lip_h * half
+            split |= tent >= cond * (1.0 - _CERT_SLACK)
+        split &= hi_i - lo_i > 1
+        lo_i, hi_i = lo_i[split], hi_i[split]
+        mid = (lo_i + hi_i) // 2
+        for s in range(0, mid.size, _CERT_RING_BLOCK):
+            ids = mid[s:s + _CERT_RING_BLOCK]
+            more_b, more_c, more_d = measure(ids, G.rings(rho[ids], n))
+            cond_b = max(cond_b, more_b)
+            if screen and cond_b >= bd.epsilon:
+                return max(cond_a, cond_b)
+            cond_c, cond_d = max(cond_c, more_c), max(cond_d, more_d)
+        lo_i, hi_i = np.concatenate([lo_i, mid]), np.concatenate([mid, hi_i])
+
     orth_max = None
     if orth_dir is not None:
         orth_max = float(np.abs(hr[:-1] @ np.conj(orth_dir)).max())
@@ -649,11 +729,6 @@ def _certify_null(
         omega=(lo - pad2, hi + pad2),
         n_samples=n,
     )
-
-
-def _blocks(radii: np.ndarray):
-    """Consecutive slices of at most _CERT_RING_BLOCK radii."""
-    return np.split(radii, range(_CERT_RING_BLOCK, radii.size, _CERT_RING_BLOCK))
 
 
 @dataclass

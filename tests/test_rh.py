@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullcurves.errors import (
     DomainError,
@@ -426,6 +428,38 @@ def test_search_returns_the_least_certifying_k(monkeypatch):
         assert not full.valid and full.worst >= calls[kk][2]
 
 
+def test_search_screens_on_the_collar(monkeypatch):
+    # the collar drift sqrt 2 (1 - r) = 0.042 sits above epsilon for every
+    # k, while the collar floor, half of it, lets the datum through
+    F = linear_curve()
+    bd = linear_datum(mu=np.array([0.05]), r=0.97, epsilon=0.03)
+    G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=650).G
+    full = _certify_null(G, F, bd, 650, rh._NULL_N, None)
+    assert full.cond_a < bd.epsilon <= full.cond_b
+    bound = _certify_null(G, F, bd, 650, rh._NULL_N, None, screen=True)
+    assert isinstance(bound, float) and bd.epsilon <= bound <= full.worst
+
+    monkeypatch.setattr(rh, "K_MAX", 2048)
+    calls = {}
+    original = rh._certify_null
+
+    def recorded(*args, screen=False):
+        out = original(*args, screen=screen)
+        calls[args[3]] = out
+        return out
+
+    monkeypatch.setattr(rh, "_certify_null", recorded)
+    with pytest.raises(ToleranceUnachievableError) as screened:
+        rh_null_disc(F, bd)
+    assert any(isinstance(out, float) and out > bd.epsilon for out in calls.values())
+    monkeypatch.setattr(rh, "_certify_null",
+                        lambda *args, screen=False: original(*args))
+    with pytest.raises(ToleranceUnachievableError) as unscreened:
+        rh_null_disc(F, bd)
+    assert str(screened.value) == str(unscreened.value)
+    assert screened.value.certificate == unscreened.value.certificate
+
+
 @pytest.mark.parametrize("winner, worsts", [
     # k: (bound when screened or None, worst in full)
     (2, {1: (0.3, 0.5), 2: (None, 0.4), 4: (0.2, 0.4), 8: (0.4, 0.4)}),
@@ -476,24 +510,35 @@ def test_null_annulus_certificate_and_periods():
 
 
 def _certify_null_per_radius(G, F, bd, n_boundary, orth_dir, n_radial=64, n_interior_radii=33):
-    """(a), (b) and cond_orth evaluated one circle at a time."""
+    """(a), (b), (c), (d) and cond_orth evaluated one circle at a time."""
     n = n_boundary
     theta = TWO_PI * np.arange(n) / n
     rays = bd.amplitude_at(theta)[:, None] * bd.theta.v[None, :]
 
+    def h_norm(rr):
+        return np.sqrt((np.abs(G.circle_values(rr, n) - F.circle_values(rr, n)) ** 2).sum(1))
+
     Fb = F.circle_values(1.0, n)
     Gb = G.circle_values(1.0, n)
     cond_a = float(circle_distance(Gb, Fb, rays).max())
+    inner = h_norm(bd.r).max()
     if F.domain == "annulus":
-        Fi = F.circle_values(F.r0, n)
-        Gi = G.circle_values(G.r0, n)
-        cond_a = max(cond_a, float(np.sqrt((np.abs(Gi - Fi) ** 2).sum(1)).max()))
+        cond_a = max(cond_a, float(h_norm(F.r0).max()))
+        inner = max(inner, h_norm(F.r0).max())
 
-    idx = np.flatnonzero(bd.in_padded_arc(theta, 2.0 * bd.taper))
+    # (c)/(d): the ring r (and r0), the unit circle under the keep-mask, and
+    # the radial segments at the keep-mask's ends
+    keeps = [~bd.in_padded_arc(theta, pad) for pad in (2.0 * bd.taper, bd.taper)]
+    ends = [kp & ~(np.roll(kp, 1) & np.roll(kp, -1)) for kp in keeps]
+    closeness = [max(inner, h_norm(1.0).max(where=kp, initial=0.0)) for kp in keeps]
+
+    idx = np.flatnonzero(~keeps[0])
     cond_b = 0.0
     for rr in np.linspace(bd.r, 1.0, n_radial):
         Gr = G.circle_values(rr, n)[idx]
         cond_b = max(cond_b, float(disc_distance(Gr, Fb[idx], rays[idx]).max()))
+        hn = h_norm(rr)
+        closeness = [max(c, hn.max(where=e, initial=0.0)) for c, e in zip(closeness, ends)]
 
     orth_max = None
     if orth_dir is not None:
@@ -502,7 +547,7 @@ def _certify_null_per_radius(G, F, bd, n_boundary, orth_dir, n_radial=64, n_inte
         for rr in np.linspace(r_in, 1.0, n_interior_radii):
             diff = G.circle_values(rr, n) - F.circle_values(rr, n)
             orth_max = max(orth_max, float(np.abs(diff @ np.conj(orth_dir)).max()))
-    return cond_a, cond_b, orth_max
+    return cond_a, cond_b, float(closeness[0]), float(closeness[1]), orth_max
 
 
 def _closeness_dense(G, F, bd, n_boundary):
@@ -529,45 +574,164 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["disc", "annulus", "general_orth", "empty_keep_mask"],
-)
-def test_certify_null_matches_per_radius_reference(case):
-    orth = _unit([0.0, 0.0, 1.0])
-    if case == "annulus":
+def _thin_collar():
+    """A gate-8 push: one of 8 arcs, mu_cap 0.002, k = 650 on a thin collar."""
+    F = linear_curve()
+    bd = linear_datum(arc=(0.0, np.pi / 2), mu=np.array([0.002]), r=0.9997)
+    return F, bd, _rh_null(F, replace(bd, epsilon=10.0), k_fixed=650).G
+
+
+def _bump(**datum):
+    """G - F = 0.1 z^3 (1 - z) V1, against discs along V2 on the datum's arc.
+
+    V1 is hermitian-orthogonal to V2, so (b) and the segments of (c)/(d)
+    read |G - F| = sqrt 2 * 0.1 rho^3 |1 - rho zeta|.  At angles near 1 that
+    peaks near rho = 3/4 and stays small on the unit circle.
+    """
+    F = SeriesMap.zero(3, "disc")
+    bump = np.zeros((3, 5), dtype=complex)
+    bump[:, 3], bump[:, 4] = 0.1 * V1, -0.1 * V1
+    return F, linear_datum(**datum), SeriesMap(bump, 0, "disc")
+
+
+def _certify_case(case):
+    """(F, bd, G, k) of one reference case of the null certificate."""
+    if case == "thin_collar":
+        return (*_thin_collar(), 650)
+    if case == "interior_max":
+        # (b) reads only angles within 0.07 of 1
+        return (*_bump(arc=(-0.05, 0.05), taper=0.01, r=0.5), 0)
+    if case == "interior_segment_max":
+        # (c) reads the unit circle within 0.06 of 1, and the ring r is low
+        return (*_bump(arc=(0.1, TWO_PI - 0.1), taper=0.02, r=0.4), 0)
+    if case.startswith("annulus"):
         F = annulus_curve()
         bd = linear_datum(arc=(1.0, 1.0 + np.pi / 2), mu=np.array([0.05]), r=0.99)
+        if case == "annulus_wide_collar":
+            bd = replace(bd, r=0.6)
     else:
         # a wide collar, so the keep-masks decide where the maxima sit
         F = linear_curve()
         bd = linear_datum(r=0.5)
-    if case == "general_orth":
-        orth = _unit([0.3 - 0.2j, -1.1 + 0.5j, 0.7j])
     if case == "empty_keep_mask":
         # arc width + 2 * taper exceeds a full turn, so inside the collar
         # both keep-masks are empty
         bd = linear_datum(arc=(0.5, 4.5), taper=1.2, r=0.9)
         assert bd.in_padded_arc(TWO_PI * np.arange(512) / 512, bd.taper).all()
+    # G wider than the 1024 samples per circle
+    k = 600 if case == "wide_series" else 160
     # a loose tolerance lets the pinned k through whatever the conditions say
-    G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=160).G
+    return F, bd, _rh_null(F, replace(bd, epsilon=10.0), k_fixed=k).G, k
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["disc", "annulus", "general_orth", "empty_keep_mask", "thin_collar",
+     "wide_series", "interior_max", "interior_segment_max", "annulus_wide_collar"],
+)
+def test_certify_null_matches_per_radius_reference(case):
+    F, bd, G, k = _certify_case(case)
+    orth = _unit([0.3 - 0.2j, -1.1 + 0.5j, 0.7j] if case == "general_orth" else [0, 0, 1])
+    theta = TWO_PI * np.arange(1024) / 1024
     # the boundary pieces (c) and (d) read are points of the dense grid, and
-    # by the maximum principle no interior point of it goes higher
+    # by the maximum principle no interior point of it goes higher, unless a
+    # radial segment holds the sup: its 64 radii sample that peak a bit low
     want_c, want_d = _closeness_dense(G, F, bd, 1024)
+    if case == "wide_series":
+        assert G.width > 1024
+    if case == "interior_max":
+        idx = np.flatnonzero(bd.in_padded_arc(theta, 2.0 * bd.taper))
+        rays = bd.amplitude_at(theta[idx])[:, None] * bd.theta.v[None, :]
+        Fb = F.circle_values(1.0, 1024)[idx]
+        per_radius = [disc_distance(G.circle_values(rr, 1024)[idx], Fb, rays).max()
+                      for rr in np.linspace(bd.r, 1.0, 64)]
+        assert 0 < int(np.argmax(per_radius)) < 63
+    if case == "interior_segment_max":
+        hb, hr = np.sqrt((np.abs(G.rings([1.0, bd.r], 1024)) ** 2).sum(axis=2))
+        off_arc = hb.max(where=~bd.in_padded_arc(theta, 2.0 * bd.taper), initial=0.0)
+        assert want_c > 1.1 * max(off_arc, hr.max())
     for orth_dir in (None, orth):
-        got = _certify_null(G, F, bd, 160, 1024, orth_dir)
-        cond_a, cond_b, cond_orth = _certify_null_per_radius(G, F, bd, 1024, orth_dir)
+        got = _certify_null(G, F, bd, k, 1024, orth_dir)
+        cond_a, cond_b, cond_c, cond_d, cond_orth = _certify_null_per_radius(
+            G, F, bd, 1024, orth_dir)
         assert got.cond_a == pytest.approx(cond_a, rel=1e-12, abs=1e-15)
         assert got.cond_b == cond_b
         if orth_dir is None:
             assert got.cond_orth is None
         else:
             assert got.cond_orth == pytest.approx(cond_orth, rel=1e-12, abs=1e-15)
-        assert got.cond_c == pytest.approx(want_c, rel=1e-9, abs=1e-15)
-        assert got.cond_d == pytest.approx(want_d, rel=1e-9, abs=1e-15)
+        assert got.cond_c == pytest.approx(cond_c, rel=1e-12, abs=1e-15)
+        assert got.cond_d == pytest.approx(cond_d, rel=1e-12, abs=1e-15)
+        if case != "interior_segment_max":
+            assert got.cond_c == pytest.approx(want_c, rel=1e-9, abs=1e-15)
+            assert got.cond_d == pytest.approx(want_d, rel=1e-9, abs=1e-15)
         assert (got.k, got.r_prime, got.epsilon, got.omega, got.n_samples) == (
-            160, bd.r, bd.epsilon, (bd.arc[0] - 2 * bd.taper, bd.arc[1] + 2 * bd.taper), 1024
+            k, bd.r, bd.epsilon, (bd.arc[0] - 2 * bd.taper, bd.arc[1] + 2 * bd.taper), 1024
         )
+
+
+def test_a_ring_alone_equals_the_ring_in_a_batch():
+    """The certificate's rings come in batches of any size; the bits must not."""
+    _, bd, G, _ = _certify_case("thin_collar")
+    rho = np.linspace(bd.r, 1.0, 64)
+    for n in (1024, 4096):
+        batch = G.rings(rho[:rh._CERT_RING_BLOCK], n)
+        for i in range(batch.shape[0]):
+            assert np.array_equal(G.rings(rho[i:i + 1], n)[0], batch[i])
+        assert np.array_equal(G.circle_values(1.0, n), G.rings(rho[-3:], n)[-1])
+
+
+def test_thin_collar_measures_few_rings(monkeypatch):
+    F, bd, G = _thin_collar()
+    radii = []
+    original = SeriesMap.rings
+
+    def counted(self, rr, n, phases=0.0):
+        if self is G:
+            radii.extend(np.atleast_1d(rr).tolist())
+        return original(self, rr, n, phases)
+
+    monkeypatch.setattr(SeriesMap, "rings", counted)
+    cert = _certify_null(G, F, bd, 650, rh._NULL_N, None)
+    assert cert.valid
+    grid = np.linspace(bd.r, 1.0, 64)
+    assert np.isin(radii, grid).all() and len(set(radii)) == len(radii)
+    assert len(radii) <= 24
+
+
+def _lipschitz_reference(S, oversample=16):
+    """max |S'| sampled at about 16 samples per degree on each boundary circle."""
+    d = S.derivative()
+    n = 1 << (oversample * d.width - 1).bit_length()
+    vals = d.rings(d.boundary_radii, n)
+    return float(np.sqrt((np.abs(vals) ** 2).sum(axis=2)).max())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    width=st.one_of(st.integers(1, 3000), st.integers(4000, 4200), st.integers(4500, 6000)),
+    annulus=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lipschitz_bound_brackets_the_sup_of_the_derivative(width, annulus, seed):
+    r = np.random.default_rng(seed)
+    coeffs = r.normal(size=(3, width)) + 1j * r.normal(size=(3, width))
+    if annulus:
+        lo = -int(r.integers(0, min(width, 64)))
+        S = SeriesMap(coeffs, lo, "annulus", float(r.uniform(0.7, 0.95)))
+    else:
+        S = SeriesMap(coeffs, 0, "disc")
+    sampled = _lipschitz_reference(S)
+    bound = rh._lipschitz(S)
+    assert sampled <= bound <= 1.5 * sampled
+
+
+def test_lipschitz_bound_past_its_sampling_cap_is_trivial():
+    # S' of width 8194 has degree m = 4097 and needs 4m = 16388 samples,
+    # past the cap of 16384; at width 8193, m = 4096 fits
+    coeffs = np.ones((3, 8195), dtype=complex)
+    assert rh._lipschitz(SeriesMap(coeffs[:, :8194], 0, "disc")) < np.inf
+    assert rh._lipschitz(SeriesMap(coeffs, 0, "disc")) == np.inf
 
 
 def test_certificate_reads_the_ring_r():
