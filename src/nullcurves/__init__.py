@@ -18,7 +18,6 @@ from .errors import (
     NotInNullConeError,
     NotInSL2Error,
     NullCurveError,
-    PeriodObstructionError,
     PoleError,
     ToleranceUnachievableError,
     UnsupportedZeroConfigurationError,
@@ -41,7 +40,6 @@ __all__ = [
     "NotInNullConeError",
     "NotInSL2Error",
     "NullCurveError",
-    "PeriodObstructionError",
     "PoleError",
     "SeriesMap",
     "ToleranceUnachievableError",

@@ -60,14 +60,6 @@ class NotInH3Error(NullCurveError):
     """Matrix is not a valid hyperbolic-space point."""
 
 
-class PeriodObstructionError(NullCurveError):
-    """Integration blocked by nonzero loop periods (carried in .periods)."""
-
-    def __init__(self, message, periods=None):
-        super().__init__(message)
-        self.periods = periods
-
-
 class NonDominatingSprayError(NullCurveError):
     """Spray too degenerate for the period map to be submersive."""
 

@@ -6,6 +6,10 @@ min_dist2_grouped  the same, group by group
 dijkstra_polar     multi-source shortest paths on the polar grid graph
 pair_scan          exact pair separation scan with tie-breaking
 
+The two min_dist2 kernels have no caller in the library: the certificates
+measure distances to circles and discs in closed form.  They are kept
+because the benchmark's kernel micro-timings time them by name.
+
 Dijkstra runs in SciPy's csgraph.  The polar stencil's sparsity pattern
 depends only on the grid shape, so it is built once per shape and each
 call only gathers the four weight arrays into the matrix data.  The pair

@@ -1,14 +1,15 @@
 """Approximate Riemann-Hilbert solvers.
 
-rh_approx solves the C^n problem by the rational-shift formula
-F(z) = f(z) + sum_j c_j(z) z^{jk} with the smallest k that certifies the
-three distance conditions on samples.  rh_null_disc / rh_null_annulus run
-the null-curve variant: lift the derivative to spinors, push along a
-tapered amplitude times a constant spinor direction, project back through
-the quadratic parametrization, and integrate.  The push carries a factor
-sqrt(2k+1) z^k so that after integration the boundary circle term has
-exactly the tapered amplitude; the cross term decays like 1/sqrt(k) and
-the certificate measures everything rather than assuming it.
+rh_approx solves the C^n problem for one family of discs f(z) + c(z) w,
+|w| <= 1, by the rational-shift formula F(z) = f(z) + c(z) z^k with the
+smallest k that certifies the three distance conditions on samples.
+rh_null_disc / rh_null_annulus run the null-curve variant: lift the
+derivative to spinors, push along a tapered amplitude times a constant
+spinor direction, project back through the quadratic parametrization, and
+integrate.  The push carries a factor sqrt(2k+1) z^k so that after
+integration the boundary circle term has exactly the tapered amplitude;
+the cross term decays like 1/sqrt(k) and the certificate measures
+everything rather than assuming it.
 
 The null certificate samples G - F on the boundary of the region it claims,
 where the sup sits; every circle goes through the wrapped-FFT ring sampler.
@@ -33,7 +34,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DomainError,
     NotInNullConeError,
@@ -61,9 +61,6 @@ _CERT_SLACK = 1e-9
 # the most samples per circle that bounding sup|G'| for the null certificate
 # may take: sampling a wider series costs more than the rings it can save
 _LIP_MAX_N = 1 << 14
-# the C^n certificate's grids for J >= 2 discs: torus angles, disc grid side
-_APPROX_N_TAU = 256
-_APPROX_W_GRID = 16
 
 TWO_PI = 2.0 * np.pi
 
@@ -295,56 +292,41 @@ def _component_sum(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryDiscFamily:
-    """g_z(w) - f(z) = sum_{j=1..J} c_j(z) w^j, c_j trigonometric in z.
+    """The discs g_z(w) = f(z) + c(z) w, |w| <= 1, c trigonometric in z.
 
-    coeffs[j, comp, m + d] is the z^d Fourier coefficient of c_{j+1},
-    d in [-m, m].
+    coeffs[comp, m + d] is the z^d Fourier coefficient of c, d in [-m, m].
     """
 
-    coeffs: np.ndarray  # (J, ncomp, 2m+1) complex
+    coeffs: np.ndarray  # (ncomp, 2m+1) complex
     degree_m: int
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 3 or c.shape[2] != 2 * self.degree_m + 1:
-            raise ValueError("coeffs must be (J, ncomp, 2m+1)")
+        if c.ndim != 2 or c.shape[1] != 2 * self.degree_m + 1:
+            raise ValueError("coeffs must be (ncomp, 2m+1)")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property
-    def J(self) -> int:
+    def ncomp(self) -> int:
         return self.coeffs.shape[0]
 
-    @property
-    def ncomp(self) -> int:
-        return self.coeffs.shape[1]
-
     @staticmethod
-    def from_constant(vectors) -> "BoundaryDiscFamily":
-        """Constant-in-z family: c_j(z) = vectors[j-1]."""
-        arr = np.asarray(vectors, dtype=np.complex128)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        return BoundaryDiscFamily(arr[:, :, None], 0)
+    def from_constant(vector) -> "BoundaryDiscFamily":
+        """Constant-in-z family c(z) = vector, given as (C,) or one (1, C) row."""
+        arr = np.asarray(vector, dtype=np.complex128)
+        if arr.ndim == 2 and arr.shape[0] == 1:
+            arr = arr[0]
+        if arr.ndim != 1:
+            raise ValueError("a constant family takes one vector")
+        return BoundaryDiscFamily(arr[:, None], 0)
 
     def circle_values(self, n: int) -> np.ndarray:
-        """Values of all c_j at the n-th roots of unity -> (n, J, ncomp)."""
-        # each c_j is a Laurent polynomial in z, which any annulus holds
-        rows = self.coeffs.reshape(-1, self.coeffs.shape[2])
-        vals = SeriesMap(rows, -self.degree_m, "annulus", 0.5).circle_values(1.0, n)
-        return vals.reshape(n, self.J, self.ncomp)
-
-
-def _rh_sum(f: SeriesMap, fam: BoundaryDiscFamily, k: int) -> SeriesMap:
-    """F = f + sum_j c_j(z) z^{jk}, polynomial because k > m."""
-    F = f
-    m = fam.degree_m
-    for j in range(1, fam.J + 1):
-        lo = j * k - m
-        term = SeriesMap(fam.coeffs[j - 1], lo, "disc")
-        F = F + term
-    return F
+        """Values of c at the n-th roots of unity -> (n, ncomp)."""
+        # c is a Laurent polynomial in z, which any annulus holds
+        c = SeriesMap(self.coeffs, -self.degree_m, "annulus", 0.5)
+        return c.circle_values(1.0, n)
 
 
 def _certify_approx(
@@ -359,31 +341,10 @@ def _certify_approx(
     n = n_boundary
     fb = f.circle_values(1.0, n)
     Fb = F.circle_values(1.0, n)
-    cj = fam.circle_values(n)  # (n, J, ncomp)
-    if fam.J == 1:
-        cond_a = float(circle_distance(Fb, fb, cj[:, 0, :]).max())
-    else:
-        tau = TWO_PI * np.arange(_APPROX_N_TAU) / _APPROX_N_TAU
-        powers = np.exp(1j * np.outer(np.arange(1, fam.J + 1), tau))  # (J, n_tau)
-        cloud = fb[:, None, :] + np.einsum("njc,jt->ntc", cj, powers)
-        d2 = kernels.min_dist2_grouped(Fb[:, None, :], cloud)
-        cond_a = float(np.sqrt(d2).max())
-
+    c = fam.circle_values(n)
+    cond_a = float(circle_distance(Fb, fb, c).max())
     rho = np.linspace(r_prime, 1.0, _CERT_RADIAL)
-    Fr = F.rings(rho, n).swapaxes(0, 1)  # (n, R, C)
-    if fam.J == 1:
-        centers = np.broadcast_to(fb[:, None, :], Fr.shape)
-        rays = np.broadcast_to(cj[:, 0, :][:, None, :], Fr.shape)
-        cond_b = float(disc_distance(Fr, centers, rays).max())
-    else:
-        rw = np.linspace(0.0, 1.0, _APPROX_W_GRID)
-        phw = TWO_PI * np.arange(_APPROX_W_GRID) / _APPROX_W_GRID
-        w = (rw[:, None] * np.exp(1j * phw)[None, :]).ravel()  # (w_grid^2,)
-        wp = w[None, :] ** np.arange(1, fam.J + 1)[:, None]  # (J, W)
-        cloud = fb[:, None, :] + np.einsum("njc,jw->nwc", cj, wp)
-        d2 = kernels.min_dist2_grouped(Fr, cloud)
-        cond_b = float(np.sqrt(d2).max())
-
+    cond_b = float(disc_distance(F.rings(rho, n), fb, c).max())
     diff = F - f
     dv = diff.circle_values(r_prime, n)
     cond_c = float(np.sqrt((np.abs(dv) ** 2).sum(axis=1)).max())
@@ -477,7 +438,7 @@ def rh_approx(
 ) -> Tuple[SeriesMap, RHCertificate]:
     """Solve the approximate boundary-tracking problem in C^n.
 
-    Finds the smallest k > m such that F = f + sum_j c_j z^{jk} satisfies,
+    Finds the smallest k > m such that F = f + c(z) z^k satisfies,
     on samples: (a) boundary values within eps of the circle family,
     (b) the collar [r', 1] within eps of the disc family, (c) F within
     eps of f on |z| <= r'.
@@ -495,23 +456,10 @@ def rh_approx(
     m = fam.degree_m
     if m + 1 >= k_max:
         raise ValueError("family degree %d exceeds the k budget" % m)
-    if float(np.abs(fam.coeffs).max(initial=0.0)) == 0.0:
-        # vacuous family: the discs are the single points f(z), nothing to track
-        cert = RHCertificate(
-            k=m + 1,
-            r_prime=r_prime,
-            epsilon=eps,
-            cond_a=0.0,
-            cond_b=0.0,
-            cond_c=0.0,
-            n_samples=n_boundary,
-        )
-        return f, cert
 
     def build(k, screen=False):  # the C^n certificate is never cut short
-        F = _rh_sum(f, fam, k)
-        cert = _certify_approx(f, fam, F, k, r_prime, eps, n_boundary)
-        return F, cert
+        F = f + SeriesMap(fam.coeffs, k - m, "disc")  # polynomial, as k > m
+        return F, _certify_approx(f, fam, F, k, r_prime, eps, n_boundary)
 
     return _search_k(build, m, k_max)
 

@@ -35,6 +35,8 @@ _BOUNDARY_SLACK = 1e-9
 FIT_LEAK_TOL = 1e-7
 # switch convolution products to FFT above this combined width
 _CONV_FFT_CUTOFF = 1024
+# the largest z**-1 coefficient an annulus antiderivative drops
+_RESIDUE_TOL = 1e-8
 
 
 def fftconvolve(a, b) -> np.ndarray:
@@ -252,13 +254,11 @@ class SeriesMap:
             out = self.coeffs[:, -1 - self.degree_lo].copy()
         return out
 
-    def antiderivative(
-        self, base_point: complex, base_value, residue_tol: float = 1e-8
-    ) -> "SeriesMap":
+    def antiderivative(self, base_point: complex, base_value) -> "SeriesMap":
         """Termwise antiderivative pinned to base_value at base_point.
 
         On the annulus the z**-1 coefficient obstructs integration; it must
-        be below residue_tol in modulus (run the period check first) and is
+        be below _RESIDUE_TOL in modulus (run the period check first) and is
         dropped.
         """
         if not self.in_domain(base_point):
@@ -266,7 +266,7 @@ class SeriesMap:
         res = self.residue()
         if self.domain == "annulus":
             bad = np.abs(res).max() if res.size else 0.0
-            if bad >= residue_tol:
+            if bad >= _RESIDUE_TOL:
                 raise NonzeroResidueError(
                     "z**-1 coefficient of modulus %.3g obstructs integration" % bad
                 )

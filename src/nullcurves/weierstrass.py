@@ -1,4 +1,4 @@
-"""Derivative <-> curve correspondence with the 1-form dz.
+"""Loop periods of f dz and the Newton iteration that kills them.
 
 On the annulus the coefficient of z**-1 obstructs integration: the period
 over the core loop is exactly 2*pi*i times that coefficient, so period
@@ -17,12 +17,10 @@ from .errors import (
     ConvergenceFailureError,
     DomainError,
     NonDominatingSprayError,
-    PeriodObstructionError,
 )
-from .geometry import SpinorPair, require_null, spinor_project
+from .geometry import SpinorPair, spinor_project
 from .series import SeriesMap
 
-PERIOD_TOL = 1e-9
 # kill_periods: Newton iteration cap, centered-difference step, smallest
 # admissible singular value of the period Jacobian, relative stopping tolerance
 KILL_MAX_ITER = 50
@@ -56,33 +54,6 @@ def periods(f: SeriesMap) -> PeriodMatrix:
         return PeriodMatrix(np.zeros((f.ncomp, 0), dtype=np.complex128), ())
     col = 2j * np.pi * f.residue()
     return PeriodMatrix(col[:, None], (float(np.sqrt(f.r0)),))
-
-
-def integrate_null(
-    f: SeriesMap,
-    base_point: Optional[complex] = None,
-    base_value=(0.0, 0.0, 0.0),
-) -> SeriesMap:
-    """Integrate a map into the punctured cone to a null curve.
-
-    F(z) = base_value + integral of f dz from base_point; on the annulus
-    this demands vanishing periods first.
-    """
-    if f.ncomp != 3:
-        raise ValueError("expected a 3-component map")
-    require_null(f)
-    if base_point is None:
-        base_point = 0.0 if f.domain == "disc" else float(np.sqrt(f.r0))
-    if f.domain == "annulus":
-        P = periods(f)
-        if P.max_abs > PERIOD_TOL:
-            raise PeriodObstructionError(
-                "loop period of modulus %.3g obstructs integration" % P.max_abs,
-                periods=P,
-            )
-    return f.antiderivative(
-        base_point, base_value, residue_tol=PERIOD_TOL / (2 * np.pi) + 1e-300
-    )
 
 
 @dataclass(frozen=True)

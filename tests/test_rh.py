@@ -164,13 +164,13 @@ def test_closed_form_case_frozen():
 
 
 def test_monotone_improvement_in_k():
-    from nullcurves.rh import _certify_approx, _rh_sum
+    from nullcurves.rh import _certify_approx
 
     f = SeriesMap.zero(3, "disc")
-    fam = BoundaryDiscFamily.from_constant(np.array([[1.0, 0.0, 0.0]]))
+    fam = BoundaryDiscFamily.from_constant(np.array([1.0, 0.0, 0.0]))
     maxima = []
     for k in range(4, 10):
-        F = _rh_sum(f, fam, k)
+        F = f + SeriesMap(fam.coeffs, k, "disc")
         cert = _certify_approx(f, fam, F, k, 0.6, 0.05, 512)
         maxima.append(cert.cond_c)
     ratios = [b / a for a, b in zip(maxima, maxima[1:])]
@@ -178,16 +178,47 @@ def test_monotone_improvement_in_k():
 
 
 def test_zero_family_returns_f():
-    f = SeriesMap(np.array([[1.0, 0.5], [0, 0], [0, 0]], dtype=complex), 0, "disc")
-    fam = BoundaryDiscFamily.from_constant(np.zeros((1, 3)))
+    # a constant f lies on its point discs, so k = 1 certifies exactly
+    f = SeriesMap(np.array([[1.0], [2.0], [0.0]], dtype=complex), 0, "disc")
+    fam = BoundaryDiscFamily.from_constant(np.zeros(3))
     F, cert = rh_approx(f, fam, r=0.5, eps=0.01)
     assert cert.k == 1  # smallest k > m = 0
     assert cert.cond_a == 0.0 and cert.cond_b == 0.0 and cert.cond_c == 0.0
     assert np.abs((F - f).coeffs).max() == 0.0
 
 
+def test_zero_family_measures_the_collar():
+    # the discs are the points f(zeta); F = f misses them by |f(r zeta) - f(zeta)|
+    f = SeriesMap(np.array([[1.0, 0.5], [0, 0], [0, 0]], dtype=complex), 0, "disc")
+    fam = BoundaryDiscFamily.from_constant(np.zeros(3))
+    with pytest.raises(ToleranceUnachievableError) as info:
+        rh_approx(f, fam, r=0.5, eps=0.01, k_max=32)
+    assert abs(info.value.certificate.cond_b - 0.25) <= 1e-12
+
+
+def test_z_dependent_family():
+    # c(z) = (1/z + z)/2 e1 = cos(theta) e1 on the circle: F = c(z) z^k
+    coeffs = np.zeros((3, 3), dtype=complex)
+    coeffs[0] = [0.5, 0.0, 0.5]
+    fam = BoundaryDiscFamily(coeffs, 1)
+    f = SeriesMap.zero(3, "disc")
+    F, cert = rh_approx(f, fam, r=0.5, eps=0.05, r_prime=0.6)
+    assert cert.valid and cert.k == 8
+    assert abs(cert.cond_c - (0.6**7 + 0.6**9) / 2) <= 1e-12
+    assert cert.cond_a < 1e-7  # rounding where cos(theta) = 0
+    want = np.zeros((3, 10), dtype=complex)
+    want[0, 7] = want[0, 9] = 0.5
+    assert F.degree_lo == 0 and np.array_equal(F.coeffs, want)
+
+
+def test_from_constant_takes_one_vector():
+    assert BoundaryDiscFamily.from_constant([[1.0, 0.0]]).coeffs.shape == (2, 1)
+    with pytest.raises(ValueError):
+        BoundaryDiscFamily.from_constant(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+
 def test_degree_cap_error():
-    fam = BoundaryDiscFamily(np.zeros((1, 3, 2 * 70000 + 1)), 70000)
+    fam = BoundaryDiscFamily(np.zeros((3, 2 * 70000 + 1)), 70000)
     f = SeriesMap.zero(3, "disc")
     with pytest.raises(ValueError):
         rh_approx(f, fam, r=0.5, eps=0.1)
@@ -201,21 +232,6 @@ def test_unachievable_tolerance_carries_best_certificate():
     cert = info.value.certificate
     assert cert is not None
     assert cert.cond_c == pytest.approx(0.6**32, rel=1e-10)
-
-
-def test_rh_approx_two_disc_family():
-    # J = 2: sampled-cloud certification path
-    f = SeriesMap.zero(2, "disc")
-    vectors = np.array([[1.0, 0.0], [0.0, 0.5]])
-    fam = BoundaryDiscFamily.from_constant(vectors)
-    F, cert = rh_approx(f, fam, r=0.5, eps=0.1, n_boundary=512)
-    assert cert.valid
-    # boundary samples should track the torus closely but not exactly
-    assert cert.cond_a < 0.1
-    # F = z^k e1 + 0.5 z^2k e2 exactly
-    k = cert.k
-    assert F.coeffs[0, k] == pytest.approx(1.0)
-    assert F.coeffs[1, 2 * k] == pytest.approx(0.5)
 
 
 def test_rh_approx_rejects_bad_radii():

@@ -7,14 +7,11 @@ from nullcurves.errors import (
     ConvergenceFailureError,
     DomainError,
     NonDominatingSprayError,
-    NotInNullConeError,
-    PeriodObstructionError,
 )
 from nullcurves.geometry import SpinorPair, spinor_project
 from nullcurves.series import SeriesMap
 from nullcurves.weierstrass import (
     SpraySpec,
-    integrate_null,
     kill_periods,
     periods,
 )
@@ -54,7 +51,7 @@ def test_annulus_period_is_residue():
 def test_integrate_polynomial_example():
     # pi(1, z) integrates to (z - z^3/3, i(z + z^3/3), z^2)
     s = spinor([1.0], 0, [0.0, 1.0], 0, domain="disc", r0=None)
-    F = integrate_null(spinor_project(s))
+    F = spinor_project(s).antiderivative(0.0, (0.0, 0.0, 0.0))
     want = np.zeros((3, 4), dtype=complex)
     want[0, 1], want[0, 3] = 1.0, -1.0 / 3.0
     want[1, 1], want[1, 3] = 1j, 1j / 3.0
@@ -64,30 +61,16 @@ def test_integrate_polynomial_example():
 
 def test_integrate_respects_base_value():
     s = spinor([1.0], 0, [0.0, 1.0], 0, domain="disc", r0=None)
-    F = integrate_null(spinor_project(s), base_point=0.5, base_value=(1.0, 2.0, 3.0))
+    F = spinor_project(s).antiderivative(0.5, (1.0, 2.0, 3.0))
     assert np.abs(F.eval(0.5) - np.array([1.0, 2.0, 3.0])).max() < 1e-14
-
-
-def test_integrate_rejects_non_null():
-    f = SeriesMap(np.array([[1.0], [0.0], [0.0]], dtype=complex), 0, "disc")
-    with pytest.raises(NotInNullConeError):
-        integrate_null(f)
-
-
-def test_obstruction_carries_periods():
-    s = spinor([1.0], 0, [1.0], -1)
-    with pytest.raises(PeriodObstructionError) as info:
-        integrate_null(spinor_project(s))
-    assert info.value.periods is not None
-    assert info.value.periods.max_abs == pytest.approx(4 * np.pi, rel=1e-14)
 
 
 def test_annulus_integration_when_period_free():
     # pi(z, 1/z) has no z^-1 coefficient in any component
     s = spinor([1.0], 1, [1.0], -1)
     f = spinor_project(s)
-    F = integrate_null(f)
     base = float(np.sqrt(R0))
+    F = f.antiderivative(base, (0.0, 0.0, 0.0))
     assert np.abs(F.eval(base)).max() < 1e-14
     assert np.abs(F.derivative().eval(0.7) - f.eval(0.7)).max() < 1e-12
 
