@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateImmersionError, DomainError
-from .series import SeriesMap, fftconvolve
+from .series import SeriesMap
 
 __all__ = [
     "RadiusReport",
@@ -46,12 +46,7 @@ def nullity_residual(F: SeriesMap) -> float:
     squares.  A curve with zero derivative reports 0.
     """
     fp = F.derivative()
-    if fp.width <= 2048:
-        conv = np.convolve
-    else:
-        # the normalized, unweighted residual tolerates the FFT noise floor
-        conv = fftconvolve
-    squares = np.stack([conv(row, row) for row in fp.coeffs])
+    squares = (fp * fp).coeffs
     scale = float(np.abs(squares).max(initial=0.0))
     if scale == 0.0:
         return 0.0

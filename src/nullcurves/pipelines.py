@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# the smallest |F3| an h3 export vertex may have: the pole clearance of tmap
+EXPORT_POLE_TOL = 1e-6
 
 _CATALOG_NAMES = ("linear_v1", "cubic_enneper_like", "annulus_basic")
 
@@ -298,11 +300,12 @@ def _pick_direction(
 
 
 def _round_frequency(mu: float, k_max: int) -> int:
-    """Push frequency for amplitude mu, clamped to [96, k_max].
+    """Push frequency of a run whose first round starts at amplitude mu.
 
     The collar metric spike has height ~ k*mu against the base conformal
-    factor, so k is sized to keep the spike well above the base (k*mu
-    around 1.3); deeper pushes would buy nothing and cost bandwidth.
+    factor, so k keeps k*mu around 1.3, clamped to [96, k_max].  It is
+    read once per run: a push at a new k meets the earlier pushes at
+    anti-phase angles, where the metric's cross term digs valleys.
     """
     return min(k_max, max(96, int(round(1.3 / mu))))
 
@@ -411,13 +414,14 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
 
     info is (direction, label, budget, fixed direction).  Each round
     starts at the amplitude min(delta_k, mu_cap, twice the last round's
-    final mu) and one frequency shared by its arcs, frozen before any
-    amplitude halving: the arc profiles are nonnegative, so same-k pushes
-    reinforce where they overlap instead of cancelling at anti-phase
-    angles.  The driver, not the certificate search, enforces the budget.
-    The orthogonal leak of a push scales like sqrt(mu / k), so a breach
-    replays the round from its starting curve at half the amplitude and,
-    up to k_max, twice the frequency; the 7th breach in a round aborts the
+    final mu).  Every push of the run shares round 1's frequency: the arc
+    profiles are nonnegative, so same-k pushes reinforce where they
+    overlap, while a push at a new k meets earlier ones at anti-phase
+    angles, in its round or an earlier one.  The driver, not the
+    certificate search, enforces the budget.  The orthogonal leak of a
+    push scales like sqrt(mu / k), so a breach replays the round from its
+    starting curve at half the amplitude and, up to k_max, twice the
+    frequency, kept by later rounds; the 7th breach in a round aborts the
     run.  Any library error in a round attaches the ledger so far
     (``partial_ledger``, with ``meta["aborted"]``).  The spinor
     factorization is threaded through every push, so the curve is
@@ -433,7 +437,8 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
         for rnd in range(1, cfg.iterations + 1):
             delta_k = cfg.delta_at(rnd)
             mu = min(delta_k, cfg.mu_cap, 2.0 * mu)
-            k = _round_frequency(mu, cfg.k_max)
+            if rnd == 1:
+                k = _round_frequency(mu, cfg.k_max)
             for restarts in range(7):
                 try:
                     curve, spinor, mu, certs, arc_meta = _push_round(
@@ -578,7 +583,6 @@ def export_surface(
     target: str,
     path: str,
     grid: Tuple[int, int] = (64, 128),
-    pole_tol: float = 1e-6,
 ) -> str:
     """Write an OBJ mesh of the real part (r3) or the CMC-1 transfer (h3).
 
@@ -595,8 +599,8 @@ def export_surface(
     if target == "r3":
         verts = pts.real
     else:
-        tmap_on_curve(F, n_r=9, n_theta=64, n_boundary=1024, pole_tol=pole_tol)
-        verts = h3_minkowski(bryant_project(tmap(pts, pole_tol)))[:, 1:]
+        tmap_on_curve(F, n_r=9, n_theta=64, n_boundary=1024, pole_tol=EXPORT_POLE_TOL)
+        verts = h3_minkowski(bryant_project(tmap(pts, EXPORT_POLE_TOL)))[:, 1:]
     lines = ["# %s mesh, %d x %d polar grid" % (target, grid[0], grid[1])]
     for v in verts:
         lines.append("v %.17g %.17g %.17g" % (v[0], v[1], v[2]))

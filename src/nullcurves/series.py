@@ -1,9 +1,10 @@
 """Truncated power/Laurent series on the closed disc and on annuli.
 
 A SeriesMap holds one coefficient row per component over a shared degree
-window [degree_lo, degree_hi].  Disc maps are normalized to degree_lo = 0,
-annulus maps to degree_lo <= 0.  All values are immutable; every operation
-returns a fresh object.
+window [degree_lo, degree_hi], stored as given: a high-frequency push
+z^k * s(z) keeps only its 2m + 1 coefficients, on the disc (degree_lo >= 0)
+and on annuli alike.  All values are immutable; every operation returns a
+fresh object.
 
 Boundary work goes through wrapped FFT evaluation: the values of the
 truncated series at N uniform points of a circle equal N * ifft of the
@@ -87,12 +88,7 @@ class SeriesMap:
                 raise DomainError("annulus needs inner radius r0 in (0, 1)")
         else:
             raise DomainError("domain must be 'disc' or 'annulus'")
-        # one C-contiguous copy, zero-padded so that degree_lo <= 0
-        if lo > 0:
-            zeros = np.zeros((src.shape[0], lo), dtype=np.complex128)
-            coeffs, lo = np.concatenate([zeros, src], axis=1), 0
-        else:
-            coeffs = src.copy()
+        coeffs = src.copy()  # one C-contiguous copy of the window as given
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "degree_lo", lo)
@@ -220,7 +216,9 @@ class SeriesMap:
         if a.width + b.width <= _CONV_FFT_CUTOFF or self.domain == "annulus":
             # Direct convolution keeps structurally-zero slots exactly zero.
             # On annuli that matters: FFT noise in deep negative degrees gets
-            # amplified by r0^-|d| at the inner circle.
+            # amplified by r0^-|d| at the inner circle.  Factors are stored
+            # on their support, so a push factor z^k s(z) costs its 2m + 1
+            # coefficients here, whatever k is.
             rows = [
                 np.convolve(a.coeffs[k], b.coeffs[k]) for k in range(a.ncomp)
             ]
@@ -229,19 +227,13 @@ class SeriesMap:
             prod = fftconvolve(a.coeffs, b.coeffs)
         return SeriesMap(prod, lo, self.domain, self.r0)
 
-    def dot(self, other: "SeriesMap") -> "SeriesMap":
-        """Bilinear sum over components of the convolution products (no conj)."""
-        prod = self._product(other)
-        return SeriesMap(
-            prod.coeffs.sum(axis=0, keepdims=True), prod.degree_lo, self.domain, self.r0
-        )
-
     # -- calculus ---------------------------------------------------------
 
     def derivative(self) -> "SeriesMap":
         d = self.degrees.astype(np.complex128)
         dc = self.coeffs * d
-        if self.domain == "disc":
+        if self.domain == "disc" and self.degree_lo == 0:
+            # the constant term's derivative would sit at degree -1, off the disc
             if self.width == 1:
                 return SeriesMap.zero(self.ncomp, self.domain, self.r0)
             return SeriesMap(dc[:, 1:], 0, self.domain, self.r0)
@@ -288,8 +280,10 @@ class SeriesMap:
 
     def eval(self, z: complex) -> np.ndarray:
         """Value at one point of the closed domain, (ncomp,) complex."""
-        if z == 0 and self.domain == "disc":
-            return self.coeffs[:, 0].copy()  # the disc's center: no Horner pass
+        if z == 0 and self.domain == "disc":  # the disc's center: no Horner pass
+            if self.degree_lo > 0:
+                return np.zeros(self.ncomp, dtype=np.complex128)
+            return self.coeffs[:, 0].copy()
         return self.eval_many(np.asarray([z]))[0]
 
     def eval_many(self, z) -> np.ndarray:

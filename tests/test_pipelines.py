@@ -232,6 +232,18 @@ def test_one_round_grows_intrinsic_radius():
     assert len(arcs) == cfg.arcs
 
 
+def test_completeness_keeps_gaining_past_round_5():
+    # gate 8's config for 12 rounds: every push of the run shares round 1's
+    # frequency, so later pushes do not meet earlier ones at anti-phase angles
+    cfg = PipelineConfig(
+        pipeline="completeness", iterations=12, delta=0.2, arcs=8, epsilon=0.05
+    )
+    rows = run_completeness_recursion(cfg).rows
+    intr = [row.intrinsic for row in rows]
+    assert all(b > a for a, b in zip(intr, intr[1:])), intr
+    assert {row.rh_k for row in rows[1:]} == {650}
+
+
 def test_runs_are_deterministic():
     cfg = PipelineConfig(iterations=1, arcs=4)
     a = run_completeness_recursion(cfg).to_csv()

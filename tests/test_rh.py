@@ -14,7 +14,7 @@ from nullcurves.errors import (
     ToleranceUnachievableError,
 )
 from nullcurves import rh
-from nullcurves.geometry import NullVector, SpinorPair, spinor_project
+from nullcurves.geometry import NullVector, SpinorPair, spinor_lift, spinor_project
 from nullcurves.rh import (
     TWO_PI,
     BoundaryData,
@@ -502,6 +502,19 @@ def test_exhausted_search_recertifies_only_what_can_win(winner, worsts):
     # in order of bound (0.2 at k = 4, then 0.3 at k = 1); k = 8's bound
     # 0.4 ties the best from an earlier attempt, so it cannot win
     assert rebuilt == [4, 1]
+
+
+@pytest.mark.parametrize("domain", ["disc", "annulus"])
+def test_push_factor_is_stored_on_its_support(domain):
+    F = linear_curve() if domain == "disc" else annulus_curve()
+    pair = spinor_lift(F.derivative())
+    m, k = 64, 650
+    s_hat = np.linspace(1.0, 2.0, 2 * m + 1) + 0.5j
+    a, b = rh._direction_lift(NullVector(V2))
+    pushed, S = rh._push_spinor(pair, s_hat, m, k, a, b)
+    assert (S.domain, S.degree_lo, S.width) == (domain, k - m, 2 * m + 1)
+    assert np.array_equal(S.coeffs[0], np.sqrt(2.0 * k + 1.0) * s_hat)
+    assert pushed.u.degree_hi == k + m
 
 
 def test_null_disc_wrong_domain():

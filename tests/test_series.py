@@ -29,23 +29,54 @@ def poly(*coeffs):
 # -- construction and normalization ------------------------------------------
 
 
-def test_disc_pads_positive_lo_to_zero():
-    s = SeriesMap(np.array([[1.0]], dtype=complex), 3, "disc")
-    assert s.degree_lo == 0
-    assert s.width == 4
-    assert s.coeffs[0, 3] == 1.0
-    assert np.all(s.coeffs[0, :3] == 0.0)
-
-
 def test_disc_rejects_negative_degrees():
     with pytest.raises(DomainError):
         SeriesMap(np.array([[1.0]], dtype=complex), -1, "disc")
 
 
-def test_annulus_pads_lo_down_to_zero():
-    s = SeriesMap(np.array([[1.0]], dtype=complex), 2, "annulus", 0.5)
-    assert s.degree_lo == 0
-    assert s.degree_hi == 2
+def _agree(a, b, rel):
+    """a and b hold the same coefficients, to rel, on a window holding both."""
+    lo, hi = min(a.degree_lo, b.degree_lo), max(a.degree_hi, b.degree_hi)
+    x, y = a._window(lo, hi), b._window(lo, hi)
+    return np.abs(x - y).max() <= rel * max(np.abs(y).max(), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "domain, lo", [("disc", 0), ("disc", 3), ("disc", 17), ("annulus", -5), ("annulus", 2)]
+)
+def test_window_is_kept_and_agrees_with_its_zero_padding(domain, lo):
+    r0 = 0.4 if domain == "annulus" else None
+    rng = np.random.default_rng(lo + 10)
+    width = 9
+    c = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
+    if lo <= -1 < lo + width:
+        c[:, -1 - lo] = 0.0  # no residue, so the antiderivative exists
+    s = SeriesMap(c, lo, domain, r0)
+    assert (s.degree_lo, s.width, s.degree_hi) == (lo, width, lo + width - 1)
+    assert np.array_equal(s.coeffs, c)
+    # the same series over a wider window: down to 0 (2 below on the
+    # annulus) and 3 above
+    plo = min(lo, 0) - (2 if domain == "annulus" else 0)
+    padded = SeriesMap(s._window(plo, s.degree_hi + 3), plo, domain, r0)
+
+    radii = list(s.boundary_radii) + [0.7]
+    for n in (64, 8):  # 8 < width: the fold wraps around
+        want = padded.rings(radii, n)
+        assert np.abs(s.rings(radii, n) - want).max() <= 1e-13 * np.abs(want).max()
+    z = 0.8 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 17))
+    want = padded.eval_many(z)
+    assert np.abs(s.eval_many(z) - want).max() <= 1e-13 * np.abs(want).max()
+    if domain == "disc":
+        assert np.array_equal(s.eval(0), padded.eval(0))
+    assert _agree(s.derivative(), padded.derivative(), 0.0)
+    base = 0.0 if domain == "disc" else 0.6
+    value = np.array([1.0, -2.0j, 0.5])
+    assert _agree(s.antiderivative(base, value), padded.antiderivative(base, value), 1e-13)
+    other = SeriesMap(rng.normal(size=(3, 4)) + 0j, 1, domain, r0)
+    assert _agree(s + other, padded + other, 0.0)
+    assert _agree(s * other, padded * other, 1e-13)
+    back = from_json(to_json(s))
+    assert back.degree_lo == lo and np.array_equal(back.coeffs, s.coeffs)
 
 
 def test_annulus_requires_r0():
@@ -175,14 +206,6 @@ def test_scalar_broadcast_product():
     p = a * s
     assert p.ncomp == 2
     assert np.allclose(p.coeffs, [[2.0, 4.0], [0.0, 2.0]])
-
-
-def test_dot_is_componentwise_sum_without_conj():
-    a = SeriesMap(np.array([[1.0], [1j]], dtype=complex), 0, "disc")
-    d = a.dot(a)
-    # 1^2 + (i)^2 = 0, not |1|^2 + |i|^2
-    assert d.ncomp == 1
-    assert abs(d.coeffs[0, 0]) == 0.0
 
 
 # -- calculus -----------------------------------------------------------------
