@@ -52,14 +52,13 @@ class NullVector:
     """A point of the punctured null quadric, validated on construction."""
 
     v: np.ndarray
-    null_tol: float = NULL_TOL
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=np.complex128).reshape(3).copy()
         n2 = float((np.abs(v) ** 2).sum())
         if n2 == 0.0:
             raise NotInNullConeError("zero vector is excluded from the punctured cone")
-        if null_residual(v) > self.null_tol * n2:
+        if null_residual(v) > NULL_TOL * n2:
             raise NotInNullConeError(
                 "sum of squares %.3g exceeds tolerance" % null_residual(v)
             )

@@ -11,11 +11,11 @@ integration the boundary circle term has exactly the tapered amplitude;
 the cross term decays like 1/sqrt(k) and the certificate measures
 everything rather than assuming it.
 
-The null certificate samples G - F on the boundary of the region it claims,
-where the sup sits; every circle goes through the wrapped-FFT ring sampler.
-F's values on the radial segments at the keep-masks' ends come from
-SeriesMap.eval_many, the blocked Horner kernel, at those few hundred points.
-(b) is still the maximum over 64 collar radii, but their rings are measured
+The null certificate samples h = G - F on the boundary of the region it
+claims, where the sup sits: its circles through the wrapped-FFT ring
+sampler, and the radial segments at the keep-masks' ends through one
+SeriesMap.eval_many, the blocked Horner kernel, at every collar radius.
+(b) is the maximum over 64 collar radii, but their rings are measured
 bound first: with L = sup|G'| on the boundary circles, bounded by sampling
 (Ehlich-Zeller), no radius between measured ones exceeds the tent
 (phi_i + phi_j + L gap) / 2, so only gaps whose tent reaches the running
@@ -51,6 +51,8 @@ _NULL_N = 4096
 # largest the fit floor may call for
 _FIT_M_INIT = 64
 _FIT_M_MAX = 256
+# samples of the boundary profile that the fit and its floor read
+_FIT_N = 8192
 # radii of the certificates' collar grids, r..1
 _CERT_RADIAL = 64
 # the null certificate evaluates at most this many collar radii at a time
@@ -484,7 +486,7 @@ def _direction_lift(theta: NullVector) -> Tuple[complex, complex]:
     return complex(a), complex(b)
 
 
-def _fit_boundary_profile(bd: BoundaryData, m: int, n: int = 8192):
+def _fit_boundary_profile(bd: BoundaryData, m: int):
     """Fourier fit s_hat of chi*sqrt(mu) to degrees [-m, m]; returns (coeffs, floor).
 
     The push puts |s_hat|^2 theta on the boundary where condition (a) wants
@@ -492,6 +494,7 @@ def _fit_boundary_profile(bd: BoundaryData, m: int, n: int = 8192):
     samples of ||s_hat|^2 - chi^2 mu| |theta|, is the fit's error in that
     radius: the level the k-search's worst case settles at as k grows.
     """
+    n = _FIT_N
     theta = TWO_PI * np.arange(n) / n
     prof = bd.sqrt_amplitude_at(theta)
     bins = np.fft.fft(prof) / n
@@ -568,34 +571,32 @@ def _certify_null(
     holomorphic, so (c)/(d) and cond_orth sample it only on the boundary of
     their region, where the maximum principle puts the sup.
 
-    (b) and the radial segments of (c)/(d) are the maxima over the collar
-    grid of _CERT_RADIAL radii r..1, but its rings are measured bound
-    first.  At a fixed angle, the disc distance of G(rho zeta) is
-    L-Lipschitz in rho with L = sup|G'| (_lipschitz), so no grid radius
-    strictly between two measured ones, rho_i < rho_j, exceeds the tent
-    (phi_i + phi_j + L (rho_j - rho_i)) / 2; likewise |G - F| on a segment
-    with sup|(G - F)'|.  The rings r and 1 come first, then every gap whose
-    tent, maximised over its angles, reaches the running maximum of (b),
-    (c) or (d) is bisected, up to _CERT_RING_BLOCK rings per evaluation.
-    A gap is skipped only below that maximum by the relative margin
-    _CERT_SLACK, far above the rounding of the measured values, so every
-    field equals the full grid's.
+    (b) is the maximum over the collar grid of _CERT_RADIAL radii r..1, but
+    its rings are measured bound first.  At a fixed angle, the disc
+    distance of G(rho zeta) is L-Lipschitz in rho with L = sup|G'|
+    (_lipschitz), so no grid radius strictly between two measured ones,
+    rho_i < rho_j, exceeds the tent (phi_i + phi_j + L (rho_j - rho_i)) / 2.
+    The rings r and 1 come first, then every gap whose tent, maximised over
+    its angles, reaches the running maximum is bisected, up to
+    _CERT_RING_BLOCK rings per evaluation.  A gap is skipped only below
+    that maximum by the relative margin _CERT_SLACK, far above the rounding
+    of the measured values, so cond_b equals the full grid's.  The radial
+    segments of (c)/(d) need no bound: one Horner call reads h = G - F
+    there at every grid radius.
 
     (a) is read off the ring rho = 1, which comes first.  With screen set,
     an (a) that already reaches epsilon ends the measurement, and so does
     a running (b) that does: the push certainly fails, and max((a), (b))
     so far, a lower bound on its worst case, is returned as a float in
-    place of the certificate.
+    place of the certificate, before h is formed.
     """
     n = n_boundary
     theta = TWO_PI * np.arange(n) / n
     lo, hi = bd.arc
     pad1, pad2 = bd.taper, 2.0 * bd.taper
-    tv = bd.theta.v
 
     Fb = F.circle_values(1.0, n)
-    amp = bd.amplitude_at(theta)
-    rays = amp[:, None] * tv[None, :]
+    rays = bd.amplitude_at(theta)[:, None] * bd.theta.v[None, :]
     rho = np.linspace(bd.r, 1.0, _CERT_RADIAL)
     top = _CERT_RADIAL - 1
     Gb = G.circle_values(1.0, n)  # the ring rho[top] = 1
@@ -603,29 +604,33 @@ def _certify_null(
     if screen and cond_a >= bd.epsilon:
         return cond_a
 
-    # (b) reads the collar over the padded arc against the projected discs;
-    # the same rings give G on the radial segments at the keep-masks' ends
+    # (b) reads the collar over the padded arc against the projected discs
     keep = ~np.stack([bd.in_padded_arc(theta, pad) for pad in (pad2, pad1)])
-    ends = keep & ~(np.roll(keep, 1, axis=1) & np.roll(keep, -1, axis=1))
-    edges = np.flatnonzero(ends.any(axis=0))
     idx = np.flatnonzero(~keep[0])
-    on_seg = keep[:, edges]  # the segments (c), then (d), reads
-    Fs = F.eval_many(rho[:, None] * np.exp(1j * theta[edges]))
-    Fs = Fs.reshape(_CERT_RADIAL, edges.size, F.ncomp)
     phi = np.empty((_CERT_RADIAL, idx.size))  # disc distances, by radius
-    psi = np.empty((_CERT_RADIAL, edges.size))  # |G - F| on the segments
 
     def measure(ids, Gr):
-        """Record the rings Gr at rho[ids]; their maxima for (b), (c), (d)."""
+        """Record the rings Gr at rho[ids]; their maximum for (b)."""
         phi[ids] = disc_distance(Gr[:, idx], Fb[idx], rays[idx])
-        psi[ids] = np.sqrt((np.abs(Gr[:, edges] - Fs[ids]) ** 2).sum(axis=2))
-        return [float(phi[ids].max())] + [
-            float(psi[ids].max(where=kp, initial=0.0)) for kp in on_seg]
+        return float(phi[ids].max())
 
-    ring_r = G.rings(rho[:1], n)
-    cond_b, seg_c, seg_d = map(max, measure([top], Gb[None]), measure([0], ring_r))
+    cond_b = max(measure([top], Gb[None]), measure([0], G.rings(rho[:1], n)))
     if screen and cond_b >= bd.epsilon:
         return max(cond_a, cond_b)
+    lip = _lipschitz(G)
+    lo_i, hi_i = np.array([0]), np.array([top])
+    while lo_i.size:
+        half = 0.5 * (rho[hi_i] - rho[lo_i])
+        tent = 0.5 * (phi[lo_i] + phi[hi_i]).max(axis=1) + lip * half
+        split = (tent >= cond_b * (1.0 - _CERT_SLACK)) & (hi_i - lo_i > 1)
+        lo_i, hi_i = lo_i[split], hi_i[split]
+        mid = (lo_i + hi_i) // 2
+        for s in range(0, mid.size, _CERT_RING_BLOCK):
+            ids = mid[s:s + _CERT_RING_BLOCK]
+            cond_b = max(cond_b, measure(ids, G.rings(rho[ids], n)))
+            if screen and cond_b >= bd.epsilon:
+                return max(cond_a, cond_b)
+        lo_i, hi_i = np.concatenate([lo_i, mid]), np.concatenate([mid, hi_i])
 
     # h = G - F on the domain's boundary circles, then on the ring r
     h = G - F
@@ -635,32 +640,16 @@ def _certify_null(
         # mu vanishes on the inner circle, so the target there is the point F(x)
         cond_a = max(cond_a, float(hn[1].max()))
 
-    # (c)/(d): every angle of the ring r (and r0), the rest under the keep-mask
+    # (c)/(d): every angle of the ring r (and r0), the unit circle under the
+    # keep-mask, and the radial segments at its ends at every collar radius
+    ends = keep & ~(np.roll(keep, 1, axis=1) & np.roll(keep, -1, axis=1))
+    edges = np.flatnonzero(ends.any(axis=0))
+    hs = h.eval_many(rho[:, None] * np.exp(1j * theta[edges]))
+    seg = np.sqrt((np.abs(hs) ** 2).sum(axis=1)).reshape(_CERT_RADIAL, edges.size)
     inner = float(hn[1:].max())
-    cond_c, cond_d = (max(inner, float(hn[0].max(where=kp, initial=0.0)), seg)
-                      for kp, seg in zip(keep, (seg_c, seg_d)))
-
-    lip, lip_h = _lipschitz(G), _lipschitz(h)
-    lo_i, hi_i = np.array([0]), np.array([top])
-    while lo_i.size:
-        half = 0.5 * (rho[hi_i] - rho[lo_i])
-        tent_b = 0.5 * (phi[lo_i] + phi[hi_i]).max(axis=1) + lip * half
-        split = tent_b >= cond_b * (1.0 - _CERT_SLACK)
-        mean = 0.5 * (psi[lo_i] + psi[hi_i])
-        for kp, cond in zip(on_seg, (cond_c, cond_d)):
-            tent = mean.max(axis=1, where=kp, initial=-np.inf) + lip_h * half
-            split |= tent >= cond * (1.0 - _CERT_SLACK)
-        split &= hi_i - lo_i > 1
-        lo_i, hi_i = lo_i[split], hi_i[split]
-        mid = (lo_i + hi_i) // 2
-        for s in range(0, mid.size, _CERT_RING_BLOCK):
-            ids = mid[s:s + _CERT_RING_BLOCK]
-            more_b, more_c, more_d = measure(ids, G.rings(rho[ids], n))
-            cond_b = max(cond_b, more_b)
-            if screen and cond_b >= bd.epsilon:
-                return max(cond_a, cond_b)
-            cond_c, cond_d = max(cond_c, more_c), max(cond_d, more_d)
-        lo_i, hi_i = np.concatenate([lo_i, mid]), np.concatenate([mid, hi_i])
+    cond_c, cond_d = (max(inner, float(hn[0].max(where=kp, initial=0.0)),
+                          float(seg.max(where=kp[edges], initial=0.0)))
+                      for kp in keep)
 
     orth_max = None
     if orth_dir is not None:
@@ -688,7 +677,7 @@ class NullDeformation:
     spinor: SpinorPair
 
 
-def _collar_floor(F: SeriesMap, bd: BoundaryData, n: int) -> float:
+def _collar_floor(F: SeriesMap, bd: BoundaryData) -> float:
     """A lower bound on the worse of conditions (b) and (c) for any push.
 
     D is the max, over the angles (b) reads (the arc padded by 2*taper), of
@@ -698,6 +687,7 @@ def _collar_floor(F: SeriesMap, bd: BoundaryData, n: int) -> float:
     of the ring r, so cond_b >= D - sup|h(r .)| and cond_c >= sup|h(r .)|:
     no k and no fit degree brings both below D/2, which this returns.
     """
+    n = _NULL_N
     theta = TWO_PI * np.arange(n) / n
     idx = np.flatnonzero(bd.in_padded_arc(theta, 2.0 * bd.taper))
     Fb, Fr = F.rings([1.0, bd.r], n)[:, idx]
@@ -714,7 +704,8 @@ def _rh_null(
 ) -> NullDeformation:
     """Certified null push of F along bd, or ToleranceUnachievableError.
 
-    A datum whose collar floor (_collar_floor) reaches epsilon is refused
+    On an annulus a collar radius at or inside r0 raises DomainError.  A
+    datum whose collar floor (_collar_floor) reaches epsilon is refused
     before any push is built.  Zero amplitude returns G = F with its
     measured certificate.  Otherwise the fit degree m is chosen once: the
     first of 64, 128, 256 (below k_fixed when given) whose fit floor is
@@ -730,6 +721,11 @@ def _rh_null(
 
     if F.ncomp != 3:
         raise ValueError("expected a 3-component null curve")
+    if F.domain == "annulus" and not bd.r > F.r0:
+        raise DomainError(
+            "collar radius r = %.6g must exceed the annulus inner radius r0 = %.6g"
+            % (bd.r, F.r0)
+        )
     base_point = 0.0 if F.domain == "disc" else float(np.sqrt(F.r0))
     base_value = F.eval(base_point)
     fprime = F.derivative()
@@ -737,7 +733,7 @@ def _rh_null(
         spinor = spinor_lift(fprime)
     a, b = _direction_lift(bd.theta)
 
-    floor = _collar_floor(F, bd, _NULL_N)
+    floor = _collar_floor(F, bd)
     if not floor < bd.epsilon:
         raise ToleranceUnachievableError(
             "conditions (b)/(c) have a collar floor %.3g that reaches the tolerance %.3g"

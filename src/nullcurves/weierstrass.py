@@ -77,23 +77,19 @@ class SpraySpec:
         return len(self.phis)
 
     @staticmethod
-    def default(domain: str = "annulus", r0: Optional[float] = None) -> "SpraySpec":
-        """One-sided shifts by {1, z, 1/z} on each spinor component.
+    def default(r0: float) -> "SpraySpec":
+        """One-sided shifts by {1, z, 1/z} on each annulus spinor component.
 
         Pairing the same function on both components collapses the period
         Jacobian (the z-shift column vanishes identically on the catalog
         spinors), so each basis function perturbs only one side.
         """
-        one = SeriesMap.from_components([[1.0]], 0, domain, r0)
-        zee = SeriesMap.from_components([[0.0, 1.0]], 0, domain, r0)
-        zero = SeriesMap.zero(1, domain, r0)
-        if domain == "annulus":
-            inv = SeriesMap.from_components([[1.0]], -1, domain, r0)
-            phis = (one, zee, inv, zero, zero, zero)
-            psis = (zero, zero, zero, one, zee, inv)
-        else:
-            phis = (one, zee, zero, zero)
-            psis = (zero, zero, one, zee)
+        one = SeriesMap.from_components([[1.0]], 0, "annulus", r0)
+        zee = SeriesMap.from_components([[0.0, 1.0]], 0, "annulus", r0)
+        inv = SeriesMap.from_components([[1.0]], -1, "annulus", r0)
+        zero = SeriesMap.zero(1, "annulus", r0)
+        phis = (one, zee, inv, zero, zero, zero)
+        psis = (zero, zero, zero, one, zee, inv)
         return SpraySpec(phis, psis)
 
 
@@ -132,7 +128,7 @@ def kill_periods(
     if s.u.domain != "annulus":
         raise DomainError("period killing lives on the annulus")
     if spec is None:
-        spec = SpraySpec.default("annulus", s.u.r0)
+        spec = SpraySpec.default(s.u.r0)
 
     def period_vec(t: np.ndarray) -> np.ndarray:
         return periods(spinor_project(_shift(s, spec, t))).columns[:, 0]

@@ -137,6 +137,21 @@ def test_deform_unreachable_tolerance_exits_2(tmp_path, capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "arc, taper",
+    [((0.3, 0.3 + math.pi / 2), math.pi / 8), ((0.5, 4.5), 1.2)],
+    ids=["segments_inside_r0", "empty_keep_mask"],
+)
+def test_deform_annulus_collar_inside_r0_is_domain_error(arc, taper, tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    run(capsys, "construct", "annulus_basic", "--out", str(curve))
+    datum = write_datum(tmp_path, arc=arc, taper=taper, epsilon=2.0, r=0.2)
+    code, out, err = run(capsys, "deform", str(curve), datum)
+    assert code == 1
+    assert out == ""
+    assert "r = 0.2" in err and "r0 = 0.25" in err
+
+
 def test_deform_non_finite_datum_is_domain_error(tmp_path, capsys):
     curve = tmp_path / "curve.json"
     run(capsys, "construct", "linear_v1", "--out", str(curve))

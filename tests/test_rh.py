@@ -711,21 +711,38 @@ def test_a_ring_alone_equals_the_ring_in_a_batch():
 
 
 def test_thin_collar_measures_few_rings(monkeypatch):
-    F, bd, G = _thin_collar()
-    radii = []
-    original = SeriesMap.rings
+    """(b) alone decides which collar rings of G are evaluated.
+
+    The radial segments of (c)/(d) are read by Horner at every grid radius,
+    so a segment that holds the sup (interior_segment_max) or a wide
+    annulus collar costs no rings; one Lipschitz bound, sup|G'|, serves.
+    """
+    bounds = {"thin_collar": 24, "interior_segment_max": 8, "annulus": 9}
+    cases = {case: _certify_case(case) for case in bounds}
+    radii, bounded = [], []
+    original, lipschitz = SeriesMap.rings, rh._lipschitz
 
     def counted(self, rr, n, phases=0.0):
-        if self is G:
+        if any(self is G for _, _, G, _ in cases.values()):
             radii.extend(np.atleast_1d(rr).tolist())
         return original(self, rr, n, phases)
 
+    def counted_lipschitz(S):
+        bounded.append(S)
+        return lipschitz(S)
+
     monkeypatch.setattr(SeriesMap, "rings", counted)
-    cert = _certify_null(G, F, bd, 650, rh._NULL_N, None)
-    assert cert.valid
-    grid = np.linspace(bd.r, 1.0, 64)
-    assert np.isin(radii, grid).all() and len(set(radii)) == len(radii)
-    assert len(radii) <= 24
+    monkeypatch.setattr(rh, "_lipschitz", counted_lipschitz)
+    for case, most in bounds.items():
+        F, bd, G, k = cases[case]
+        radii.clear()
+        bounded.clear()
+        cert = _certify_null(G, F, bd, k, rh._NULL_N, None)
+        assert cert.valid == (case == "thin_collar")
+        grid = np.linspace(bd.r, 1.0, 64)
+        assert np.isin(radii, grid).all() and len(set(radii)) == len(radii)
+        assert len(radii) <= most, case
+        assert len(bounded) == 1 and bounded[0] is G, case
 
 
 def _lipschitz_reference(S, oversample=16):
@@ -761,6 +778,21 @@ def test_lipschitz_bound_past_its_sampling_cap_is_trivial():
     coeffs = np.ones((3, 8195), dtype=complex)
     assert rh._lipschitz(SeriesMap(coeffs[:, :8194], 0, "disc")) < np.inf
     assert rh._lipschitz(SeriesMap(coeffs, 0, "disc")) == np.inf
+
+
+@pytest.mark.parametrize(
+    "arc, taper",
+    # the first datum's keep-mask segments reach inside r0; the second's
+    # padded arc covers the circle, so it has no segments at all
+    [((0.3, 0.3 + np.pi / 2), np.pi / 8), ((0.5, 4.5), 1.2)],
+    ids=["segments_inside_r0", "empty_keep_mask"],
+)
+def test_annulus_collar_at_or_inside_r0_is_refused(arc, taper):
+    F = annulus_curve()
+    for r in (0.2, F.r0):
+        bd = linear_datum(arc=arc, taper=taper, epsilon=2.0, r=r)
+        with pytest.raises(DomainError, match="r = %g .* r0 = 0.25" % r):
+            rh_null_annulus(F, bd)
 
 
 def test_certificate_reads_the_ring_r():

@@ -127,7 +127,7 @@ def test_degenerate_spray_detected():
 
 
 def test_ball_exit_raises_with_trace():
-    base = SpraySpec.default("annulus", R0)
+    base = SpraySpec.default(R0)
     tiny = SpraySpec(phis=base.phis, psis=base.psis, ball_radius=1e-3)
     v = np.array([1.0, 0.0, 0.05], dtype=complex)
     s = spinor([1.0], 0, v, -1)
@@ -137,9 +137,7 @@ def test_ball_exit_raises_with_trace():
 
 
 def test_spray_default_shapes():
-    spec = SpraySpec.default("annulus", R0)
+    spec = SpraySpec.default(R0)
     assert spec.dim == 6
-    disc_spec = SpraySpec.default("disc")
-    assert disc_spec.dim == 4
     with pytest.raises(ValueError):
         SpraySpec(phis=(spec.phis[0],), psis=(spec.psis[0],))
