@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -59,21 +60,31 @@ class RadiusReport:
 
     intrinsic_radius: shortest weighted-graph path from |z| = r_core to the
     outer circle, edges weighted by the midpoint rule: an estimate of the
-    metric distance with no bound in either direction (ROADMAP item 2).
+    metric distance with no bound in either direction (ROADMAP item 3).
     extrinsic_radius: boundary sup of the ambient euclidean norm.
     shortcut_length: minimal boundary-to-boundary path length between
-    antipodal outer arcs, so curtain-style shortcuts show up in ledgers.
+    antipodal outer arcs, so curtain-style shortcuts show up.  It is a
+    second Dijkstra over the kept edge_weights, run on first read.
     """
 
     intrinsic_radius: float
     extrinsic_radius: float
     grid: Tuple[int, int]
     r_core: float
-    shortcut_length: Optional[float] = None
+    edge_weights: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.intrinsic_radius < 0 or self.extrinsic_radius < 0:
             raise ValueError("radii must be nonnegative")
+
+    @cached_property
+    def shortcut_length(self) -> float:
+        nrad, nang = self.grid
+        cos = np.cos(2.0 * math.pi * np.arange(nang) / nang)
+        src = np.zeros((nrad, nang), dtype=bool)
+        src[-1] = cos >= math.cos(math.pi / 4.0)
+        dists = kernels.dijkstra_polar(*self.edge_weights, src)
+        return float(dists[-1][cos <= -math.cos(math.pi / 4.0)].min())
 
 
 def _polar_weights(F: SeriesMap, radii: np.ndarray, nang: int):
@@ -136,7 +147,8 @@ def intrinsic_radius(
     sup of |F|.  The intrinsic figure is a midpoint-rule estimate with no
     bound in either direction: on the cubic Enneper-like seed it reads below
     the exact radius 4 sqrt(2)/3 and rises under grid refinement (ROADMAP
-    item 2).
+    item 3).  The report keeps the edge weights, and computes its
+    shortcut_length from them on first read.
     """
     nrad, nang = grid
     if nrad < 2 or nang < 8:
@@ -147,28 +159,16 @@ def intrinsic_radius(
     if not inner_floor <= r_core < 1.0:
         raise DomainError("r_core %r outside [%r, 1)" % (r_core, inner_floor))
 
-    radii = _radial_nodes(r_core, nrad)
-    w_tan, w_rad, w_dru, w_drl = _polar_weights(F, radii, nang)
-
+    weights = _polar_weights(F, _radial_nodes(r_core, nrad), nang)
     src = np.zeros((nrad, nang), dtype=bool)
     src[0] = True
-    dists = kernels.dijkstra_polar(w_tan, w_rad, w_dru, w_drl, src)
-    intrinsic = float(dists[-1].min())
-
-    angles = 2.0 * math.pi * np.arange(nang) / nang
-    near = np.cos(angles) >= math.cos(math.pi / 4.0)
-    far = np.cos(angles) <= -math.cos(math.pi / 4.0)
-    src2 = np.zeros((nrad, nang), dtype=bool)
-    src2[-1] = near
-    d2 = kernels.dijkstra_polar(w_tan, w_rad, w_dru, w_drl, src2)
-    shortcut = float(d2[-1][far].min())
-
+    dists = kernels.dijkstra_polar(*weights, src)
     return RadiusReport(
-        intrinsic_radius=intrinsic,
+        intrinsic_radius=float(dists[-1].min()),
         extrinsic_radius=F.sup_boundary(max(4096, nang)),
         grid=(nrad, nang),
         r_core=float(r_core),
-        shortcut_length=shortcut,
+        edge_weights=weights,
     )
 
 

@@ -208,7 +208,7 @@ class GrowthLedger:
     """Append-only per-round records plus free-form run metadata.
 
     Only the fixed row columns go to CSV; direction choices, achieved
-    tolerances, shortcut lengths and the like live in ``meta``.
+    tolerances, boundary minima and the like live in ``meta``.
     """
 
     def __init__(self):
@@ -347,7 +347,7 @@ def _record(
         cert_c=max((c.cond_c for c in certs), default=0.0),
         rh_k=max((c.k for c in certs), default=0),
     ))
-    extra = {"min_F12": min12, "shortcut": rep.shortcut_length}
+    extra = {"min_F12": min12}
     if arcs is not None:
         extra["arcs"] = arcs
     ledger.meta["rounds"].append(extra)

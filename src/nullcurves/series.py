@@ -305,22 +305,30 @@ class SeriesMap:
         constraint because this is evaluation, not fitting.  Each ring is
         scaled and folded mod n on its own, which keeps the scratch memory
         at one ring's worth for wide series; the FFT runs once over all
-        rings.
+        rings.  Only the nonzero columns are scaled: a pushed curve's window
+        is mostly zero runs, and a zero column adds an exact zero to the
+        fold, so skipping it changes no sum (and never forms 0 * inf where
+        radius ** d overflows).
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
         phases = np.broadcast_to(np.asarray(phases, dtype=np.float64), radii.shape)
-        d = self.degrees
+        cols = np.flatnonzero(self.coeffs.any(axis=0))
+        if cols.size and cols[-1] - cols[0] + 1 == cols.size:
+            cols = slice(cols[0], cols[-1] + 1)  # one run: a slice writes faster
+        d = self.degrees[cols]
+        coeffs = self.coeffs[:, cols]
         # degrees are contiguous, so the mod-n fold is a padded reshape-sum
         off = self.degree_lo % n
         nblocks = -(-(off + self.width) // n)
         buf = np.zeros((self.ncomp, nblocks * n), dtype=np.complex128)
+        window = buf[:, off : off + self.width]
         folded = np.empty((radii.size, self.ncomp, n), dtype=np.complex128)
         fd = d.astype(np.float64)
         for i, (radius, phase) in enumerate(zip(radii, phases)):
             scale = radius ** fd
             if phase != 0.0:
                 scale = scale * np.exp(1j * phase * d)
-            buf[:, off : off + self.width] = self.coeffs * scale[None, :]
+            window[:, cols] = coeffs * scale[None, :]
             folded[i] = buf.reshape(self.ncomp, nblocks, n).sum(axis=1)
         vals = n * np.fft.ifft(folded, axis=2)
         return vals.transpose(0, 2, 1)

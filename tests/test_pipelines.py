@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullcurves import pipelines
+from nullcurves import kernels, pipelines, series
 from nullcurves.cli import main
-from nullcurves.diagnostics import bounded_coordinate_report, intrinsic_radius, nullity_residual
+from nullcurves.diagnostics import (
+    DEFAULT_GRID,
+    _polar_weights,
+    _radial_nodes,
+    bounded_coordinate_report,
+    intrinsic_radius,
+    nullity_residual,
+)
 from nullcurves.errors import (
     DegenerateImmersionError,
     DomainError,
@@ -242,6 +249,60 @@ def test_completeness_keeps_gaining_past_round_5():
     intr = [row.intrinsic for row in rows]
     assert all(b > a for a, b in zip(intr, intr[1:])), intr
     assert {row.rh_k for row in rows[1:]} == {650}
+
+
+def _count_dijkstra(monkeypatch):
+    calls = []
+    real = kernels.dijkstra_polar
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "dijkstra_polar", counted)
+    return calls
+
+
+def test_record_runs_one_dijkstra_and_no_shortcut(monkeypatch):
+    # the shortcut is computed where it is read, and the recursions never read it
+    calls = _count_dijkstra(monkeypatch)
+    cfg = PipelineConfig()
+    ledger = GrowthLedger()
+    pipelines._record(ledger, pipelines._seed_curve(cfg), cfg, 0, 0.0, [])
+    assert len(calls) == 1
+    assert "shortcut" not in ledger.meta["rounds"][0]
+
+
+def test_gate8_recursion_runs_one_dijkstra_per_row(monkeypatch):
+    calls = _count_dijkstra(monkeypatch)
+    cfg = PipelineConfig(
+        pipeline="completeness", iterations=5, delta=0.2, arcs=8, epsilon=0.05
+    )
+    ledger = run_completeness_recursion(cfg)
+    assert len(ledger.rows) == 6
+    assert len(calls) == 6
+
+
+def _eager_shortcut(F):
+    """The shortcut as intrinsic_radius once computed it, beside the radius."""
+    nrad, nang = DEFAULT_GRID
+    weights = _polar_weights(F, _radial_nodes(0.0, nrad), nang)
+    angles = 2.0 * math.pi * np.arange(nang) / nang
+    src = np.zeros((nrad, nang), dtype=bool)
+    src[-1] = np.cos(angles) >= math.cos(math.pi / 4.0)
+    dists = kernels.dijkstra_polar(*weights, src)
+    return float(dists[-1][np.cos(angles) <= -math.cos(math.pi / 4.0)].min())
+
+
+def test_verify_computes_the_shortcut_once_read(monkeypatch, capsys, tmp_path):
+    curve = tmp_path / "curve.json"
+    assert main(["construct", "cubic_enneper_like", "--out", str(curve)]) == 0
+    calls = _count_dijkstra(monkeypatch)
+    assert main(["verify", str(curve)]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 2
+    eager = _eager_shortcut(series.from_json(curve.read_text()))
+    assert '"shortcut_length": %s,' % json.dumps(eager) in out
 
 
 def test_runs_are_deterministic():

@@ -153,7 +153,16 @@ def _rings_reference(s, radii, n, phases):
 def _ring_maps():
     r = np.random.default_rng(7)
     c = r.normal(size=(3, 40)) + 1j * r.normal(size=(3, 40))
-    return [SeriesMap(c, 0, "disc"), SeriesMap(c, -17, "annulus", 0.4)]
+    # a pushed curve's shape: the seed, z^k s and z^2k s^2 between zero runs
+    gapped = c.copy()
+    gapped[:, 4:15] = 0.0
+    gapped[:, 23:32] = 0.0
+    return [
+        SeriesMap(c, 0, "disc"),
+        SeriesMap(c, -17, "annulus", 0.4),
+        SeriesMap(gapped, 0, "disc"),
+        SeriesMap(gapped, -17, "annulus", 0.4),
+    ]
 
 
 @pytest.mark.parametrize("n", [64, 16])  # 16 < width 40: the fold wraps around
@@ -176,6 +185,20 @@ def test_rings_equal_stacked_circle_values(n, phases):
         z = radii[:, None] * np.exp(1j * (2 * np.pi * np.arange(n) / n + ph[:, None]))
         direct = s.eval_many(z.ravel()).reshape(got.shape)
         assert np.abs(got - direct).max() < 1e-10 * np.abs(direct).max()
+
+
+def test_rings_skip_zero_columns_where_the_radial_power_overflows():
+    # 0.25 ** -600 overflows; the zero columns at those degrees never reach the sum
+    c = np.zeros((2, 602), dtype=complex)
+    c[:, 600] = [1.0, 2.0 - 1.0j]  # degree 0
+    c[:, 601] = [0.5j, 3.0]  # degree 1
+    s = SeriesMap(c, -600, "annulus", 0.25)
+    got = s.rings([0.25, 1.0], 64)
+    z = np.array([0.25, 1.0])[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    want = c[:, 600][None, None, :] + c[:, 601][None, None, :] * z[..., None]
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.isfinite(s.sup_boundary())
 
 
 # -- algebra ------------------------------------------------------------------
