@@ -10,19 +10,21 @@ The two min_dist2 kernels have no caller in the library: the certificates
 measure distances to circles and discs in closed form.  They are kept
 because the benchmark's kernel micro-timings time them by name.
 
-Dijkstra runs in SciPy's csgraph.  The polar stencil's sparsity pattern
-depends only on the grid shape, so it is built once per shape and each
-call only gathers the four weight arrays into the matrix data.  The pair
-scan bounds tiles of consecutive samples first and evaluates only the
-pairs those bounds cannot rule out; its answers are the all-pairs scan's.
+Dijkstra runs in SciPy's csgraph, the one SciPy module the package uses.
+dijkstra_polar imports it on its first call, so only the commands that
+measure an intrinsic radius (verify, recurse) load SciPy; importing the
+package, construct, deform and export never do.  The polar stencil's
+sparsity pattern depends only on the grid shape, so it is built once per
+shape and each call only gathers the four weight arrays into the matrix
+data.  The pair scan bounds tiles of consecutive samples first and
+evaluates only the pairs those bounds cannot rule out; its answers are the
+all-pairs scan's.
 """
 
 import functools
 import math
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 # the one kernel path, named in run records
 BACKEND = "numpy"
@@ -153,7 +155,12 @@ def dijkstra_polar(w_tan, w_rad, w_dru, w_drl, src_mask):
     src_mask (R, A) marks zero-distance sources.  Returns (R, A) distances
     (inf where unreachable).  Zero weights are edges, not gaps: the matrix
     is built from its CSR arrays, which keeps explicit zeros.
+
+    SciPy is imported here, not at module level: it takes longer to import
+    than most commands take to run, and only this kernel needs it.
     """
+    import scipy.sparse.csgraph
+
     w_tan = np.asarray(w_tan, dtype=np.float64)
     nrad, nang = w_tan.shape
     indptr, indices, gather = _polar_stencil(nrad, nang)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     AliasingError,
@@ -40,19 +39,34 @@ _CONV_FFT_CUTOFF = 1024
 _RESIDUE_TOL = 1e-8
 
 
+def _fast_length(n: int) -> int:
+    """The smallest 2*3*5*7*11-smooth integer >= n, as
+    scipy.fft.next_fast_len(n, real=False) returns it.
+
+    m is such an integer exactly when it divides 2310**e for an e at least
+    every prime exponent in m, and m.bit_length() is such an e.
+    """
+    m = n
+    while pow(2310, m.bit_length(), m):
+        m += 1
+    return m
+
+
 def fftconvolve(a, b) -> np.ndarray:
     """Full linear convolution of complex arrays along the last axis, by FFT.
 
     Bit-identical to scipy.signal.fftconvolve(a, b, mode="full") along that
-    axis, without importing scipy.signal, which costs most of a process
-    start.  Like SciPy, a factor of width 1 is a plain product.
+    axis, without importing SciPy, which costs most of a process start.
+    Since NumPy 2.0, np.fft runs the same C++ pocketfft as scipy.fft, so at
+    SciPy's transform length (_fast_length) its c2c transforms give the same
+    bits.  Like SciPy, a factor of width 1 is a plain product.
     """
     if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b
     n = a.shape[-1] + b.shape[-1] - 1
-    nfft = scipy.fft.next_fast_len(n, real=False)
-    spec = scipy.fft.fft(a, nfft) * scipy.fft.fft(b, nfft)
-    return scipy.fft.ifft(spec)[..., :n]
+    nfft = _fast_length(n)
+    spec = np.fft.fft(a, nfft) * np.fft.fft(b, nfft)
+    return np.fft.ifft(spec)[..., :n]
 
 
 def _as_coeff_matrix(components) -> np.ndarray:

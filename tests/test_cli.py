@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullcurves
 from nullcurves import pipelines, series
 from nullcurves.cli import main
 from nullcurves.geometry import NullVector
@@ -430,3 +433,42 @@ def test_mutated_json_exits_cleanly(tmp_path_factory, mutant):
         os.chdir(cwd)
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err.getvalue()
+
+
+# -- import path -------------------------------------------------------------
+
+# prints the loaded scipy modules after the import and after each command
+_SCIPY_PROBE = """
+import json, sys
+from nullcurves.cli import main
+
+curve, datum, pushed, mesh = sys.argv[1:]
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+seen = {"import": loaded()}
+for name, argv in [
+    ("construct", ["construct", "linear_v1", "--out", curve]),
+    ("deform", ["deform", curve, datum, "--out", pushed]),
+    ("export", ["export", pushed, "--target", "r3", "--out", mesh, "--grid", "6,12"]),
+    ("verify", ["verify", pushed]),
+]:
+    assert main(argv) == 0, name
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_only_verify_loads_scipy_and_only_csgraph(tmp_path):
+    src = os.path.dirname(os.path.dirname(nullcurves.__file__))
+    paths = [str(tmp_path / "curve.json"), write_datum(tmp_path),
+             str(tmp_path / "pushed.json"), str(tmp_path / "mesh.obj")]
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *paths], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    for step in ("import", "construct", "deform", "export"):
+        assert seen[step] == [], step
+    assert "scipy.sparse.csgraph" in seen["verify"]
+    assert not any(m.startswith("scipy.fft") for m in seen["verify"])

@@ -8,12 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 import scipy.sparse
 import scipy.sparse.csgraph
 
 from nullcurves import kernels
-from nullcurves.series import _CONV_FFT_CUTOFF, SeriesMap, fftconvolve
+from nullcurves.series import _CONV_FFT_CUTOFF, SeriesMap, _fast_length, fftconvolve
 
 
 def rng(seed=0):
@@ -425,6 +426,26 @@ def test_fftconvolve_bit_equal_to_scipy_signal():
         assert np.array_equal(fftconvolve(a[0], b[0]),
                               scipy.signal.fftconvolve(a[0], b[0]))
     assert 300 + 300 <= _CONV_FFT_CUTOFF < 600 + 600
+
+
+def test_fftconvolve_bit_equal_to_scipy_signal_at_lengths_with_7_and_11():
+    r = rng(81)
+    # combined widths 1540 = 2^2*5*7*11, 2079 = 3^3*7*11 and 13475 = 5^2*7^2*11
+    # are their own FFT lengths, so the transforms run pocketfft's radix-7 and
+    # radix-11 passes
+    for wa, wb in [(770, 771), (1000, 1080), (5000, 8476)]:
+        n = wa + wb - 1
+        assert _fast_length(n) == n and n % 77 == 0
+        a = r.normal(size=(3, wa)) + 1j * r.normal(size=(3, wa))
+        b = r.normal(size=(3, wb)) + 1j * r.normal(size=(3, wb))
+        want = scipy.signal.fftconvolve(a, b, mode="full", axes=1)
+        assert np.array_equal(fftconvolve(a, b), want)
+
+
+def test_fast_length_is_scipys_complex_next_fast_len():
+    got = [_fast_length(n) for n in range(1, 2 ** 17 + 1)]
+    want = [scipy.fft.next_fast_len(n, real=False) for n in range(1, 2 ** 17 + 1)]
+    assert got == want
 
 
 def test_cli_import_leaves_scipy_signal_out():
