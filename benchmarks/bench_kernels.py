@@ -46,7 +46,8 @@ def workloads(rng):
     w = rng.uniform(0.1, 1.0, size=(4, 128, 512))
     src = np.zeros((128, 512), dtype=bool)
     src[0] = True
-    yield "dijkstra_polar (128x512)", "dijkstra_polar", (w[0], w[1], w[2], w[3], src)
+    # the radial and diagonal weights span the 127 gaps between the rings
+    yield "dijkstra_polar (128x512)", "dijkstra_polar", (w[0], w[1, :-1], w[2, :-1], w[3, :-1], src)
     yield "pair_scan worst case (random N=2000, C=3)", "pair_scan", (
         cplx(2000, 3),
         cplx(2000),

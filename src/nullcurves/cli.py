@@ -119,9 +119,7 @@ def _cmd_verify(args) -> int:
         "nullity": nullity_residual(F),
         "intrinsic_radius": radius.intrinsic_radius,
         "extrinsic_radius": radius.extrinsic_radius,
-        "shortcut_length": radius.shortcut_length,
     }
-    del radius  # its edge weights need not live through the pair scan
     report["embedded"] = json.loads(embedded_check(F).to_json())
     if F.domain == "annulus":
         per = periods(F.derivative())

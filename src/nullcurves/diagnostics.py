@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -62,29 +61,17 @@ class RadiusReport:
     outer circle, edges weighted by the midpoint rule: an estimate of the
     metric distance with no bound in either direction (ROADMAP item 3).
     extrinsic_radius: boundary sup of the ambient euclidean norm.
-    shortcut_length: minimal boundary-to-boundary path length between
-    antipodal outer arcs, so curtain-style shortcuts show up.  It is a
-    second Dijkstra over the kept edge_weights, run on first read.
+    grid and r_core: the polar graph the intrinsic radius was measured on.
     """
 
     intrinsic_radius: float
     extrinsic_radius: float
     grid: Tuple[int, int]
     r_core: float
-    edge_weights: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.intrinsic_radius < 0 or self.extrinsic_radius < 0:
             raise ValueError("radii must be nonnegative")
-
-    @cached_property
-    def shortcut_length(self) -> float:
-        nrad, nang = self.grid
-        cos = np.cos(2.0 * math.pi * np.arange(nang) / nang)
-        src = np.zeros((nrad, nang), dtype=bool)
-        src[-1] = cos >= math.cos(math.pi / 4.0)
-        dists = kernels.dijkstra_polar(*self.edge_weights, src)
-        return float(dists[-1][cos <= -math.cos(math.pi / 4.0)].min())
 
 
 def _polar_weights(F: SeriesMap, radii: np.ndarray, nang: int):
@@ -147,8 +134,8 @@ def intrinsic_radius(
     sup of |F|.  The intrinsic figure is a midpoint-rule estimate with no
     bound in either direction: on the cubic Enneper-like seed it reads below
     the exact radius 4 sqrt(2)/3 and rises under grid refinement (ROADMAP
-    item 3).  The report keeps the edge weights, and computes its
-    shortcut_length from them on first read.
+    item 3).  One shortest-path sweep, sourced on the inner ring, gives the
+    radius (kernels.dijkstra_polar).
     """
     nrad, nang = grid
     if nrad < 2 or nang < 8:
@@ -168,7 +155,6 @@ def intrinsic_radius(
         extrinsic_radius=F.sup_boundary(max(4096, nang)),
         grid=(nrad, nang),
         r_core=float(r_core),
-        edge_weights=weights,
     )
 
 

@@ -10,18 +10,13 @@ The two min_dist2 kernels have no caller in the library: the certificates
 measure distances to circles and discs in closed form.  They are kept
 because the benchmark's kernel micro-timings time them by name.
 
-Dijkstra runs in SciPy's csgraph, the one SciPy module the package uses.
-dijkstra_polar imports it on its first call, so only the commands that
-measure an intrinsic radius (verify, recurse) load SciPy; importing the
-package, construct, deform and export never do.  The polar stencil's
-sparsity pattern depends only on the grid shape, so it is built once per
-shape and each call only gathers the four weight arrays into the matrix
-data.  The pair scan bounds tiles of consecutive samples first and
-evaluates only the pairs those bounds cannot rule out; its answers are the
-all-pairs scan's.
+The polar shortest paths are a ring-by-ring Gauss-Seidel sweep in NumPy,
+relaxed to its fixpoint, which is the Dijkstra distances bit for bit; the
+package uses no SciPy.  The pair scan bounds tiles of consecutive samples
+first and evaluates only the pairs those bounds cannot rule out; its
+answers are the all-pairs scan's.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -106,77 +101,88 @@ def min_dist2_grouped(queries, clouds):
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _polar_stencil(nrad, nang):
-    """CSR (indptr, indices) of the polar graph and the weight gather index.
+def _roll(x, k):
+    """np.roll(x, k, axis=-1) for k = 1 or -1, at a tenth of its cost on a ring."""
+    return np.concatenate((x[..., -k:], x[..., :-k]), axis=-1)
 
-    Row i * nang + j lists the out-edges of node (i, j) in the order
-    tangential +1, tangential -1, then outward radial, up-right, up-left,
-    then inward radial, down-left, down-right.  gather[e] is the position
-    of edge e's weight in concatenate(w_tan, w_rad, w_dru, w_drl), all
-    raveled.  The arrays are read-only, since every caller shares them.
-    """
-    i, j = np.divmod(np.arange(nrad * nang), nang)
-    jp, jm = (j + 1) % nang, (j - 1) % nang
-    n_tan = nrad * nang
-    n_gap = (nrad - 1) * nang
-    rad, dru, drl = n_tan, n_tan + n_gap, n_tan + 2 * n_gap
-    up, down = i + 1 < nrad, i > 0
-    # (present, target ring, target angle, weight position) per stencil slot
-    slots = (
-        (True, i, jp, i * nang + j),
-        (True, i, jm, i * nang + jm),
-        (up, i + 1, j, rad + i * nang + j),
-        (up, i + 1, jp, dru + i * nang + j),
-        (up, i + 1, jm, drl + i * nang + j),
-        (down, i - 1, j, rad + (i - 1) * nang + j),
-        (down, i - 1, jm, dru + (i - 1) * nang + jm),
-        (down, i - 1, jp, drl + (i - 1) * nang + jp),
-    )
-    present = np.stack([np.broadcast_to(s[0], i.shape) for s in slots], axis=1)
-    target = np.stack([s[1] * nang + s[2] for s in slots], axis=1)[present]
-    gather = np.stack([s[3] for s in slots], axis=1)[present]
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-    out = (indptr.astype(np.int32), target.astype(np.int32), gather.astype(np.intp))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+
+def _from_inner(d, w_rad, w_dru, w_drl):
+    """Candidates for ring(s) i + 1 over the radial and diagonal edges out of
+    ring(s) i, whose distances are d.  Works on one ring or a stack."""
+    cand = d + w_rad
+    np.minimum(cand, _roll(d + w_dru, 1), out=cand)
+    return np.minimum(cand, _roll(d + w_drl, -1), out=cand)
+
+
+def _from_outer(d, w_rad, w_dru, w_drl):
+    """The same edges walked inward: candidates for ring(s) i from ring(s)
+    i + 1, whose distances are d."""
+    cand = d + w_rad
+    np.minimum(cand, _roll(d, -1) + w_dru, out=cand)
+    return np.minimum(cand, _roll(d, 1) + w_drl, out=cand)
+
+
+def _along(d, w_tan):
+    """Candidates for ring(s) d from both tangential neighbours."""
+    return np.minimum(_roll(d, -1) + w_tan, _roll(d + w_tan, 1))
+
+
+def _settle(ring, w_tan):
+    """Relax one ring, in place, along its own edges until it stops changing."""
+    while True:
+        new = np.minimum(ring, _along(ring, w_tan))
+        if not (new < ring).any():
+            return
+        ring[...] = new
 
 
 def dijkstra_polar(w_tan, w_rad, w_dru, w_drl, src_mask):
-    """Multi-source Dijkstra on a polar grid with 8-neighbour stencil.
+    """Multi-source shortest paths on a polar grid with 8-neighbour stencil.
 
     Nodes are (ring i, angle j), i in [0, R), j in [0, A) with angular
-    wraparound.  Edge weights (all nonnegative):
+    wraparound.  Undirected edges, with nonnegative weights:
       w_tan[i, j] : (i, j) -- (i, j+1)
       w_rad[i, j] : (i, j) -- (i+1, j)
       w_dru[i, j] : (i, j) -- (i+1, j+1)
       w_drl[i, j] : (i, j) -- (i+1, j-1)
     src_mask (R, A) marks zero-distance sources.  Returns (R, A) distances
-    (inf where unreachable).  Zero weights are edges, not gaps: the matrix
-    is built from its CSR arrays, which keeps explicit zeros.
+    (inf where unreachable).  Zero weights are edges, not gaps.  A negative
+    or NaN weight raises ValueError.
 
-    SciPy is imported here, not at module level: it takes longer to import
-    than most commands take to run, and only this kernel needs it.
+    A Gauss-Seidel sweep, ring by ring.  The outward pass relaxes ring i
+    from ring i - 1, then along its own edges until it stops changing.  One
+    relaxation of the whole grid over all 8 stencil slots follows: if it
+    changes nothing, the distances are returned; otherwise an inward pass
+    (ring i from ring i + 1) runs, and so on, alternating.  Every stored
+    value is one sum fl(d + w), monotone in d, so the fixpoint reached from
+    inf is the least left-fold sum over simple paths: the distances a heap
+    Dijkstra returns, bit for bit.  Each pass relaxes every edge at least
+    once, so at most R * A passes run.  On the intrinsic-radius graph,
+    sourced on ring 0, the outward pass alone reaches the fixpoint.
     """
-    import scipy.sparse.csgraph
-
-    w_tan = np.asarray(w_tan, dtype=np.float64)
-    nrad, nang = w_tan.shape
-    indptr, indices, gather = _polar_stencil(nrad, nang)
-    weights = np.concatenate([
-        w_tan.ravel(),
-        np.asarray(w_rad, dtype=np.float64).ravel(),
-        np.asarray(w_dru, dtype=np.float64).ravel(),
-        np.asarray(w_drl, dtype=np.float64).ravel(),
-    ])
-    n = nrad * nang
-    graph = scipy.sparse.csr_matrix((weights[gather], indices, indptr), shape=(n, n))
-    sources = np.flatnonzero(np.asarray(src_mask, dtype=bool).ravel())
-    # min_only: one search from all sources, not one search per source
-    dist = scipy.sparse.csgraph.dijkstra(graph, directed=True, indices=sources,
-                                         min_only=True)
-    return dist.reshape(nrad, nang)
+    w_tan, w_rad, w_dru, w_drl = weights = [
+        np.asarray(w, dtype=np.float64) for w in (w_tan, w_rad, w_dru, w_drl)
+    ]
+    if not all((w >= 0.0).all() for w in weights):  # NaN fails the comparison too
+        raise ValueError("polar edge weights must be nonnegative and not NaN")
+    nrad = w_tan.shape[0]
+    dist = np.where(np.asarray(src_mask, dtype=bool), 0.0, np.inf)
+    outward = True
+    while True:
+        step = _from_inner if outward else _from_outer
+        for i in range(nrad) if outward else range(nrad - 1, -1, -1):
+            k = i - 1 if outward else i + 1  # the ring swept just before
+            if 0 <= k < nrad:
+                gap = min(i, k)
+                np.minimum(dist[i], step(dist[k], w_rad[gap], w_dru[gap], w_drl[gap]),
+                           out=dist[i])
+            _settle(dist[i], w_tan[i])
+        relaxed = np.minimum(dist, _along(dist, w_tan))
+        np.minimum(relaxed[1:], _from_inner(dist[:-1], w_rad, w_dru, w_drl), out=relaxed[1:])
+        np.minimum(relaxed[:-1], _from_outer(dist[1:], w_rad, w_dru, w_drl), out=relaxed[:-1])
+        if not (relaxed < dist).any():
+            return dist
+        dist, outward = relaxed, not outward
 
 
 def _separations(ambient, dom, i, j, d_dom2):

@@ -110,14 +110,6 @@ def test_flat_disc_radii():
     assert rep.r_core == 0.0
 
 
-def test_flat_disc_shortcut_bracket():
-    # antipodal quarter-arcs: euclidean gap between arc ends is sqrt(2), so
-    # the metric path is between sqrt(2)*sqrt(2) = 2 and the through-center
-    # 2*sqrt(2)
-    rep = intrinsic_radius(linear_curve(), r_core=0.0, grid=(64, 256))
-    assert 2.0 - 1e-9 <= rep.shortcut_length <= 2.0 * SQRT2 + 1e-9
-
-
 def test_radius_scaling_exact():
     F = enneper_curve()
     base = intrinsic_radius(F, r_core=0.0, grid=(32, 128))

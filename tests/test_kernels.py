@@ -169,7 +169,7 @@ def test_dijkstra_polar_vs_scipy():
             mask[4, (3 * seed) % 8] = True  # multi-source case
         got = kernels.dijkstra_polar(*w, mask)
         want = _scipy_dijkstra(*w, mask)
-        assert np.abs(got - want).max() < 1e-12
+        assert np.array_equal(got, want)
 
 
 def test_dijkstra_polar_matches_heap_full_grid():
@@ -218,6 +218,31 @@ def test_dijkstra_polar_zero_weight_edges():
     got = kernels.dijkstra_polar(*w, mask)
     assert np.all(got[1] == 0.0)
     assert np.array_equal(got, _heap_dijkstra(*w, mask))
+
+
+def test_dijkstra_polar_matches_heap_out_and_back_in():
+    # ring 0's own edges are dear and ring 1's cheap, so the shortest paths
+    # to ring-0 nodes leave ring 0 and come back, which the outward pass
+    # alone cannot find
+    w = _polar_weights(80, nrad=4, nang=16)
+    w[0][0] = 100.0
+    w[0][1] = 0.01
+    mask = np.zeros((4, 16), dtype=bool)
+    mask[0, 0] = True
+    got = kernels.dijkstra_polar(*w, mask)
+    assert got[0, 1:].max() < 100.0
+    assert np.array_equal(got, _heap_dijkstra(*w, mask))
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan])
+def test_dijkstra_polar_rejects_negative_and_nan_weights(bad):
+    mask = np.zeros((5, 8), dtype=bool)
+    mask[0] = True
+    for k in range(4):
+        w = _polar_weights(90)
+        w[k][1, 3] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernels.dijkstra_polar(*w, mask)
 
 
 def test_dijkstra_polar_without_sources_is_unreachable():

@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 from nullcurves import kernels, pipelines, series
 from nullcurves.cli import main
 from nullcurves.diagnostics import (
-    DEFAULT_GRID,
-    _polar_weights,
-    _radial_nodes,
     bounded_coordinate_report,
     intrinsic_radius,
     nullity_residual,
@@ -264,7 +261,6 @@ def _count_dijkstra(monkeypatch):
 
 
 def test_record_runs_one_dijkstra_and_no_shortcut(monkeypatch):
-    # the shortcut is computed where it is read, and the recursions never read it
     calls = _count_dijkstra(monkeypatch)
     cfg = PipelineConfig()
     ledger = GrowthLedger()
@@ -283,26 +279,17 @@ def test_gate8_recursion_runs_one_dijkstra_per_row(monkeypatch):
     assert len(calls) == 6
 
 
-def _eager_shortcut(F):
-    """The shortcut as intrinsic_radius once computed it, beside the radius."""
-    nrad, nang = DEFAULT_GRID
-    weights = _polar_weights(F, _radial_nodes(0.0, nrad), nang)
-    angles = 2.0 * math.pi * np.arange(nang) / nang
-    src = np.zeros((nrad, nang), dtype=bool)
-    src[-1] = np.cos(angles) >= math.cos(math.pi / 4.0)
-    dists = kernels.dijkstra_polar(*weights, src)
-    return float(dists[-1][np.cos(angles) <= -math.cos(math.pi / 4.0)].min())
-
-
-def test_verify_computes_the_shortcut_once_read(monkeypatch, capsys, tmp_path):
+def test_verify_runs_one_dijkstra_and_reports_no_shortcut(monkeypatch, capsys, tmp_path):
     curve = tmp_path / "curve.json"
     assert main(["construct", "cubic_enneper_like", "--out", str(curve)]) == 0
     calls = _count_dijkstra(monkeypatch)
     assert main(["verify", str(curve)]) == 0
-    out = capsys.readouterr().out
-    assert len(calls) == 2
-    eager = _eager_shortcut(series.from_json(curve.read_text()))
-    assert '"shortcut_length": %s,' % json.dumps(eager) in out
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert list(report) == ["domain", "nullity", "intrinsic_radius", "extrinsic_radius",
+                            "embedded"]
+    F = series.from_json(curve.read_text())
+    assert report["intrinsic_radius"] == intrinsic_radius(F).intrinsic_radius
 
 
 def test_runs_are_deterministic():
