@@ -23,6 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateImmersionError, DomainError
+from .geometry import SpinorPair
 from .series import SeriesMap
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (128, 512)
+_SQRT2 = math.sqrt(2.0)
 
 
 def nullity_residual(F: SeriesMap) -> float:
@@ -74,19 +76,38 @@ class RadiusReport:
             raise ValueError("radii must be nonnegative")
 
 
-def _polar_weights(F: SeriesMap, radii: np.ndarray, nang: int):
-    """Edge-weight arrays for the polar graph: lambda(midpoint) * length."""
-    fp = F.derivative()
+def _polar_weights(
+    F: SeriesMap, radii: np.ndarray, nang: int, spinor: Optional[SpinorPair] = None
+):
+    """Edge-weight arrays for the polar graph: lambda(midpoint) * length.
+
+    lambda = |F'| is read off F' or, when given, off a spinor (u, v) with
+    pi(u, v) = F', by the identity |pi(u, v)| = sqrt2 (|u|^2 + |v|^2).  F'
+    is quadratic in the spinor, so a curve pushed at frequencies k1 and k2
+    carries blocks near 2k1, k1 + k2 and 2k2 in F' against blocks near k1
+    and k2 in (u, v): on the gate-9 curve after its k doubles, 3180 nonzero
+    columns against 259, on three components against two.  The outer node
+    ring checks the spinor against |F'| there (ValueError past 1e-9 of the
+    ring's max), so a spinor of another curve never yields weights.
+    """
     dth = 2.0 * math.pi / nang
+    source = F.derivative() if spinor is None else SeriesMap.stack([spinor.u, spinor.v])
 
     def lam(rads, phases=0.0):
-        vals = fp.rings(rads, nang, phases)
-        return np.sqrt((np.abs(vals) ** 2).sum(axis=2))
+        vals = source.rings(rads, nang, phases)
+        sq = (np.abs(vals) ** 2).sum(axis=2)
+        return np.sqrt(sq) if spinor is None else _SQRT2 * sq
 
-    if not np.all(lam(radii) > 0.0):
+    nodes = lam(radii)
+    if not np.all(nodes > 0.0):
         raise DegenerateImmersionError(
             "metric factor vanishes on the grid; the map is not an immersion there"
         )
+    if spinor is not None:
+        outer = np.linalg.norm(F.derivative().rings(radii[-1:], nang)[0], axis=1)
+        if not np.abs(nodes[-1] - outer).max() <= 1e-9 * outer.max():
+            raise ValueError("the spinor does not generate F' on the outer ring")
+    del nodes  # only the checks read the node rings
     r0, r1 = radii[:-1], radii[1:]
     tan_length = 2.0 * radii * math.sin(dth / 2.0)
     w_tan = lam(radii * math.cos(dth / 2.0), dth / 2.0) * tan_length[:, None]
@@ -125,6 +146,7 @@ def intrinsic_radius(
     F: SeriesMap,
     r_core: Optional[float] = None,
     grid: Tuple[int, int] = DEFAULT_GRID,
+    spinor: Optional[SpinorPair] = None,
 ) -> RadiusReport:
     """Metric radius report on an nrad x nang polar graph.
 
@@ -136,6 +158,12 @@ def intrinsic_radius(
     the exact radius 4 sqrt(2)/3 and rises under grid refinement (ROADMAP
     item 3).  One shortest-path sweep, sourced on the inner ring, gives the
     radius (kernels.dijkstra_polar).
+
+    The conformal factor is |F'| = |pi(u, v)| = sqrt2 (|u|^2 + |v|^2) for
+    a spinor (u, v) of F'.  Given one, the weights are read off it, whose
+    support is the smaller since F' is quadratic in it, and the radius
+    moves only at rounding level (_polar_weights).  Without one, they are
+    read off F', which needs no lift.
     """
     nrad, nang = grid
     if nrad < 2 or nang < 8:
@@ -146,7 +174,7 @@ def intrinsic_radius(
     if not inner_floor <= r_core < 1.0:
         raise DomainError("r_core %r outside [%r, 1)" % (r_core, inner_floor))
 
-    weights = _polar_weights(F, _radial_nodes(r_core, nrad), nang)
+    weights = _polar_weights(F, _radial_nodes(r_core, nrad), nang, spinor)
     src = np.zeros((nrad, nang), dtype=bool)
     src[0] = True
     dists = kernels.dijkstra_polar(*weights, src)

@@ -332,9 +332,14 @@ def _record(
     delta: float,
     certs,
     arcs=None,
+    spinor=None,
 ) -> None:
-    """Measure the curve after round rnd and append its ledger row and metadata."""
-    rep = intrinsic_radius(curve, grid=cfg.grid)
+    """Measure the curve after round rnd and append its ledger row and metadata.
+
+    The round's spinor, when there is one, gives the metric factor at the
+    cost of its own support, not the wider one of F' (intrinsic_radius).
+    """
+    rep = intrinsic_radius(curve, grid=cfg.grid, spinor=spinor)
     sup3, min12 = bounded_coordinate_report(curve)
     ledger.append(LedgerRow(
         k=rnd,
@@ -456,7 +461,7 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
                         ) from None
                     if 2 * k <= cfg.k_max:
                         k *= 2
-            _record(ledger, curve, cfg, rnd, delta_k, certs, arc_meta)
+            _record(ledger, curve, cfg, rnd, delta_k, certs, arc_meta, spinor)
     except NullCurveError as err:
         ledger.meta["aborted"] = "round %d: %s" % (rnd, err)
         err.partial_ledger = ledger

@@ -13,9 +13,12 @@ from nullcurves.diagnostics import (
     intrinsic_radius,
     nullity_residual,
     _polar_weights,
+    _radial_nodes,
     _sample_layout,
 )
 from nullcurves.errors import DegenerateImmersionError, DomainError
+from nullcurves.geometry import NullVector, SpinorPair, spinor_project
+from nullcurves.rh import BoundaryData, _rh_null
 from nullcurves.series import SeriesMap
 
 SQRT2 = math.sqrt(2.0)
@@ -178,6 +181,63 @@ def test_radius_argument_guards():
 def test_radius_report_validation():
     with pytest.raises(ValueError):
         RadiusReport(-1.0, 1.0, (8, 16), 0.0)
+
+
+# ------------------------------------------- metric factor from the spinor
+
+
+@pytest.fixture(scope="module")
+def two_frequency_push():
+    """linear_v1 pushed along V2 at k = 96, then at 4k on an overlapping arc.
+
+    F' then carries blocks near 2k, 5k and 8k that the spinor does not.
+    Returns (curve, its spinor, the spinor before the second push).
+    """
+    v2 = NullVector(np.array([1.0, -1.0j, 0.0]) / SQRT2)
+    F, spinor, history = linear_curve(), None, []
+    for k, arc in ((96, (-0.8 * math.pi, 0.8 * math.pi)), (384, (0.2 * math.pi, 1.8 * math.pi))):
+        bd = BoundaryData(
+            arc=arc, mu=np.array([0.002]), theta=v2, taper=math.pi / 4, epsilon=0.05, r=0.985
+        )
+        out = _rh_null(F, bd, spinor=spinor, k_fixed=k)
+        F, spinor = out.G, out.spinor
+        history.append(spinor)
+    return F, spinor, history[0]
+
+
+def test_spinor_weights_match_derivative_weights(two_frequency_push):
+    F, spinor, _ = two_frequency_push
+    radii = _radial_nodes(0.0, 64)
+    for w_fp, w_sp in zip(_polar_weights(F, radii, 256), _polar_weights(F, radii, 256, spinor)):
+        np.testing.assert_allclose(w_sp, w_fp, rtol=1e-13, atol=0.0)
+
+
+def test_spinor_radius_matches_derivative_radius(two_frequency_push):
+    F, spinor, _ = two_frequency_push
+    by_fp = intrinsic_radius(F, grid=(64, 256))
+    by_spinor = intrinsic_radius(F, grid=(64, 256), spinor=spinor)
+    assert by_fp.intrinsic_radius > SQRT2 + 1e-4  # the pushes cover the circle
+    assert abs(by_spinor.intrinsic_radius - by_fp.intrinsic_radius) <= (
+        4 * np.spacing(by_fp.intrinsic_radius)
+    )
+    assert by_spinor.extrinsic_radius == by_fp.extrinsic_radius
+
+
+def test_spinor_of_another_curve_is_refused(two_frequency_push):
+    F, _, stale = two_frequency_push
+    with pytest.raises(ValueError, match="does not generate"):
+        intrinsic_radius(F, grid=(64, 256), spinor=stale)
+    linear_spinor = SpinorPair(SeriesMap.constant([1.0]), SeriesMap.zero())
+    with pytest.raises(ValueError, match="does not generate"):
+        intrinsic_radius(enneper_curve(), grid=(16, 32), spinor=linear_spinor)
+
+
+def test_spinor_vanishing_at_the_centre_is_degenerate():
+    z = SeriesMap.from_components([[0.0, 1.0]])
+    spinor = SpinorPair(z, z)
+    F = spinor_project(spinor).antiderivative(0.0, np.zeros(3))
+    with pytest.raises(DegenerateImmersionError):
+        intrinsic_radius(F, r_core=0.0, grid=(16, 32), spinor=spinor)
 
 
 # --------------------------------------------------- bounded coordinates
