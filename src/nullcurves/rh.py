@@ -16,9 +16,9 @@ claims, where the sup sits: its circles through the wrapped-FFT ring
 sampler, and the radial segments at the keep-masks' ends through one
 SeriesMap.eval_many, the blocked Horner kernel, at every collar radius.
 (b) is the maximum over 64 collar radii, but their rings are measured
-bound first: with L = sup|G'| on the boundary circles, bounded by sampling
-(Ehlich-Zeller), no radius between measured ones exceeds the tent
-(phi_i + phi_j + L gap) / 2, so only gaps whose tent reaches the running
+bound first: with M a bound on |G''| read off the coefficients, no radius
+between two measured ones exceeds the chord of their values plus
+(M/2) tau (gap - tau), so only gaps whose bound reaches the running
 maximum are bisected (see _certify_null).
 A null push decides before it builds anything: a datum whose collar floor
 reaches epsilon is refused, and the fit degree of the amplitude root is
@@ -60,9 +60,6 @@ _CERT_RING_BLOCK = 8
 # relative margin by which a collar gap's bound must undercut the running
 # maximum before the null certificate skips the radii inside the gap
 _CERT_SLACK = 1e-9
-# the most samples per circle that bounding sup|G'| for the null certificate
-# may take: sampling a wider series costs more than the rings it can save
-_LIP_MAX_N = 1 << 14
 
 TWO_PI = 2.0 * np.pi
 
@@ -531,27 +528,18 @@ def _orth_direction(fp: np.ndarray, theta: NullVector) -> Optional[np.ndarray]:
     return n / np.linalg.norm(n)
 
 
-def _lipschitz(S: SeriesMap) -> float:
-    """An upper bound on sup |S'| over the closed domain of S.
+def _second_derivative_bound(S: SeriesMap, r_lo, r_hi) -> np.ndarray:
+    """Upper bounds on sup |S''| over the annuli r_lo <= |z| <= r_hi, elementwise.
 
-    |S'| is subharmonic, so the sup sits on the boundary circles.  On each,
-    S' times a power of z is a trigonometric polynomial of degree
-    m = ceil(span / 2) with the same modulus.  Sampled at N > 2m equispaced
-    angles, such a polynomial's sup is at most sec(pi m / N) times its
-    sampled max (Ehlich-Zeller; for vector values, apply it to the real
-    polynomial Re<S'(z), S'(z*)> at the maximiser z*).  N is the smallest
-    power of two >= max(_NULL_N, 4m), so the factor is at most sqrt 2.
-    Past _LIP_MAX_N samples per circle this returns the trivial bound inf
-    instead, under which the certificate measures its whole collar grid.
+    |S''(z)| <= sum_d |d (d - 1)| ||c_d|| |z|^(d - 2), and each power is
+    largest on one of the two circles.  The pad covers the rounding of the sum.
     """
-    d = S.derivative()
-    m = d.width // 2  # ceil((width - 1) / 2)
-    N = 1 << (max(_NULL_N, 4 * m) - 1).bit_length()
-    if N > _LIP_MAX_N:
-        return np.inf
-    vals = d.rings(d.boundary_radii, N)
-    peak = float(np.sqrt(_component_sum(np.abs(vals) ** 2)).max())
-    return peak / np.cos(np.pi * m / N)
+    d = S.degrees.astype(np.float64)
+    w = np.abs(d * (d - 1.0)) * np.sqrt((np.abs(S.coeffs) ** 2).sum(axis=0))
+    cols = np.flatnonzero(w)
+    p = d[cols] - 2.0
+    ends = np.maximum(np.power.outer(r_lo, p), np.power.outer(r_hi, p))
+    return (1.0 + 1e-12) * (ends @ w[cols])
 
 
 def _certify_null(
@@ -572,12 +560,17 @@ def _certify_null(
     their region, where the maximum principle puts the sup.
 
     (b) is the maximum over the collar grid of _CERT_RADIAL radii r..1, but
-    its rings are measured bound first.  At a fixed angle, the disc
-    distance of G(rho zeta) is L-Lipschitz in rho with L = sup|G'|
-    (_lipschitz), so no grid radius strictly between two measured ones,
-    rho_i < rho_j, exceeds the tent (phi_i + phi_j + L (rho_j - rho_i)) / 2.
-    The rings r and 1 come first, then every gap whose tent, maximised over
-    its angles, reaches the running maximum is bisected, up to
+    its rings are measured bound first.  Between measured radii rho_i and
+    rho_j = rho_i + g, the disc distance phi at an angle zeta obeys
+
+        phi(rho_i + tau) <= B(tau) = phi_i + (tau / g)(phi_j - phi_i) + (M / 2) tau (g - tau)
+
+    on 0 <= tau <= g, with M >= sup|G''| there (_second_derivative_bound):
+    G((rho_i + tau) zeta) lies within (M / 2) tau (g - tau) of its chord, and
+    the disc distance is convex and 1-Lipschitz.  B is concave, so over the
+    grid radii inside the gap it peaks at its vertex clamped to them.  The
+    rings r and 1 come first, then every gap whose bound, maximised over its
+    angles, reaches the running maximum is bisected, up to
     _CERT_RING_BLOCK rings per evaluation.  A gap is skipped only below
     that maximum by the relative margin _CERT_SLACK, far above the rounding
     of the measured values, so cond_b equals the full grid's.  The radial
@@ -617,12 +610,19 @@ def _certify_null(
     cond_b = max(measure([top], Gb[None]), measure([0], G.rings(rho[:1], n)))
     if screen and cond_b >= bd.epsilon:
         return max(cond_a, cond_b)
-    lip = _lipschitz(G)
     lo_i, hi_i = np.array([0]), np.array([top])
     while lo_i.size:
-        half = 0.5 * (rho[hi_i] - rho[lo_i])
-        tent = 0.5 * (phi[lo_i] + phi[hi_i]).max(axis=1) + lip * half
-        split = (tent >= cond_b * (1.0 - _CERT_SLACK)) & (hi_i - lo_i > 1)
+        r_lo, g = rho[lo_i, None], rho[hi_i, None] - rho[lo_i, None]
+        M, dphi = _second_derivative_bound(G, r_lo, rho[hi_i, None]), phi[hi_i] - phi[lo_i]
+        # B's vertex g/2 + x, clamped to the grid radii inside the gap: dividing
+        # only where it lies strictly inside keeps M = 0 and a tiny M g finite
+        x_lo, x_hi = rho[lo_i + 1, None] - r_lo - g / 2, rho[hi_i - 1, None] - r_lo - g / 2
+        Mg = M * g
+        x = np.where(dphi > x_hi * Mg, x_hi, x_lo)
+        np.divide(dphi, Mg, out=x, where=(x_lo * Mg < dphi) & (dphi <= x_hi * Mg))
+        tau = g / 2 + x
+        bound = (phi[lo_i] + tau / g * dphi + M / 2 * tau * (g - tau)).max(axis=1)
+        split = (bound >= cond_b * (1.0 - _CERT_SLACK)) & (hi_i - lo_i > 1)
         lo_i, hi_i = lo_i[split], hi_i[split]
         mid = (lo_i + hi_i) // 2
         for s in range(0, mid.size, _CERT_RING_BLOCK):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullcurves import diagnostics, kernels, pipelines, series
+from nullcurves import diagnostics, kernels, pipelines, rh, series
 from nullcurves.cli import main
 from nullcurves.diagnostics import (
     bounded_coordinate_report,
@@ -312,21 +312,42 @@ def test_recursion_rows_read_the_metric_factor_off_the_spinor(monkeypatch):
 _LEDGER_INT_COLUMNS = ("k", "rh_k")
 
 
-def test_gate_ledgers_match_committed_values():
+def test_gate_ledgers_match_committed_values(monkeypatch):
     """Gate 8 and gate 9 configs against tests/data, to rounding across platforms.
 
     Integer columns must match exactly and every float cell within 1e-10
-    relative; the byte-level sha256 only holds on one platform.
+    relative; the byte-level sha256 only holds on one platform.  The runs
+    also count the collar rings of G that the certificates evaluate: the
+    bound on |G''| keeps them to about a twentieth of the 64-ring grids.
     """
     runs = (
-        ("gate8", run_completeness_recursion, "completeness", 5),
-        ("gate9", run_bounded_third, "bounded_third", 4),
+        ("gate8", run_completeness_recursion, "completeness", 5, 120),
+        ("gate9", run_bounded_third, "bounded_third", 4, 99),
     )
-    for gate, run, pipeline, iterations in runs:
+    certify, rings = rh._certify_null, SeriesMap.rings
+    certified, collar = [], []  # the G under certification; its ring count
+
+    def counted_certify(G, *args, **kwargs):
+        certified.append(G)
+        try:
+            return certify(G, *args, **kwargs)
+        finally:
+            certified.pop()
+
+    def counted_rings(self, radii, n, phases=0.0):
+        if certified and self is certified[-1]:
+            collar[-1] += np.atleast_1d(radii).size
+        return rings(self, radii, n, phases)
+
+    monkeypatch.setattr(rh, "_certify_null", counted_certify)
+    monkeypatch.setattr(SeriesMap, "rings", counted_rings)
+    for gate, run, pipeline, iterations, most_rings in runs:
         cfg = PipelineConfig(
             pipeline=pipeline, iterations=iterations, delta=0.2, arcs=8, epsilon=0.05
         )
+        collar.append(0)
         got = [line.split(",") for line in run(cfg).to_csv().splitlines()]
+        assert collar[-1] <= most_rings, gate
         path = Path(__file__).parent / "data" / ("%s_ledger.csv" % gate)
         want = [line.split(",") for line in path.read_text().splitlines()]
         assert got[0] == want[0] == CSV_HEADER.split(",")

@@ -15,6 +15,7 @@ from nullcurves.errors import (
 )
 from nullcurves import rh
 from nullcurves.geometry import NullVector, SpinorPair, spinor_lift, spinor_project
+from nullcurves.pipelines import catalog
 from nullcurves.rh import (
     TWO_PI,
     BoundaryData,
@@ -653,6 +654,24 @@ def _certify_case(case):
     return F, bd, _rh_null(F, replace(bd, epsilon=10.0), k_fixed=k).G, k
 
 
+def _assert_matches_per_radius(G, F, bd, k, n, orth_dir):
+    """_certify_null against _certify_null_per_radius, field by field."""
+    got = _certify_null(G, F, bd, k, n, orth_dir)
+    cond_a, cond_b, cond_c, cond_d, cond_orth = _certify_null_per_radius(G, F, bd, n, orth_dir)
+    assert got.cond_a == pytest.approx(cond_a, rel=1e-12, abs=1e-15)
+    assert got.cond_b == cond_b
+    if orth_dir is None:
+        assert got.cond_orth is None
+    else:
+        assert got.cond_orth == pytest.approx(cond_orth, rel=1e-12, abs=1e-15)
+    assert got.cond_c == pytest.approx(cond_c, rel=1e-12, abs=1e-15)
+    assert got.cond_d == pytest.approx(cond_d, rel=1e-12, abs=1e-15)
+    assert (got.k, got.r_prime, got.epsilon, got.omega, got.n_samples) == (
+        k, bd.r, bd.epsilon, (bd.arc[0] - 2 * bd.taper, bd.arc[1] + 2 * bd.taper), n
+    )
+    return got
+
+
 @pytest.mark.parametrize(
     "case",
     ["disc", "annulus", "general_orth", "empty_keep_mask", "thin_collar",
@@ -680,23 +699,10 @@ def test_certify_null_matches_per_radius_reference(case):
         off_arc = hb.max(where=~bd.in_padded_arc(theta, 2.0 * bd.taper), initial=0.0)
         assert want_c > 1.1 * max(off_arc, hr.max())
     for orth_dir in (None, orth):
-        got = _certify_null(G, F, bd, k, 1024, orth_dir)
-        cond_a, cond_b, cond_c, cond_d, cond_orth = _certify_null_per_radius(
-            G, F, bd, 1024, orth_dir)
-        assert got.cond_a == pytest.approx(cond_a, rel=1e-12, abs=1e-15)
-        assert got.cond_b == cond_b
-        if orth_dir is None:
-            assert got.cond_orth is None
-        else:
-            assert got.cond_orth == pytest.approx(cond_orth, rel=1e-12, abs=1e-15)
-        assert got.cond_c == pytest.approx(cond_c, rel=1e-12, abs=1e-15)
-        assert got.cond_d == pytest.approx(cond_d, rel=1e-12, abs=1e-15)
+        got = _assert_matches_per_radius(G, F, bd, k, 1024, orth_dir)
         if case != "interior_segment_max":
             assert got.cond_c == pytest.approx(want_c, rel=1e-9, abs=1e-15)
             assert got.cond_d == pytest.approx(want_d, rel=1e-9, abs=1e-15)
-        assert (got.k, got.r_prime, got.epsilon, got.omega, got.n_samples) == (
-            k, bd.r, bd.epsilon, (bd.arc[0] - 2 * bd.taper, bd.arc[1] + 2 * bd.taper), 1024
-        )
 
 
 def test_a_ring_alone_equals_the_ring_in_a_batch():
@@ -710,46 +716,75 @@ def test_a_ring_alone_equals_the_ring_in_a_batch():
         assert np.array_equal(G.circle_values(1.0, n), G.rings(rho[-3:], n)[-1])
 
 
+def _count_collar_rings(monkeypatch, series):
+    """Spy on SeriesMap.rings and rh._second_derivative_bound; returns (radii, bounded).
+
+    A rings call on one of series appends its radii to radii, and each
+    bound call appends its series to bounded, until the test ends.
+    """
+    radii, bounded = [], []
+    rings, bound = SeriesMap.rings, rh._second_derivative_bound
+
+    def counted(self, rr, n, phases=0.0):
+        if any(self is S for S in series):
+            radii.extend(np.atleast_1d(rr).tolist())
+        return rings(self, rr, n, phases)
+
+    def counted_bound(S, r_lo, r_hi):
+        bounded.append(S)
+        return bound(S, r_lo, r_hi)
+
+    monkeypatch.setattr(SeriesMap, "rings", counted)
+    monkeypatch.setattr(rh, "_second_derivative_bound", counted_bound)
+    return radii, bounded
+
+
 def test_thin_collar_measures_few_rings(monkeypatch):
     """(b) alone decides which collar rings of G are evaluated.
 
     The radial segments of (c)/(d) are read by Horner at every grid radius,
     so a segment that holds the sup (interior_segment_max) or a wide
-    annulus collar costs no rings; one Lipschitz bound, sup|G'|, serves.
+    annulus collar costs no rings.  The bound on |G''| between measured
+    rings skips a gap whose values fall off its ends, as they do off the
+    ring r that holds the maximum on a collar at its floor.
     """
-    bounds = {"thin_collar": 24, "interior_segment_max": 8, "annulus": 9}
+    bounds = {"thin_collar": 2, "interior_segment_max": 3, "annulus": 4, "disc": 8,
+              "general_orth": 8, "annulus_wide_collar": 7}
     cases = {case: _certify_case(case) for case in bounds}
-    radii, bounded = [], []
-    original, lipschitz = SeriesMap.rings, rh._lipschitz
-
-    def counted(self, rr, n, phases=0.0):
-        if any(self is G for _, _, G, _ in cases.values()):
-            radii.extend(np.atleast_1d(rr).tolist())
-        return original(self, rr, n, phases)
-
-    def counted_lipschitz(S):
-        bounded.append(S)
-        return lipschitz(S)
-
-    monkeypatch.setattr(SeriesMap, "rings", counted)
-    monkeypatch.setattr(rh, "_lipschitz", counted_lipschitz)
+    radii, bounded = _count_collar_rings(monkeypatch, [G for _, _, G, _ in cases.values()])
     for case, most in bounds.items():
         F, bd, G, k = cases[case]
         radii.clear()
         bounded.clear()
-        cert = _certify_null(G, F, bd, k, rh._NULL_N, None)
+        orth = _unit([0.3 - 0.2j, -1.1 + 0.5j, 0.7j]) if case == "general_orth" else None
+        cert = _certify_null(G, F, bd, k, rh._NULL_N, orth)
         assert cert.valid == (case == "thin_collar")
         grid = np.linspace(bd.r, 1.0, 64)
         assert np.isin(radii, grid).all() and len(set(radii)) == len(radii)
         assert len(radii) <= most, case
-        assert len(bounded) == 1 and bounded[0] is G, case
+        assert bounded and all(S is G for S in bounded), case
 
 
-def _lipschitz_reference(S, oversample=16):
-    """max |S'| sampled at about 16 samples per degree on each boundary circle."""
-    d = S.derivative()
-    n = 1 << (oversample * d.width - 1).bit_length()
-    vals = d.rings(d.boundary_radii, n)
+def test_wide_push_certificate_measures_few_rings(monkeypatch):
+    """A k = 8192 certificate measures a handful of its 64 collar rings.
+
+    The bound on |G''| is read off the coefficients, so it takes no samples
+    and costs little at any width.
+    """
+    F = linear_curve()
+    bd = linear_datum(mu=np.array([0.05]), r=0.9997)
+    G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=8192).G
+    radii, _ = _count_collar_rings(monkeypatch, [G])
+    cert = _certify_null(G, F, bd, 8192, rh._NULL_N, None)
+    assert G.width > 16000 and cert.valid
+    assert len(radii) <= 12
+
+
+def _second_derivative_reference(S, r_lo, r_hi, oversample=16):
+    """max |S''| sampled on the circles r_lo and r_hi, 16 samples per degree or more."""
+    d2 = S.derivative().derivative()
+    n = 1 << (oversample * d2.width - 1).bit_length()
+    vals = d2.rings([r_lo, r_hi], n)
     return float(np.sqrt((np.abs(vals) ** 2).sum(axis=2)).max())
 
 
@@ -759,7 +794,7 @@ def _lipschitz_reference(S, oversample=16):
     annulus=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lipschitz_bound_brackets_the_sup_of_the_derivative(width, annulus, seed):
+def test_second_derivative_bound_covers_the_sampled_sup(width, annulus, seed):
     r = np.random.default_rng(seed)
     coeffs = r.normal(size=(3, width)) + 1j * r.normal(size=(3, width))
     if annulus:
@@ -767,17 +802,77 @@ def test_lipschitz_bound_brackets_the_sup_of_the_derivative(width, annulus, seed
         S = SeriesMap(coeffs, lo, "annulus", float(r.uniform(0.7, 0.95)))
     else:
         S = SeriesMap(coeffs, 0, "disc")
-    sampled = _lipschitz_reference(S)
-    bound = rh._lipschitz(S)
-    assert sampled <= bound <= 1.5 * sampled
+    inner = S.r0 if annulus else 0.0
+    r_lo, r_hi = np.sort(r.uniform(inner, 1.0, 2))
+    bound = rh._second_derivative_bound(S, r_lo, r_hi)
+    assert _second_derivative_reference(S, r_lo, r_hi) <= bound
 
 
-def test_lipschitz_bound_past_its_sampling_cap_is_trivial():
-    # S' of width 8194 has degree m = 4097 and needs 4m = 16388 samples,
-    # past the cap of 16384; at width 8193, m = 4096 fits
-    coeffs = np.ones((3, 8195), dtype=complex)
-    assert rh._lipschitz(SeriesMap(coeffs[:, :8194], 0, "disc")) < np.inf
-    assert rh._lipschitz(SeriesMap(coeffs, 0, "disc")) == np.inf
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 650, 8192, -1, -5])
+def test_second_derivative_bound_of_a_monomial(degree):
+    """|c| |d (d - 1)| rho^(d - 2) at the circle where that power peaks, padded by 1e-12."""
+    c = np.array([0.3 - 1.2j, 0.5j, -2.0])
+    domain, r0 = ("annulus", 0.3) if degree < 0 else ("disc", None)
+    S = SeriesMap(c[:, None], degree, domain, r0)
+    r_lo, r_hi = 0.55, 0.9
+    want = np.linalg.norm(c) * abs(degree * (degree - 1)) * (
+        r_hi if degree >= 2 else r_lo) ** (degree - 2)
+    got = rh._second_derivative_bound(S, np.array([r_lo, r_lo]), np.array([r_hi, r_hi]))
+    assert got.shape == (2,) and got[0] == got[1]
+    if degree in (0, 1):
+        assert got[0] == 0.0
+    else:
+        assert want <= got[0] == pytest.approx(want * (1 + 1e-12), rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-310])
+def test_certificate_of_a_nearly_affine_push(c):
+    """M = 0, and an M g so small that (phi_j - phi_i) / (M g) would overflow.
+
+    G = F + c z^2 V1 on the linear curve, so M = 2 sqrt 2 c, and the vertex
+    lies past an end of every gap; warnings are errors under tier-1.
+    """
+    F = linear_curve()
+    bump = np.zeros((3, 3), dtype=complex)
+    bump[:, 2] = c * V1
+    G = F + SeriesMap(bump, 0, "disc")
+    assert rh._second_derivative_bound(G, 0.5, 1.0) == pytest.approx(2 * np.sqrt(2) * c)
+    bd = linear_datum(r=0.5)
+    _assert_matches_per_radius(G, F, bd, 0, 1024, None)
+
+
+@pytest.mark.parametrize("domain", ["disc", "annulus"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    k=st.integers(96, 6000),
+    mu=st.lists(st.floats(0.0, 0.2), min_size=1, max_size=4),
+    start=st.floats(0.0, TWO_PI),
+    width=st.floats(0.3, 3.0),
+    taper=st.floats(0.02, 0.45),
+    direction=st.sampled_from([V1, V2, [0.0, 1.0, 1j], [1j, 0.0, 1.0]]),
+    r=st.floats(0.6, 0.99),
+    epsilon=st.sampled_from([0.02, 0.05, 0.2, 1.0]),
+)
+def test_certificate_bound_is_sound(domain, data, k, mu, start, width, taper, direction, r,
+                                    epsilon):
+    """Whatever the push, the bound-first certificate is the per-radius one.
+
+    A skipped gap that held the maximum would lower cond_b; the screen must
+    stop exactly the pushes whose (a) or (b) reaches epsilon.
+    """
+    names = ["annulus_basic"] if domain == "annulus" else ["linear_v1", "cubic_enneper_like"]
+    F = catalog(data.draw(st.sampled_from(names)))
+    bd = BoundaryData(arc=(start, start + width), mu=np.array(mu),
+                      theta=NullVector(np.array(direction, dtype=complex)),
+                      taper=taper * width, epsilon=epsilon, r=r)
+    G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=k).G
+    got = _assert_matches_per_radius(G, F, bd, k, rh._NULL_N, _unit([0, 0, 1]))
+    screened = _certify_null(G, F, bd, k, rh._NULL_N, None, screen=True)
+    if max(got.cond_a, got.cond_b) >= epsilon:
+        assert isinstance(screened, float) and screened <= max(got.cond_a, got.cond_b)
+    else:
+        assert replace(screened, cond_orth=got.cond_orth) == got
 
 
 @pytest.mark.parametrize(
