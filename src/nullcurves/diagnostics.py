@@ -88,7 +88,8 @@ def _polar_weights(
     and k2 in (u, v): on the gate-9 curve after its k doubles, 3180 nonzero
     columns against 259, on three components against two.  The outer node
     ring checks the spinor against |F'| there (ValueError past 1e-9 of the
-    ring's max), so a spinor of another curve never yields weights.
+    ring's max), so a spinor of another curve never yields weights.  A
+    factor that overflows on the node rings raises DomainError.
     """
     dth = 2.0 * math.pi / nang
     source = F.derivative() if spinor is None else SeriesMap.stack([spinor.u, spinor.v])
@@ -98,7 +99,12 @@ def _polar_weights(
         sq = (np.abs(vals) ** 2).sum(axis=2)
         return np.sqrt(sq) if spinor is None else _SQRT2 * sq
 
-    nodes = lam(radii)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = lam(radii)
+    if not np.isfinite(nodes).all():
+        # an inf would meet the zero tangential length at r = 0 as NaN,
+        # which the shortest-path kernel refuses without naming the cause
+        raise DomainError("metric factor |F'| overflows on the grid")
     if not np.all(nodes > 0.0):
         raise DegenerateImmersionError(
             "metric factor vanishes on the grid; the map is not an immersion there"
@@ -195,7 +201,7 @@ def bounded_coordinate_report(F: SeriesMap, n: int = 4096) -> Tuple[float, float
     """
     if F.ncomp != 3:
         raise ValueError("bounded_coordinate_report expects a 3-component curve")
-    boundary = F.rings(F.boundary_radii, n).reshape(-1, 3)
+    boundary = np.concatenate([F.circle_values(r, n) for r in F.boundary_radii])
     sup_f3 = float(np.abs(boundary[:, 2]).max())
     min_12 = float(np.sqrt((np.abs(boundary[:, :2]) ** 2).sum(axis=1)).min())
     return sup_f3, min_12

@@ -30,6 +30,7 @@ is measured.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -132,29 +133,53 @@ class BoundaryData:
         d = np.mod(np.asarray(theta, dtype=np.float64) - self.arc[0], TWO_PI)
         return np.where(d <= self.width, d, np.nan)
 
-    def mu_at(self, theta):
+    def _chi_mu(self, theta):
+        """(chi, mu) at theta: the taper and the interpolated samples, 0 off the arc."""
         d = self._offset(theta)
-        x = np.where(np.isnan(d), 0.0, d) / self.width * (self.mu.shape[0] - 1)
-        vals = np.interp(x, np.arange(self.mu.shape[0]), self.mu)
-        return np.where(np.isnan(d), 0.0, vals)
-
-    def chi_at(self, theta):
-        d = self._offset(theta)
-        x = np.where(np.isnan(d), 0.0, d)
-        up = ramp(x / self.taper)
-        down = ramp((self.width - x) / self.taper)
-        return np.where(np.isnan(d), 0.0, np.minimum(up, down))
+        off = np.isnan(d)
+        x = np.where(off, 0.0, d)
+        mu = np.interp(x / self.width * (self.mu.shape[0] - 1),
+                       np.arange(self.mu.shape[0]), self.mu)
+        chi = np.minimum(ramp(x / self.taper), ramp((self.width - x) / self.taper))
+        return np.where(off, 0.0, chi), np.where(off, 0.0, mu)
 
     def amplitude_at(self, theta):
         """The realized kappa amplitude chi^2 * mu."""
-        return self.chi_at(theta) ** 2 * self.mu_at(theta)
+        chi, mu = self._chi_mu(theta)
+        return chi ** 2 * mu
 
     def sqrt_amplitude_at(self, theta):
-        return self.chi_at(theta) * np.sqrt(self.mu_at(theta))
+        chi, mu = self._chi_mu(theta)
+        return chi * np.sqrt(mu)
 
     def in_padded_arc(self, theta, pad: float):
         d = np.mod(np.asarray(theta, dtype=np.float64) - (self.arc[0] - pad), TWO_PI)
         return d <= self.width + 2.0 * pad
+
+    @cached_property
+    def _fit_grid(self):
+        """chi, mu and the arc padded by 2*taper and by taper on the _FIT_N grid.
+
+        Computed once, read-only, at theta_j = TWO_PI * j / _FIT_N.  For n
+        = _FIT_N / 2^e, TWO_PI * arange(n) / n is bit for bit every 2^e-th
+        of these angles, so _on_grid slices the samples at n points out.
+        """
+        theta = TWO_PI * np.arange(_FIT_N) / _FIT_N
+        pads = (2.0 * self.taper, self.taper)
+        grid = (*self._chi_mu(theta),
+                np.stack([self.in_padded_arc(theta, pad) for pad in pads]))
+        for a in grid:
+            a.flags.writeable = False
+        return grid
+
+    def _on_grid(self, n: int):
+        """(amplitude chi^2 mu, keep-masks off the arc padded by 2*taper and
+        by taper) at theta_j = TWO_PI * j / n, read off _fit_grid."""
+        step = _FIT_N // n  # _FIT_N is a power of two, so its divisors are too
+        if step * n != _FIT_N:
+            raise ValueError("%d samples do not divide the %d of the fit grid" % (n, _FIT_N))
+        chi, mu, padded = self._fit_grid
+        return chi[::step] ** 2 * mu[::step], ~padded[:, ::step]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -492,8 +517,8 @@ def _fit_boundary_profile(bd: BoundaryData, m: int):
     radius: the level the k-search's worst case settles at as k grows.
     """
     n = _FIT_N
-    theta = TWO_PI * np.arange(n) / n
-    prof = bd.sqrt_amplitude_at(theta)
+    chi, mu, _ = bd._fit_grid
+    prof = chi * np.sqrt(mu)
     bins = np.fft.fft(prof) / n
     coeffs = bins[np.mod(np.arange(-m, m + 1), n)]
     fit = SeriesMap(coeffs[None, :], -m, "annulus", 0.5)  # any annulus holds it
@@ -586,10 +611,11 @@ def _certify_null(
     n = n_boundary
     theta = TWO_PI * np.arange(n) / n
     lo, hi = bd.arc
-    pad1, pad2 = bd.taper, 2.0 * bd.taper
+    pad2 = 2.0 * bd.taper
 
     Fb = F.circle_values(1.0, n)
-    rays = bd.amplitude_at(theta)[:, None] * bd.theta.v[None, :]
+    amplitude, keep = bd._on_grid(n)
+    rays = amplitude[:, None] * bd.theta.v[None, :]
     rho = np.linspace(bd.r, 1.0, _CERT_RADIAL)
     top = _CERT_RADIAL - 1
     Gb = G.circle_values(1.0, n)  # the ring rho[top] = 1
@@ -598,7 +624,6 @@ def _certify_null(
         return cond_a
 
     # (b) reads the collar over the padded arc against the projected discs
-    keep = ~np.stack([bd.in_padded_arc(theta, pad) for pad in (pad2, pad1)])
     idx = np.flatnonzero(~keep[0])
     phi = np.empty((_CERT_RADIAL, idx.size))  # disc distances, by radius
 
@@ -687,11 +712,11 @@ def _collar_floor(F: SeriesMap, bd: BoundaryData) -> float:
     of the ring r, so cond_b >= D - sup|h(r .)| and cond_c >= sup|h(r .)|:
     no k and no fit degree brings both below D/2, which this returns.
     """
-    n = _NULL_N
-    theta = TWO_PI * np.arange(n) / n
-    idx = np.flatnonzero(bd.in_padded_arc(theta, 2.0 * bd.taper))
-    Fb, Fr = F.rings([1.0, bd.r], n)[:, idx]
-    rays = bd.amplitude_at(theta[idx])[:, None] * bd.theta.v[None, :]
+    amplitude, keep = bd._on_grid(_NULL_N)
+    idx = np.flatnonzero(~keep[0])
+    Fb = F.circle_values(1.0, _NULL_N)[idx]
+    Fr = F.circle_values(bd.r, _NULL_N)[idx]
+    rays = amplitude[idx, None] * bd.theta.v[None, :]
     return 0.5 * float(disc_distance(Fr, Fb, rays).max())
 
 

@@ -37,6 +37,9 @@ FIT_LEAK_TOL = 1e-7
 _CONV_FFT_CUTOFF = 1024
 # the largest z**-1 coefficient an annulus antiderivative drops
 _RESIDUE_TOL = 1e-8
+# complex entries of padded window that rings scales and folds at a time:
+# 512 KB of scratch
+_RINGS_SCRATCH = 1 << 15
 
 
 def _fast_length(n: int) -> int:
@@ -106,6 +109,7 @@ class SeriesMap:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "degree_lo", lo)
+        object.__setattr__(self, "_unit_circle", {})  # n -> circle_values(1.0, n)
 
     # -- basic queries ----------------------------------------------------
 
@@ -316,13 +320,18 @@ class SeriesMap:
         """Values on circles: z = radii[i]*exp(i(2pi j/n + phases[i])) -> (R, n, ncomp).
 
         Exact wrapped-FFT evaluation of the truncated series; no aliasing
-        constraint because this is evaluation, not fitting.  Each ring is
-        scaled and folded mod n on its own, which keeps the scratch memory
-        at one ring's worth for wide series; the FFT runs once over all
+        constraint because this is evaluation, not fitting.  The rings are
+        scaled as arrays, as many at a time as fit _RINGS_SCRATCH entries of
+        padded window: one np.power.outer of the block's radii, its phase
+        factors exp(i phase d) (kept while the next block has the same
+        phases, as when every ring shares one; rings of phase 0 are not
+        multiplied), and one reshape-sum that folds the window mod n, block
+        of n after block of n.  The FFT then runs once, in place, over all
         rings.  Only the nonzero columns are scaled: a pushed curve's window
         is mostly zero runs, and a zero column adds an exact zero to the
         fold, so skipping it changes no sum (and never forms 0 * inf where
-        radius ** d overflows).
+        radius ** d overflows).  Every ring gets the bits it would get on
+        its own, whatever rings share its call.
         """
         radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
         phases = np.broadcast_to(np.asarray(phases, dtype=np.float64), radii.shape)
@@ -334,31 +343,55 @@ class SeriesMap:
         # degrees are contiguous, so the mod-n fold is a padded reshape-sum
         off = self.degree_lo % n
         nblocks = -(-(off + self.width) // n)
-        buf = np.zeros((self.ncomp, nblocks * n), dtype=np.complex128)
-        window = buf[:, off : off + self.width]
+        step = max(1, _RINGS_SCRATCH // (self.ncomp * nblocks * n))
+        buf = np.zeros((min(step, radii.size), self.ncomp, nblocks * n), dtype=np.complex128)
+        window = buf[:, :, off : off + self.width]
         folded = np.empty((radii.size, self.ncomp, n), dtype=np.complex128)
         fd = d.astype(np.float64)
-        for i, (radius, phase) in enumerate(zip(radii, phases)):
-            scale = radius ** fd
-            if phase != 0.0:
-                scale = scale * np.exp(1j * phase * d)
-            window[:, cols] = coeffs * scale[None, :]
-            folded[i] = buf.reshape(self.ncomp, nblocks, n).sum(axis=1)
-        vals = n * np.fft.ifft(folded, axis=2)
+        turn, last = None, ()  # the phase factors of the last block's phases
+        for s in range(0, radii.size, step):
+            e = min(s + step, radii.size)
+            scale = np.power.outer(radii[s:e], fd)
+            ph = phases[s:e]
+            if ph.any():
+                if not np.array_equal(ph, last):
+                    turn, last = np.exp(np.multiply.outer(1j * ph, d)), ph
+                turned = scale.astype(np.complex128)
+                np.multiply(scale, turn, out=turned, where=(ph != 0.0)[:, None])
+                scale = turned
+            window[: e - s, :, cols] = coeffs * scale[:, None, :]
+            np.sum(buf[: e - s].reshape(e - s, self.ncomp, nblocks, n), axis=2,
+                   out=folded[s:e])
+        vals = np.fft.ifft(folded, axis=2, out=folded)
+        vals *= n
         return vals.transpose(0, 2, 1)
 
     def circle_values(self, radius: float, n: int, phase: float = 0.0) -> np.ndarray:
-        """Values at z = radius*exp(i(2pi j/n + phase)), j = 0..n-1 -> (n, ncomp)."""
-        return self.rings(radius, n, phase)[0]
+        """Values at z = radius*exp(i(2pi j/n + phase)), j = 0..n-1 -> (n, ncomp).
+
+        The unit circle's values are kept per n once computed, read-only,
+        so every caller of one curve shares one sampling.
+        """
+        if radius != 1.0 or phase != 0.0:
+            return self.rings(radius, n, phase)[0]
+        vals = self._unit_circle.get(n)
+        if vals is None:
+            vals = self.rings(1.0, n)[0]
+            vals.flags.writeable = False
+            self._unit_circle[n] = vals
+        return vals
 
     def sup_boundary(self, n: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
         """Max euclidean norm over n outer-circle samples (and inner, annulus).
 
         Components are holomorphic so each |component| is subharmonic and
-        the closed-domain sup sits on the boundary.
+        the closed-domain sup sits on the boundary.  The unit circle comes
+        from circle_values; the inner circle is sampled here and not kept.
         """
-        vals = self.rings(self.boundary_radii, n)
-        return float(np.sqrt((np.abs(vals) ** 2).sum(axis=2)).max())
+        return max(
+            float(np.sqrt((np.abs(self.circle_values(r, n)) ** 2).sum(axis=1)).max())
+            for r in self.boundary_radii
+        )
 
 
 def fit_from_boundary(

@@ -251,6 +251,18 @@ def test_verify_disc_curve(capsys, tmp_path):
     assert report["embedded"]["n_samples"] > 0
 
 
+def test_verify_overflowing_metric_factor_is_domain_error(capsys, tmp_path):
+    # finite coefficients whose |F'|^2 overflows: the weights would meet the
+    # zero tangential length at the centre as inf * 0
+    curve = tmp_path / "curve.json"
+    big = series.SeriesMap.from_components([[0.0, 1e308], [0.0, 1e308j], [0.0, 0.0]])
+    curve.write_text(series.to_json(big))
+    code, out, err = run(capsys, "verify", str(curve))
+    assert code == 1
+    assert out == ""
+    assert "metric factor" in err and "overflows" in err
+
+
 def test_verify_annulus_reports_periods(capsys, tmp_path):
     curve = tmp_path / "curve.json"
     run(capsys, "construct", "annulus_basic", "--out", str(curve))

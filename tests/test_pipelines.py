@@ -23,7 +23,7 @@ from nullcurves.errors import (
     PoleError,
     ToleranceUnachievableError,
 )
-from nullcurves.geometry import bryant_project, tmap
+from nullcurves.geometry import NullVector, bryant_project, tmap
 from nullcurves.pipelines import (
     CSV_HEADER,
     GrowthLedger,
@@ -367,6 +367,32 @@ def test_runs_are_deterministic():
     a = run_completeness_recursion(cfg).to_csv()
     b = run_completeness_recursion(cfg).to_csv()
     assert a == b
+
+
+def test_push_round_samples_each_curve_once_on_the_unit_circle(monkeypatch):
+    """A fixed-k round of 2 arcs: the collar floor, the certificate, the
+    growth check and the round's start share one unit-circle sampling per
+    curve at n = 4096."""
+    rings, sampled = SeriesMap.rings, {}
+
+    def counted(self, radii, n, phases=0.0):
+        if n == 4096 and 1.0 in np.atleast_1d(radii):
+            # the entry keeps self alive, so no later curve reuses its id
+            sampled.setdefault(id(self), [self, 0])[1] += 1
+        return rings(self, radii, n, phases)
+
+    monkeypatch.setattr(SeriesMap, "rings", counted)
+    cfg = PipelineConfig(arcs=2, iterations=1)
+    v2 = NullVector(np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0))
+    F = catalog("linear_v1")
+    k = pipelines._round_frequency(cfg.mu_cap, cfg.k_max)
+    G, _, _, certs, _ = pipelines._push_round(
+        cfg, lambda curve, arc, rnd: (v2, "V2", None, None), 1, F, None, cfg.mu_cap, k
+    )
+    assert [c.k for c in certs] == [k, k]
+    counts = {key: count for key, (_, count) in sampled.items()}
+    assert counts[id(F)] == 1 and counts[id(G)] == 1
+    assert set(counts.values()) == {1}
 
 
 def test_pipeline_name_checked():

@@ -308,6 +308,42 @@ def test_amplitude_profile_taper():
     assert np.abs(np.diff(amp)).max() < 1e-2
 
 
+def _grid(n):
+    return TWO_PI * np.arange(n) / n
+
+
+def test_fit_grid_halves_are_the_coarser_grids():
+    for step in (2, 4, 8):
+        assert np.array_equal(_grid(rh._FIT_N)[::step], _grid(rh._FIT_N // step))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_boundary_samples_equal_the_profile_on_their_grids(seed):
+    rng = np.random.default_rng(seed)
+    width = rng.uniform(0.3, 6.0)
+    lo = rng.uniform(-TWO_PI, TWO_PI)
+    if seed % 2:
+        lo = -rng.uniform(0.0, width)  # the arc crosses theta = 0
+    mu = rng.uniform(0.0, 0.2, rng.integers(1, 12))
+    bd = linear_datum(arc=(lo, lo + width), mu=mu, taper=rng.uniform(0.01, 0.5) * width)
+    # _push_round halves a one-sample mu until the growth fits its allowance
+    halved = linear_datum(arc=bd.arc, mu=np.array([mu[0] * 0.5 ** seed]), taper=bd.taper)
+    for datum in (bd, halved):
+        chi, mu_grid, padded = datum._fit_grid
+        prof = chi * np.sqrt(mu_grid)
+        assert np.array_equal(prof, datum.sqrt_amplitude_at(_grid(rh._FIT_N)))
+        for n in (rh._NULL_N, 1024):
+            theta = _grid(n)
+            amplitude, keep = datum._on_grid(n)
+            assert np.array_equal(amplitude, datum.amplitude_at(theta))
+            pads = (2.0 * datum.taper, datum.taper)
+            assert np.array_equal(keep, [~datum.in_padded_arc(theta, p) for p in pads])
+        with pytest.raises(ValueError):
+            chi[0] = 1.0
+    with pytest.raises(ValueError):
+        bd._on_grid(3000)
+
+
 def test_certificate_json_roundtrip():
     cert = RHCertificate(
         k=6,

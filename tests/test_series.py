@@ -135,19 +135,110 @@ def test_circle_values_wide_span_exact():
     assert np.abs(vals[:, 0] - z**300).max() < 1e-12
 
 
-def _rings_reference(s, radii, n, phases):
-    """rings with the phase factor on every ring, one ring at a time."""
-    d = s.degrees
+@pytest.mark.parametrize("domain", ["disc", "annulus"])
+def test_unit_circle_is_sampled_once_and_read_only(domain, monkeypatch):
+    c = np.random.default_rng(3).normal(size=(3, 30)) + 0.5j
+    s = SeriesMap(c, -9 if domain == "annulus" else 0, domain,
+                  0.4 if domain == "annulus" else None)
+    rings, calls = SeriesMap.rings, []
+
+    def counted(self, radii, n, phases=0.0):
+        calls.append(tuple(np.atleast_1d(radii)))
+        return rings(self, radii, n, phases)
+
+    monkeypatch.setattr(SeriesMap, "rings", counted)
+    unit = s.circle_values(1.0, 64)
+    assert s.circle_values(1.0, 64) is unit and s.circle_values(1.0, 32) is not unit
+    want = np.sqrt((np.abs(rings(s, s.boundary_radii, 64)) ** 2).sum(axis=2)).max()
+    assert s.sup_boundary(64) == want
+    # the unit circle once per n; the inner circle is sampled again, not kept
+    assert calls == [(1.0,), (1.0,)] + [(r,) for r in s.boundary_radii[1:]]
+    with pytest.raises(ValueError):
+        unit[0, 0] = 0.0
+    assert _same_bits(unit, rings(s, 1.0, 64)[0])
+
+
+def _rings_reference(s, radii, n, phases=0.0):
+    """rings one ring at a time: each scaled and folded mod n on its own.
+
+    Only the nonzero columns are scaled, and only rings of nonzero phase are
+    turned, as in the batched sampler, which must give the same bits.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
+    phases = np.broadcast_to(np.asarray(phases, dtype=np.float64), radii.shape)
+    cols = np.flatnonzero(s.coeffs.any(axis=0))
+    d = s.degrees[cols]
     off = s.degree_lo % n
     nblocks = -(-(off + s.width) // n)
-    out = []
-    for radius, phase in zip(radii, phases):
-        scale = (radius ** d.astype(np.float64)) * np.exp(1j * phase * d)
-        buf = np.zeros((s.ncomp, nblocks * n), dtype=np.complex128)
-        buf[:, off : off + s.width] = s.coeffs * scale[None, :]
-        folded = buf.reshape(s.ncomp, nblocks, n).sum(axis=1)
-        out.append((n * np.fft.ifft(folded, axis=1)).T)
-    return np.stack(out)
+    buf = np.zeros((s.ncomp, nblocks * n), dtype=np.complex128)
+    folded = np.empty((radii.size, s.ncomp, n), dtype=np.complex128)
+    for i, (radius, phase) in enumerate(zip(radii, phases)):
+        scale = radius ** d.astype(np.float64)
+        if phase != 0.0:
+            scale = scale * np.exp(1j * phase * d)
+        buf[:, off + cols] = s.coeffs[:, cols] * scale[None, :]
+        folded[i] = buf.reshape(s.ncomp, nblocks, n).sum(axis=1)
+    return (n * np.fft.ifft(folded, axis=2)).transpose(0, 2, 1)
+
+
+def _same_bits(a, b):
+    """a and b hold the same float64 bits, signed zeros and NaN included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _sparse_series(rng, width, lo, domain, zero_share):
+    """Random coefficients over [lo, lo + width) with zero runs and single zeros."""
+    c = rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width))
+    c[:, rng.uniform(size=width) < zero_share] = 0.0
+    for start in rng.integers(0, width, 4):
+        c[:, start : start + width // 10] = 0.0
+    c[1, rng.uniform(size=width) < 0.1] = 0.0  # zeros inside a nonzero column
+    return SeriesMap(c, lo, domain, 0.3 if domain == "annulus" else None)
+
+
+@pytest.mark.parametrize("domain", ["disc", "annulus"])
+@pytest.mark.parametrize(
+    "case", ["wraps", "many_blocks", "overflow", "scalar_phase", "per_ring_phase",
+             "past_one_block"]
+)
+def test_rings_equal_the_per_ring_loop(domain, case):
+    rng = np.random.default_rng(["wraps", "many_blocks", "overflow", "scalar_phase",
+                                 "per_ring_phase", "past_one_block"].index(case))
+    lo = -23 if domain == "annulus" else 5
+    s = _sparse_series(rng, 40, lo, domain, 0.3)
+    n, radii = 16, np.linspace(0.3, 1.0, 7)
+    phases = 0.0
+    if case == "many_blocks":  # the window folds into 16 or 17 blocks of n
+        lo = -3001 if domain == "annulus" else 0
+        s, n = _sparse_series(rng, 8000, lo, domain, 0.5), 512
+        radii = np.linspace(0.9, 1.0, 7)  # 0.9 ** -3001 stays finite
+    elif case == "overflow":
+        # three nonzero columns amid zero ones at degrees where 0.3 ** d
+        # overflows (annulus) or underflows (disc)
+        c = np.zeros((3, 3001), dtype=complex)
+        c[:, 1500:1503] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        lo = -1500 if domain == "annulus" else 0
+        s = SeriesMap(c, lo, domain, 0.3 if domain == "annulus" else None)
+        radii = np.array([0.3, 1.0])
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(0.3) ** -1500.0)
+    elif case == "scalar_phase":
+        phases = 0.37
+    elif case == "per_ring_phase":
+        phases = rng.uniform(-np.pi, np.pi, radii.size)
+        phases[[1, 4]] = 0.0  # rings of phase 0 among turned ones
+    elif case == "past_one_block":
+        # more rings than one scratch block holds: the first block turns by
+        # one phase, the next two by another, and every 7th ring not at all
+        nblocks = -(-(s.degree_lo % n + s.width) // n)
+        per_block = series._RINGS_SCRATCH // (s.ncomp * nblocks * n)
+        radii = rng.uniform(0.3, 1.0, 2 * per_block + 3)
+        phases = np.where(np.arange(radii.size) < per_block, 0.5, -1.25)
+        phases[::7] = 0.0
+    got, want = s.rings(radii, n, phases), _rings_reference(s, radii, n, phases)
+    assert np.isfinite(got).all()
+    assert _same_bits(got, want) and got.strides == want.strides
 
 
 def _ring_maps():
