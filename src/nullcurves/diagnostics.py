@@ -92,14 +92,15 @@ def _polar_weights(
     factor that overflows on the node rings raises DomainError.
     """
     dth = 2.0 * math.pi / nang
-    source = F.derivative() if spinor is None else SeriesMap.stack([spinor.u, spinor.v])
 
     def lam(rads, phases=0.0):
         vals = source.rings(rads, nang, phases)
         sq = (np.abs(vals) ** 2).sum(axis=2)
         return np.sqrt(sq) if spinor is None else _SQRT2 * sq
 
+    # F' itself may overflow (d c_d), which the node rings then report
     with np.errstate(over="ignore", invalid="ignore"):
+        source = F.derivative() if spinor is None else SeriesMap.stack([spinor.u, spinor.v])
         nodes = lam(radii)
     if not np.isfinite(nodes).all():
         # an inf would meet the zero tangential length at r = 0 as NaN,

@@ -11,21 +11,26 @@ integration the boundary circle term has exactly the tapered amplitude;
 the cross term decays like 1/sqrt(k) and the certificate measures
 everything rather than assuming it.
 
-The null certificate samples h = G - F on the boundary of the region it
-claims, where the sup sits: its circles through the wrapped-FFT ring
-sampler, and the radial segments at the keep-masks' ends through one
-SeriesMap.eval_many, the blocked Horner kernel, at every collar radius.
-(b) is the maximum over 64 collar radii, but their rings are measured
-bound first: with M a bound on |G''| read off the coefficients, no radius
-between two measured ones exceeds the chord of their values plus
-(M/2) tau (gap - tau), so only gaps whose bound reaches the running
-maximum are bisected (see _certify_null).
+Both solvers certify through one function, _certify_null, which reads a
+sampled target rather than a datum: the radius vector of the target disc
+at each of n angles, the angles where (c) and (d) read the unit circle,
+the collar radius and the tolerance.  A null push samples its datum's
+target once; rh_approx samples c(z) once, and its empty keep-masks make
+(c) and (d) the closeness on the ring r'.  The certificate samples h =
+G - F on the boundary of the region it claims, where the sup sits: its
+circles through the wrapped-FFT ring sampler, and the radial segments at
+the keep-masks' ends through one SeriesMap.eval_many, the blocked Horner
+kernel, at every collar radius.  (b) is the maximum over 64 collar radii,
+but their rings are measured bound first: with M a bound on |G''| read off
+the coefficients, no radius between two measured ones exceeds the chord
+of their values plus (M/2) tau (gap - tau), so only gaps whose bound
+reaches the running maximum are bisected.
 A null push decides before it builds anything: a datum whose collar floor
 reaches epsilon is refused, and the fit degree of the amplitude root is
-read off the fit's own floor, so each push runs one k-search.  The search
-screens its attempts: one whose (a) on the unit circle, or whose running
-(b), already reaches epsilon is dropped before the rest of its certificate
-is measured.
+read off the fit's own floor, so each push runs one k-search.  Both
+searches screen their attempts: one whose (a) on the unit circle, or whose
+running (b), already reaches epsilon is dropped before the rest of its
+certificate is measured.
 """
 
 import json
@@ -46,7 +51,7 @@ from .series import SeriesMap
 from .weierstrass import kill_periods, periods
 
 K_MAX = 1 << 16
-# boundary samples per circle of the null push's certificate and collar floor
+# boundary samples per circle of the certificate's target and the collar floor
 _NULL_N = 4096
 # fit degree m of the null push's boundary profile: the first tried, and the
 # largest the fit floor may call for
@@ -54,7 +59,7 @@ _FIT_M_INIT = 64
 _FIT_M_MAX = 256
 # samples of the boundary profile that the fit and its floor read
 _FIT_N = 8192
-# radii of the certificates' collar grids, r..1
+# radii of the certificate's collar grid, r..1
 _CERT_RADIAL = 64
 # the null certificate evaluates at most this many collar radii at a time
 _CERT_RING_BLOCK = 8
@@ -353,36 +358,6 @@ class BoundaryDiscFamily:
         return c.circle_values(1.0, n)
 
 
-def _certify_approx(
-    f: SeriesMap,
-    fam: BoundaryDiscFamily,
-    F: SeriesMap,
-    k: int,
-    r_prime: float,
-    eps: float,
-    n_boundary: int,
-) -> RHCertificate:
-    n = n_boundary
-    fb = f.circle_values(1.0, n)
-    Fb = F.circle_values(1.0, n)
-    c = fam.circle_values(n)
-    cond_a = float(circle_distance(Fb, fb, c).max())
-    rho = np.linspace(r_prime, 1.0, _CERT_RADIAL)
-    cond_b = float(disc_distance(F.rings(rho, n), fb, c).max())
-    diff = F - f
-    dv = diff.circle_values(r_prime, n)
-    cond_c = float(np.sqrt((np.abs(dv) ** 2).sum(axis=1)).max())
-    return RHCertificate(
-        k=k,
-        r_prime=r_prime,
-        epsilon=eps,
-        cond_a=cond_a,
-        cond_b=cond_b,
-        cond_c=cond_c,
-        n_samples=n,
-    )
-
-
 def _search_k(build_and_certify, m: int, k_max: int):
     """Doubling-then-bisection search for the smallest certifying k > m.
 
@@ -457,7 +432,6 @@ def rh_approx(
     r: float,
     eps: float,
     r_prime: Optional[float] = None,
-    n_boundary: int = 4096,
     k_max: int = K_MAX,
 ) -> Tuple[SeriesMap, RHCertificate]:
     """Solve the approximate boundary-tracking problem in C^n.
@@ -465,7 +439,9 @@ def rh_approx(
     Finds the smallest k > m such that F = f + c(z) z^k satisfies,
     on samples: (a) boundary values within eps of the circle family,
     (b) the collar [r', 1] within eps of the disc family, (c) F within
-    eps of f on |z| <= r'.
+    eps of f on |z| <= r'.  The target is c at _NULL_N roots of unity,
+    sampled once, and every attempt certifies through _certify_null with
+    empty keep-masks, so (b) reads every angle and (d) equals (c).
     """
     if f.domain != "disc":
         raise DomainError("the C^n solver works on the disc")
@@ -481,9 +457,12 @@ def rh_approx(
     if m + 1 >= k_max:
         raise ValueError("family degree %d exceeds the k budget" % m)
 
-    def build(k, screen=False):  # the C^n certificate is never cut short
+    rays = fam.circle_values(_NULL_N)
+    keep = np.zeros((2, _NULL_N), dtype=bool)  # (c) and (d) read only the ring r'
+
+    def build(k, screen=False):
         F = f + SeriesMap(fam.coeffs, k - m, "disc")  # polynomial, as k > m
-        return F, _certify_approx(f, fam, F, k, r_prime, eps, n_boundary)
+        return F, _certify_null(F, f, k, rays, keep, r_prime, eps, screen=screen)
 
     return _search_k(build, m, k_max)
 
@@ -570,19 +549,29 @@ def _second_derivative_bound(S: SeriesMap, r_lo, r_hi) -> np.ndarray:
 def _certify_null(
     G: SeriesMap,
     F: SeriesMap,
-    bd: BoundaryData,
     k: int,
-    n_boundary: int,
-    orth_dir: Optional[np.ndarray],
+    rays: np.ndarray,
+    keep: np.ndarray,
+    r: float,
+    eps: float,
+    omega: Optional[Tuple[float, float]] = None,
+    orth_dir: Optional[np.ndarray] = None,
     screen: bool = False,
 ):
-    """Measure the four deformation conditions plus the orthogonal leak.
+    """Measure G against F and a sampled target: four conditions and the leak.
 
-    (a) the unit circle, (b) the collar over the arc padded by 2*taper, and
-    (c)/(d) the C^0 closeness |G - F| on |z| <= r (from r0 on an annulus)
-    plus the collar off the arc padded by 2*taper / taper.  G - F is
-    holomorphic, so (c)/(d) and cond_orth sample it only on the boundary of
-    their region, where the maximum principle puts the sup.
+    The target is read at the n angles theta_j = 2 pi j / n, n =
+    len(rays): rays[j] (C,) spans the target disc {F(zeta_j) + w rays[j] :
+    |w| <= 1} and its boundary circle, and keep (2, n) marks the angles
+    where (c) and (d) read the unit circle (for a null push, the angles off
+    the arc padded by 2*taper and by taper).  The conditions are (a) the
+    unit circle against the circles, (b) the collar r <= |z| <= 1 against
+    the discs at the angles keep[0] leaves out, and (c)/(d) the C^0
+    closeness |G - F| on |z| <= r (from r0 on an annulus) plus the collar
+    at the angles keep[0] / keep[1] marks.  G - F is holomorphic, so
+    (c)/(d) and cond_orth (along orth_dir, when given) sample it only on
+    the boundary of their region, where the maximum principle puts the
+    sup.  omega is reported as given.
 
     (b) is the maximum over the collar grid of _CERT_RADIAL radii r..1, but
     its rings are measured bound first.  Between measured radii rho_i and
@@ -604,23 +593,17 @@ def _certify_null(
 
     (a) is read off the ring rho = 1, which comes first.  With screen set,
     an (a) that already reaches epsilon ends the measurement, and so does
-    a running (b) that does: the push certainly fails, and max((a), (b))
+    a running (b) that does: G certainly fails, and max((a), (b))
     so far, a lower bound on its worst case, is returned as a float in
     place of the certificate, before h is formed.
     """
-    n = n_boundary
-    theta = TWO_PI * np.arange(n) / n
-    lo, hi = bd.arc
-    pad2 = 2.0 * bd.taper
-
+    n = rays.shape[0]
     Fb = F.circle_values(1.0, n)
-    amplitude, keep = bd._on_grid(n)
-    rays = amplitude[:, None] * bd.theta.v[None, :]
-    rho = np.linspace(bd.r, 1.0, _CERT_RADIAL)
+    rho = np.linspace(r, 1.0, _CERT_RADIAL)
     top = _CERT_RADIAL - 1
     Gb = G.circle_values(1.0, n)  # the ring rho[top] = 1
     cond_a = float(circle_distance(Gb, Fb, rays).max())
-    if screen and cond_a >= bd.epsilon:
+    if screen and cond_a >= eps:
         return cond_a
 
     # (b) reads the collar over the padded arc against the projected discs
@@ -633,7 +616,7 @@ def _certify_null(
         return float(phi[ids].max())
 
     cond_b = max(measure([top], Gb[None]), measure([0], G.rings(rho[:1], n)))
-    if screen and cond_b >= bd.epsilon:
+    if screen and cond_b >= eps:
         return max(cond_a, cond_b)
     lo_i, hi_i = np.array([0]), np.array([top])
     while lo_i.size:
@@ -653,13 +636,13 @@ def _certify_null(
         for s in range(0, mid.size, _CERT_RING_BLOCK):
             ids = mid[s:s + _CERT_RING_BLOCK]
             cond_b = max(cond_b, measure(ids, G.rings(rho[ids], n)))
-            if screen and cond_b >= bd.epsilon:
+            if screen and cond_b >= eps:
                 return max(cond_a, cond_b)
         lo_i, hi_i = np.concatenate([lo_i, mid]), np.concatenate([mid, hi_i])
 
     # h = G - F on the domain's boundary circles, then on the ring r
     h = G - F
-    hr = h.rings(F.boundary_radii + (bd.r,), n)  # (R, n, C)
+    hr = h.rings(F.boundary_radii + (r,), n)  # (R, n, C)
     hn = np.sqrt((np.abs(hr) ** 2).sum(axis=2))
     if F.domain == "annulus":
         # mu vanishes on the inner circle, so the target there is the point F(x)
@@ -669,7 +652,7 @@ def _certify_null(
     # keep-mask, and the radial segments at its ends at every collar radius
     ends = keep & ~(np.roll(keep, 1, axis=1) & np.roll(keep, -1, axis=1))
     edges = np.flatnonzero(ends.any(axis=0))
-    hs = h.eval_many(rho[:, None] * np.exp(1j * theta[edges]))
+    hs = h.eval_many(rho[:, None] * np.exp(1j * (TWO_PI * edges / n)))
     seg = np.sqrt((np.abs(hs) ** 2).sum(axis=1)).reshape(_CERT_RADIAL, edges.size)
     inner = float(hn[1:].max())
     cond_c, cond_d = (max(inner, float(hn[0].max(where=kp, initial=0.0)),
@@ -681,14 +664,14 @@ def _certify_null(
         orth_max = float(np.abs(hr[:-1] @ np.conj(orth_dir)).max())
     return RHCertificate(
         k=k,
-        r_prime=bd.r,
-        epsilon=bd.epsilon,
+        r_prime=r,
+        epsilon=eps,
         cond_a=cond_a,
         cond_b=cond_b,
         cond_c=cond_c,
         cond_d=cond_d,
         cond_orth=orth_max,
-        omega=(lo - pad2, hi + pad2),
+        omega=omega,
         n_samples=n,
     )
 
@@ -702,22 +685,22 @@ class NullDeformation:
     spinor: SpinorPair
 
 
-def _collar_floor(F: SeriesMap, bd: BoundaryData) -> float:
+def _collar_floor(F: SeriesMap, rays: np.ndarray, keep: np.ndarray, r: float) -> float:
     """A lower bound on the worse of conditions (b) and (c) for any push.
 
-    D is the max, over the angles (b) reads (the arc padded by 2*taper), of
-    the distance from F(r zeta) to the target disc at F(zeta).  Every push
-    gives G = F + h, and the disc distance is 1-Lipschitz in its point.  The
-    first collar radius of (b) is exactly r and (c) reads |h| at every angle
-    of the ring r, so cond_b >= D - sup|h(r .)| and cond_c >= sup|h(r .)|:
+    The target (rays, keep) and the collar radius r are the certificate's
+    (_certify_null).  D is the max, over the angles (b) reads (those
+    keep[0] leaves out), of the distance from F(r zeta) to the target disc
+    at F(zeta).  Every push gives G = F + h, and the disc distance is
+    1-Lipschitz in its point.  The first collar radius of (b) is exactly r
+    and (c) reads |h| at every angle of the ring r, so cond_b >= D - sup|h(r .)| and cond_c >= sup|h(r .)|:
     no k and no fit degree brings both below D/2, which this returns.
     """
-    amplitude, keep = bd._on_grid(_NULL_N)
+    n = rays.shape[0]
     idx = np.flatnonzero(~keep[0])
-    Fb = F.circle_values(1.0, _NULL_N)[idx]
-    Fr = F.circle_values(bd.r, _NULL_N)[idx]
-    rays = amplitude[idx, None] * bd.theta.v[None, :]
-    return 0.5 * float(disc_distance(Fr, Fb, rays).max())
+    Fb = F.circle_values(1.0, n)[idx]
+    Fr = F.circle_values(r, n)[idx]
+    return 0.5 * float(disc_distance(Fr, Fb, rays[idx]).max())
 
 
 def _rh_null(
@@ -742,7 +725,9 @@ def _rh_null(
     F' and the push direction at the arc midpoint) but does not bound it;
     a caller with a budget for that leak checks it on the result.
     """
-    from .geometry import spinor_lift  # local import to avoid cycle at module load
+    # looked up at call time, so a wrapper installed on geometry.spinor_lift
+    # (a profiler's, say) sees the call
+    from .geometry import spinor_lift
 
     if F.ncomp != 3:
         raise ValueError("expected a 3-component null curve")
@@ -758,7 +743,12 @@ def _rh_null(
         spinor = spinor_lift(fprime)
     a, b = _direction_lift(bd.theta)
 
-    floor = _collar_floor(F, bd)
+    # the target, sampled once: the floor and every certificate read it
+    amplitude, keep = bd._on_grid(_NULL_N)
+    rays = amplitude[:, None] * bd.theta.v[None, :]
+    pad2 = 2.0 * bd.taper
+    target = (rays, keep, bd.r, bd.epsilon, (bd.arc[0] - pad2, bd.arc[1] + pad2))
+    floor = _collar_floor(F, rays, keep, bd.r)
     if not floor < bd.epsilon:
         raise ToleranceUnachievableError(
             "conditions (b)/(c) have a collar floor %.3g that reaches the tolerance %.3g"
@@ -774,7 +764,7 @@ def _rh_null(
         orth_dir = _orth_direction(fp_mid, bd.theta)
 
     if float(bd.mu.max()) == 0.0:
-        cert = _certify_null(F, F, bd, 0, _NULL_N, orth_dir)
+        cert = _certify_null(F, F, 0, *target, orth_dir)
         if not cert.valid:
             raise ToleranceUnachievableError(
                 "the unpushed curve misses the tolerance (worst-case %.3g)" % cert.worst,
@@ -823,7 +813,7 @@ def _rh_null(
             latest.clear()
             latest[k] = push(k)
         G, pushed = latest[k]
-        cert = _certify_null(G, F, bd, k, _NULL_N, orth_dir, screen=screen)
+        cert = _certify_null(G, F, k, *target, orth_dir, screen=screen)
         return NullDeformation(G, cert, pushed), cert
 
     if k_fixed is None:

@@ -263,6 +263,18 @@ def test_verify_overflowing_metric_factor_is_domain_error(capsys, tmp_path):
     assert "metric factor" in err and "overflows" in err
 
 
+def test_verify_overflowing_derivative_prints_only_the_error(capsys, tmp_path):
+    # F' = 1 + 2e308 z overflows in its coefficients: no NumPy warning may
+    # reach stderr ahead of the domain error
+    curve = tmp_path / "curve.json"
+    big = series.SeriesMap.from_components([[0.0, 1.0, 1e308], [0.0, 1j, 1e308j], [0.0, 0.0, 0.0]])
+    curve.write_text(series.to_json(big))
+    code, out, err = run(capsys, "verify", str(curve))
+    assert code == 1
+    assert out == ""
+    assert err == "error: metric factor |F'| overflows on the grid\n"
+
+
 def test_verify_annulus_reports_periods(capsys, tmp_path):
     curve = tmp_path / "curve.json"
     run(capsys, "construct", "annulus_basic", "--out", str(curve))

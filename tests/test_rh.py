@@ -56,6 +56,14 @@ def linear_datum(**overrides):
     return BoundaryData(**kw)
 
 
+def _target(bd, n=rh._NULL_N):
+    """The datum's target as _certify_null reads it: (rays, keep, r, eps, omega)."""
+    amplitude, keep = bd._on_grid(n)
+    pad2 = 2.0 * bd.taper
+    return (amplitude[:, None] * bd.theta.v[None, :], keep, bd.r, bd.epsilon,
+            (bd.arc[0] - pad2, bd.arc[1] + pad2))
+
+
 def annulus_curve(r0=0.25):
     u = SeriesMap(np.array([[1.0]], dtype=complex), 1, "annulus", r0)
     v = SeriesMap(np.array([[1.0]], dtype=complex), -1, "annulus", r0)
@@ -165,17 +173,80 @@ def test_closed_form_case_frozen():
 
 
 def test_monotone_improvement_in_k():
-    from nullcurves.rh import _certify_approx
-
     f = SeriesMap.zero(3, "disc")
     fam = BoundaryDiscFamily.from_constant(np.array([1.0, 0.0, 0.0]))
+    rays, keep = fam.circle_values(512), np.zeros((2, 512), dtype=bool)
     maxima = []
     for k in range(4, 10):
         F = f + SeriesMap(fam.coeffs, k, "disc")
-        cert = _certify_approx(f, fam, F, k, 0.6, 0.05, 512)
+        cert = _certify_null(F, f, k, rays, keep, 0.6, 0.05)
+        assert cert.cond_d == cert.cond_c  # empty keep-masks: (d) is (c)
         maxima.append(cert.cond_c)
     ratios = [b / a for a, b in zip(maxima, maxima[1:])]
     assert all(rt <= 0.6 + 1e-9 for rt in ratios)
+
+
+def _certify_approx_reference(f, fam, F, k, r_prime, eps, n=rh._NULL_N):
+    """The C^n conditions on the full grid, kept as the oracle of rh_approx.
+
+    (a) on the unit circle, (b) on all 64 collar rings r'..1 at once, and
+    (c) on the ring r'.
+    """
+    fb = f.circle_values(1.0, n)
+    Fb = F.circle_values(1.0, n)
+    c = fam.circle_values(n)
+    cond_a = float(circle_distance(Fb, fb, c).max())
+    rho = np.linspace(r_prime, 1.0, 64)
+    cond_b = float(disc_distance(F.rings(rho, n), fb, c).max())
+    dv = (F - f).circle_values(r_prime, n)
+    cond_c = float(np.sqrt((np.abs(dv) ** 2).sum(axis=1)).max())
+    return RHCertificate(k=k, r_prime=r_prime, epsilon=eps, cond_a=cond_a, cond_b=cond_b,
+                         cond_c=cond_c, n_samples=n)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    width=st.integers(1, 40),
+    m=st.integers(0, 5),
+    ncomp=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.floats(0.3, 0.95),
+    r_prime_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    eps=st.floats(-3.0, -0.3).map(lambda e: 10.0 ** e),
+    k_max=st.sampled_from([64, 512, 4096]),
+)
+def test_rh_approx_equals_the_full_grid_search(width, m, ncomp, seed, r, r_prime_at, eps,
+                                               k_max):
+    """rh_approx screens and bounds the collar, yet finds what the full grid finds.
+
+    The same k, (a), (b), (c) and curve, or the same refusal and certificate;
+    the one difference is cond_d, which reads (c) through empty keep-masks.
+    """
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    f = SeriesMap(0.3 * cplx(ncomp, width) / (1.0 + np.arange(width)) ** 2, 0, "disc")
+    fam = BoundaryDiscFamily(0.2 * cplx(ncomp, 2 * m + 1), m)
+    r_prime = None if r_prime_at is None else r + r_prime_at * (0.99 - r)
+
+    def build(k, screen=False):
+        F = f + SeriesMap(fam.coeffs, k - m, "disc")
+        return F, _certify_approx_reference(f, fam, F, k, r if r_prime is None else r_prime, eps)
+
+    try:
+        want_F, want = rh._search_k(build, m, k_max)
+    except ToleranceUnachievableError as refused:
+        with pytest.raises(ToleranceUnachievableError) as info:
+            rh_approx(f, fam, r, eps, r_prime=r_prime, k_max=k_max)
+        want = refused.certificate
+        assert str(info.value) == str(refused)
+        assert info.value.certificate == replace(want, cond_d=want.cond_c)
+        return
+    F, cert = rh_approx(f, fam, r, eps, r_prime=r_prime, k_max=k_max)
+    assert cert == replace(want, cond_d=want.cond_c)
+    assert F.degree_lo == want_F.degree_lo and np.array_equal(F.coeffs, want_F.coeffs)
 
 
 def test_zero_family_returns_f():
@@ -412,7 +483,7 @@ def _count_certificates(monkeypatch):
     original = rh._certify_null
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(rh, "_certify_null", counted)
@@ -460,8 +531,8 @@ def test_search_returns_the_least_certifying_k(monkeypatch):
     calls = {}
     original = rh._certify_null
 
-    def recorded(G, F_, bd_, k, n, orth_dir, screen=False):
-        out = original(G, F_, bd_, k, n, orth_dir, screen=screen)
+    def recorded(G, F_, k, rays, keep, r, eps, omega, orth_dir, screen=False):
+        out = original(G, F_, k, rays, keep, r, eps, omega, orth_dir, screen=screen)
         calls[k] = (G, orth_dir, out)
         return out
 
@@ -472,12 +543,12 @@ def test_search_returns_the_least_certifying_k(monkeypatch):
     assert screened and k - 1 in calls
     G_k, orth_dir, _ = calls[k]
     assert G_k is G
-    assert original(G_k, F, bd, k, rh._NULL_N, orth_dir) == cert
-    below = original(calls[k - 1][0], F, bd, k - 1, rh._NULL_N, orth_dir)
+    assert original(G_k, F, k, *_target(bd), orth_dir) == cert
+    below = original(calls[k - 1][0], F, k - 1, *_target(bd), orth_dir)
     assert cert.valid and not below.valid
     for kk in screened:
         # a screened attempt fails in full too, by at least its bound
-        full = original(calls[kk][0], F, bd, kk, rh._NULL_N, orth_dir)
+        full = original(calls[kk][0], F, kk, *_target(bd), orth_dir)
         assert not full.valid and full.worst >= calls[kk][2]
 
 
@@ -487,9 +558,9 @@ def test_search_screens_on_the_collar(monkeypatch):
     F = linear_curve()
     bd = linear_datum(mu=np.array([0.05]), r=0.97, epsilon=0.03)
     G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=650).G
-    full = _certify_null(G, F, bd, 650, rh._NULL_N, None)
+    full = _certify_null(G, F, 650, *_target(bd))
     assert full.cond_a < bd.epsilon <= full.cond_b
-    bound = _certify_null(G, F, bd, 650, rh._NULL_N, None, screen=True)
+    bound = _certify_null(G, F, 650, *_target(bd), screen=True)
     assert isinstance(bound, float) and bd.epsilon <= bound <= full.worst
 
     monkeypatch.setattr(rh, "K_MAX", 2048)
@@ -498,7 +569,7 @@ def test_search_screens_on_the_collar(monkeypatch):
 
     def recorded(*args, screen=False):
         out = original(*args, screen=screen)
-        calls[args[3]] = out
+        calls[args[2]] = out
         return out
 
     monkeypatch.setattr(rh, "_certify_null", recorded)
@@ -692,7 +763,7 @@ def _certify_case(case):
 
 def _assert_matches_per_radius(G, F, bd, k, n, orth_dir):
     """_certify_null against _certify_null_per_radius, field by field."""
-    got = _certify_null(G, F, bd, k, n, orth_dir)
+    got = _certify_null(G, F, k, *_target(bd, n), orth_dir)
     cond_a, cond_b, cond_c, cond_d, cond_orth = _certify_null_per_radius(G, F, bd, n, orth_dir)
     assert got.cond_a == pytest.approx(cond_a, rel=1e-12, abs=1e-15)
     assert got.cond_b == cond_b
@@ -793,7 +864,7 @@ def test_thin_collar_measures_few_rings(monkeypatch):
         radii.clear()
         bounded.clear()
         orth = _unit([0.3 - 0.2j, -1.1 + 0.5j, 0.7j]) if case == "general_orth" else None
-        cert = _certify_null(G, F, bd, k, rh._NULL_N, orth)
+        cert = _certify_null(G, F, k, *_target(bd), orth)
         assert cert.valid == (case == "thin_collar")
         grid = np.linspace(bd.r, 1.0, 64)
         assert np.isin(radii, grid).all() and len(set(radii)) == len(radii)
@@ -811,7 +882,7 @@ def test_wide_push_certificate_measures_few_rings(monkeypatch):
     bd = linear_datum(mu=np.array([0.05]), r=0.9997)
     G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=8192).G
     radii, _ = _count_collar_rings(monkeypatch, [G])
-    cert = _certify_null(G, F, bd, 8192, rh._NULL_N, None)
+    cert = _certify_null(G, F, 8192, *_target(bd))
     assert G.width > 16000 and cert.valid
     assert len(radii) <= 12
 
@@ -904,7 +975,7 @@ def test_certificate_bound_is_sound(domain, data, k, mu, start, width, taper, di
                       taper=taper * width, epsilon=epsilon, r=r)
     G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=k).G
     got = _assert_matches_per_radius(G, F, bd, k, rh._NULL_N, _unit([0, 0, 1]))
-    screened = _certify_null(G, F, bd, k, rh._NULL_N, None, screen=True)
+    screened = _certify_null(G, F, k, *_target(bd), screen=True)
     if max(got.cond_a, got.cond_b) >= epsilon:
         assert isinstance(screened, float) and screened <= max(got.cond_a, got.cond_b)
     else:
