@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateImmersionError, DomainError
 from .geometry import SpinorPair
-from .series import SeriesMap
+from .series import DEFAULT_BOUNDARY_SAMPLES, SeriesMap
 
 __all__ = [
     "RadiusReport",
@@ -187,14 +187,14 @@ def intrinsic_radius(
     dists = kernels.dijkstra_polar(*weights, src)
     return RadiusReport(
         intrinsic_radius=float(dists[-1].min()),
-        extrinsic_radius=F.sup_boundary(max(4096, nang)),
+        extrinsic_radius=F.sup_boundary(max(DEFAULT_BOUNDARY_SAMPLES, nang)),
         grid=(nrad, nang),
         r_core=float(r_core),
     )
 
 
-def bounded_coordinate_report(F: SeriesMap, n: int = 4096) -> Tuple[float, float]:
-    """(sup |F3|, boundary min of |(F1, F2)|) on n boundary samples.
+def bounded_coordinate_report(F: SeriesMap) -> Tuple[float, float]:
+    """(sup |F3|, boundary min of |(F1, F2)|) on DEFAULT_BOUNDARY_SAMPLES per circle.
 
     |F3| is subharmonic, so by the maximum principle its closed-domain sup
     sits on the boundary circles, the only ones sampled.  The min is a pure
@@ -202,7 +202,8 @@ def bounded_coordinate_report(F: SeriesMap, n: int = 4096) -> Tuple[float, float
     """
     if F.ncomp != 3:
         raise ValueError("bounded_coordinate_report expects a 3-component curve")
-    boundary = np.concatenate([F.circle_values(r, n) for r in F.boundary_radii])
+    boundary = np.concatenate(
+        [F.circle_values(r, DEFAULT_BOUNDARY_SAMPLES) for r in F.boundary_radii])
     sup_f3 = float(np.abs(boundary[:, 2]).max())
     min_12 = float(np.sqrt((np.abs(boundary[:, :2]) ** 2).sum(axis=1)).min())
     return sup_f3, min_12

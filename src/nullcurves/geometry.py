@@ -19,7 +19,7 @@ from .errors import (
     PoleError,
     UnsupportedZeroConfigurationError,
 )
-from .series import SeriesMap, fit_from_boundary
+from .series import DEFAULT_BOUNDARY_SAMPLES, SeriesMap, fit_from_boundary
 
 NULL_TOL = 1e-10
 POLE_TOL = 1e-10
@@ -393,7 +393,7 @@ def tmap_on_curve(
     F: SeriesMap,
     n_r: int = 33,
     n_theta: int = 256,
-    n_boundary: int = 4096,
+    n_boundary: int = DEFAULT_BOUNDARY_SAMPLES,
     pole_tol: float = POLE_TOL,
 ) -> TMapCurveReport:
     """Push a null curve through tmap, sampling grid and boundary.

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import bounded_coordinate_report, intrinsic_radius
+from .diagnostics import DEFAULT_GRID, bounded_coordinate_report, intrinsic_radius
 from .errors import (
     DomainError,
     NullCurveError,
@@ -52,6 +52,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # the smallest |F3| an h3 export vertex may have: the pole clearance of tmap
 EXPORT_POLE_TOL = 1e-6
+# the exponent N of the bounded-third run's toy comparison z V1 + z^N V2
+TOY_EXPONENT = 50
 
 _CATALOG_NAMES = ("linear_v1", "cubic_enneper_like", "annulus_basic")
 
@@ -75,7 +77,7 @@ def catalog(name: str) -> SeriesMap:
     raise ValueError("unknown catalog curve %r (have %s)" % (name, ", ".join(_CATALOG_NAMES)))
 
 
-def toy_comparison(n_exp: int = 50) -> SeriesMap:
+def toy_comparison(n_exp: int = TOY_EXPONENT) -> SeriesMap:
     """The non-null comparison map z*V1 + z^N*V2 used in documentation plots."""
     if n_exp < 2:
         raise ValueError("exponent must be at least 2")
@@ -100,7 +102,6 @@ class PipelineConfig:
 
     pipeline: str = "completeness"
     domain: str = "disc"
-    r0: float = 0.25
     seed_curve: Optional[str] = None
     delta: float = 0.2
     iterations: int = 5
@@ -110,18 +111,17 @@ class PipelineConfig:
     collar_r: float = 0.9
     k_max: int = 4096
     third_budget: float = 0.2
-    toy_exponent: int = 50
-    grid: Tuple[int, int] = (128, 512)
-    seed: int = 0
+    grid: Tuple[int, int] = DEFAULT_GRID
+    seed: int = 0  # no run reads it; perfbench writes it into its configs
     csv_path: Optional[str] = None
     obj_path: Optional[str] = None
 
     def __post_init__(self):
         # types first: the range checks below compare, and NaN passes them
-        for name in ("iterations", "arcs", "k_max", "toy_exponent", "seed"):
+        for name in ("iterations", "arcs", "k_max", "seed"):
             if not _is_a(numbers.Integral, getattr(self, name)):
                 raise DomainError("%s must be an integer" % name)
-        for name in ("r0", "delta", "epsilon", "mu_cap", "collar_r", "third_budget"):
+        for name in ("delta", "epsilon", "mu_cap", "collar_r", "third_budget"):
             value = getattr(self, name)
             if not (_is_a(numbers.Real, value) and math.isfinite(value)):
                 raise DomainError("%s must be a finite number" % name)
@@ -146,16 +146,12 @@ class PipelineConfig:
             raise ValueError("delta must be positive")
         if not 0.0 < self.collar_r < 1.0:
             raise ValueError("collar_r must sit in (0, 1)")
-        if not 0.0 < self.r0 < 1.0:
-            raise ValueError("r0 must sit in (0, 1)")
         if self.k_max < 2:
             raise ValueError("k_max too small")
         if not self.mu_cap > 0:
             raise ValueError("mu_cap must be positive")
         if not self.third_budget > 0:
             raise ValueError("third_budget must be positive")
-        if self.toy_exponent < 2:
-            raise ValueError("toy_exponent must be at least 2")
         object.__setattr__(self, "grid", tuple(self.grid))
 
     def delta_at(self, round_index: int) -> float:
@@ -319,8 +315,6 @@ def _seed_curve(cfg: PipelineConfig) -> SeriesMap:
         raise DomainError(
             "seed curve %s lives on the %s, config wants %s" % (name, F.domain, cfg.domain)
         )
-    if cfg.domain == "annulus" and abs(F.r0 - cfg.r0) > 1e-15:
-        raise DomainError("seed annulus radius %r != config r0 %r" % (F.r0, cfg.r0))
     return F
 
 
@@ -384,7 +378,7 @@ def _push_round(
     delta_k = cfg.delta_at(rnd)
     arcs, tau = _round_arcs(cfg.arcs)
     allowance = 3.4 * delta_k * delta_k
-    e_start = curve.sup_boundary(4096)
+    e_start = curve.sup_boundary()
     certs = []
     arc_meta = []
     for arc in arcs:
@@ -402,7 +396,7 @@ def _push_round(
             out = _rh_null(curve, bd, spinor=spinor, k_fixed=k, orth_direction=orth_direction)
             if orth_budget is not None and out.cert.cond_orth >= orth_budget:
                 raise _Breach(out.cert, orth_budget)
-            growth = out.G.sup_boundary(4096) - e_start
+            growth = out.G.sup_boundary() - e_start
             if growth <= allowance or mu <= delta_k / 1024.0:
                 break
             mu *= 0.5
@@ -534,10 +528,9 @@ def run_bounded_third(cfg: PipelineConfig) -> GrowthLedger:
         return theta, label, budget, e3
 
     ledger = _run_rounds(cfg, choose)
-    toy = toy_comparison(cfg.toy_exponent)
-    toy_sup3, toy_min12 = bounded_coordinate_report(toy)
+    toy_sup3, toy_min12 = bounded_coordinate_report(toy_comparison())
     ledger.meta["toy"] = {
-        "exponent": cfg.toy_exponent,
+        "exponent": TOY_EXPONENT,
         "sup_F3": toy_sup3,
         "boundary_min_F12": toy_min12,
     }
@@ -596,11 +589,15 @@ def export_surface(
     h3_minkowski, whose checks (pole clearance, unit determinant, hermitian
     form, hyperboloid, upper sheet) raise on any failing vertex, and meshes
     the hyperboloid points (x1, x2, x3); x0 is determined by the hyperboloid
-    relation.
+    relation.  A curve that overflows on the mesh raises DomainError before
+    either.
     """
     if target not in ("r3", "h3"):
         raise ValueError("target must be r3 or h3")
-    pts, has_center = _mesh_points(F, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts, has_center = _mesh_points(F, grid)
+    if not np.isfinite(pts).all():
+        raise DomainError("curve values overflow on the mesh grid")
     if target == "r3":
         verts = pts.real
     else:

@@ -15,16 +15,17 @@ Both solvers certify through one function, _certify_null, which reads a
 sampled target rather than a datum: the radius vector of the target disc
 at each of n angles, the angles where (c) and (d) read the unit circle,
 the collar radius and the tolerance.  A null push samples its datum's
-target once; rh_approx samples c(z) once, and its empty keep-masks make
-(c) and (d) the closeness on the ring r'.  The certificate samples h =
-G - F on the boundary of the region it claims, where the sup sits: its
-circles through the wrapped-FFT ring sampler, and the radial segments at
-the keep-masks' ends through one SeriesMap.eval_many, the blocked Horner
-kernel, at every collar radius.  (b) is the maximum over 64 collar radii,
-but their rings are measured bound first: with M a bound on |G''| read off
-the coefficients, no radius between two measured ones exceeds the chord
-of their values plus (M/2) tau (gap - tau), so only gaps whose bound
-reaches the running maximum are bisected.
+target once (BoundaryData.target); rh_approx samples c(z) once, and its
+empty keep-masks make (c) and (d) the closeness on the ring r.  The
+certificate samples h = G - F on the boundary of the region it claims,
+where the sup sits: its circles through the wrapped-FFT ring sampler, and
+the radial segments at the keep-masks' ends through one
+SeriesMap.eval_many, the blocked Horner kernel, at every collar radius.
+(b) is the maximum over 64 collar radii, but their rings are measured
+bound first: with M a bound on |G''| read off the coefficients, no radius
+between two measured ones exceeds the chord of their values plus (M/2)
+tau (gap - tau), so only gaps whose bound reaches the running maximum are
+bisected.
 A null push decides before it builds anything: a datum whose collar floor
 reaches epsilon is refused, and the fit degree of the amplitude root is
 read off the fit's own floor, so each push runs one k-search.  Both
@@ -47,12 +48,10 @@ from .errors import (
     _parsing,
 )
 from .geometry import NullVector, SpinorPair, spinor_bilinear, spinor_point
-from .series import SeriesMap
+from .series import DEFAULT_BOUNDARY_SAMPLES, SeriesMap
 from .weierstrass import kill_periods, periods
 
 K_MAX = 1 << 16
-# boundary samples per circle of the certificate's target and the collar floor
-_NULL_N = 4096
 # fit degree m of the null push's boundary profile: the first tried, and the
 # largest the fit floor may call for
 _FIT_M_INIT = 64
@@ -167,7 +166,7 @@ class BoundaryData:
 
         Computed once, read-only, at theta_j = TWO_PI * j / _FIT_N.  For n
         = _FIT_N / 2^e, TWO_PI * arange(n) / n is bit for bit every 2^e-th
-        of these angles, so _on_grid slices the samples at n points out.
+        of these angles, so target slices the samples at n points out.
         """
         theta = TWO_PI * np.arange(_FIT_N) / _FIT_N
         pads = (2.0 * self.taper, self.taper)
@@ -177,14 +176,22 @@ class BoundaryData:
             a.flags.writeable = False
         return grid
 
-    def _on_grid(self, n: int):
-        """(amplitude chi^2 mu, keep-masks off the arc padded by 2*taper and
-        by taper) at theta_j = TWO_PI * j / n, read off _fit_grid."""
+    def target(self, n: int = DEFAULT_BOUNDARY_SAMPLES):
+        """The push target as _certify_null reads it: (rays, keep, r, epsilon, omega).
+
+        At theta_j = TWO_PI * j / n, read off _fit_grid: rays[j] = chi^2 mu
+        theta, the radius vector of the target disc; keep (2, n), the angles
+        off the arc padded by 2*taper and by taper; omega, the arc padded by
+        2*taper, which the certificate reports.
+        """
         step = _FIT_N // n  # _FIT_N is a power of two, so its divisors are too
         if step * n != _FIT_N:
             raise ValueError("%d samples do not divide the %d of the fit grid" % (n, _FIT_N))
         chi, mu, padded = self._fit_grid
-        return chi[::step] ** 2 * mu[::step], ~padded[:, ::step]
+        rays = (chi[::step] ** 2 * mu[::step])[:, None] * self.theta.v[None, :]
+        pad2 = 2.0 * self.taper
+        omega = (self.arc[0] - pad2, self.arc[1] + pad2)
+        return rays, ~padded[:, ::step], self.r, self.epsilon, omega
 
     def to_json(self) -> str:
         return json.dumps(
@@ -431,17 +438,16 @@ def rh_approx(
     fam: BoundaryDiscFamily,
     r: float,
     eps: float,
-    r_prime: Optional[float] = None,
     k_max: int = K_MAX,
 ) -> Tuple[SeriesMap, RHCertificate]:
     """Solve the approximate boundary-tracking problem in C^n.
 
     Finds the smallest k > m such that F = f + c(z) z^k satisfies,
     on samples: (a) boundary values within eps of the circle family,
-    (b) the collar [r', 1] within eps of the disc family, (c) F within
-    eps of f on |z| <= r'.  The target is c at _NULL_N roots of unity,
-    sampled once, and every attempt certifies through _certify_null with
-    empty keep-masks, so (b) reads every angle and (d) equals (c).
+    (b) the collar [r, 1] within eps of the disc family, (c) F within
+    eps of f on |z| <= r.  c is sampled once, and every attempt certifies
+    through _certify_null with empty keep-masks, so (b) reads every angle
+    and (d) equals (c).  The certificate reports r as r_prime.
     """
     if f.domain != "disc":
         raise DomainError("the C^n solver works on the disc")
@@ -449,20 +455,16 @@ def rh_approx(
         raise ValueError("family and map component counts differ")
     if not (0.0 < r < 1.0):
         raise DomainError("need 0 < r < 1")
-    if r_prime is None:
-        r_prime = r
-    if not (r <= r_prime < 1.0):
-        raise DomainError("need r <= r_prime < 1")
     m = fam.degree_m
     if m + 1 >= k_max:
         raise ValueError("family degree %d exceeds the k budget" % m)
 
-    rays = fam.circle_values(_NULL_N)
-    keep = np.zeros((2, _NULL_N), dtype=bool)  # (c) and (d) read only the ring r'
+    rays = fam.circle_values(DEFAULT_BOUNDARY_SAMPLES)
+    keep = np.zeros((2, rays.shape[0]), dtype=bool)  # (c) and (d) read only the ring r
 
     def build(k, screen=False):
         F = f + SeriesMap(fam.coeffs, k - m, "disc")  # polynomial, as k > m
-        return F, _certify_null(F, f, k, rays, keep, r_prime, eps, screen=screen)
+        return F, _certify_null(F, f, k, rays, keep, r, eps, screen=screen)
 
     return _search_k(build, m, k_max)
 
@@ -744,11 +746,8 @@ def _rh_null(
     a, b = _direction_lift(bd.theta)
 
     # the target, sampled once: the floor and every certificate read it
-    amplitude, keep = bd._on_grid(_NULL_N)
-    rays = amplitude[:, None] * bd.theta.v[None, :]
-    pad2 = 2.0 * bd.taper
-    target = (rays, keep, bd.r, bd.epsilon, (bd.arc[0] - pad2, bd.arc[1] + pad2))
-    floor = _collar_floor(F, rays, keep, bd.r)
+    target = bd.target()
+    floor = _collar_floor(F, *target[:3])
     if not floor < bd.epsilon:
         raise ToleranceUnachievableError(
             "conditions (b)/(c) have a collar floor %.3g that reaches the tolerance %.3g"

@@ -29,6 +29,8 @@ from .errors import (
 )
 from .kernels import horner_eval
 
+# samples per boundary circle: the push target, its certificate, the growth
+# check and the ledger's reports all read a curve's one unit-circle sampling
 DEFAULT_BOUNDARY_SAMPLES = 4096
 _BOUNDARY_SLACK = 1e-9
 # the largest relative sample energy a boundary fit may leave unexplained
@@ -366,14 +368,14 @@ class SeriesMap:
         vals *= n
         return vals.transpose(0, 2, 1)
 
-    def circle_values(self, radius: float, n: int, phase: float = 0.0) -> np.ndarray:
-        """Values at z = radius*exp(i(2pi j/n + phase)), j = 0..n-1 -> (n, ncomp).
+    def circle_values(self, radius: float, n: int) -> np.ndarray:
+        """Values at z = radius*exp(2 pi i j/n), j = 0..n-1 -> (n, ncomp).
 
         The unit circle's values are kept per n once computed, read-only,
         so every caller of one curve shares one sampling.
         """
-        if radius != 1.0 or phase != 0.0:
-            return self.rings(radius, n, phase)[0]
+        if radius != 1.0:
+            return self.rings(radius, n)[0]
         vals = self._unit_circle.get(n)
         if vals is None:
             vals = self.rings(1.0, n)[0]

@@ -113,7 +113,7 @@ def test_criterion_02_spinor_cover_suite():
 def test_criterion_03_closed_form_approximation():
     f = SeriesMap.zero(3, "disc")
     fam = BoundaryDiscFamily.from_constant(np.array([[1.0, 0.0, 0.0]]))
-    F, cert = rh_approx(f, fam, r=0.5, eps=0.05, r_prime=0.6)
+    F, cert = rh_approx(f, fam, r=0.6, eps=0.05)
     assert cert.k == 6
     assert cert.cond_a == 0.0
     assert abs(cert.cond_c - 0.6**6) <= 1e-12

@@ -325,16 +325,20 @@ def test_recurse_abort_writes_partial_ledger(tmp_path, capsys):
 
 
 def test_recurse_refuses_toy_exponent_before_any_push(tmp_path, capsys, monkeypatch):
+    # the seed curve fixes r0 and the toy exponent is a constant: a config
+    # that still carries either, at its old default, names the unknown key
     def no_push(*args, **kwargs):
         raise AssertionError("a push ran before the config was checked")
 
     monkeypatch.setattr(pipelines, "_rh_null", no_push)
     path = tmp_path / "config.json"
-    blob = _config_blob(pipeline="bounded_third", iterations=1, arcs=2, toy_exponent=1)
-    path.write_text(json.dumps(blob))
-    code, _, err = run(capsys, "recurse", str(path))
-    assert code == 1
-    assert "toy_exponent" in err
+    for pipeline, key, value in (("bounded_third", "toy_exponent", 50),
+                                 ("completeness", "r0", 0.25)):
+        blob = _config_blob(pipeline=pipeline, iterations=1, arcs=2, **{key: value})
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "recurse", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: unknown config keys: %s\n" % key
 
 
 def test_recurse_bounded_third(tmp_path, capsys):
@@ -382,6 +386,22 @@ def test_export_h3_off_sl2_is_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "export", str(curve), "--target", "h3", "--out", str(mesh))
     assert code == 1
     assert "determinant" in err
+    assert not mesh.exists()
+
+
+@pytest.mark.parametrize("target", ["r3", "h3"])
+def test_export_overflowing_curve_is_domain_error(target, tmp_path, capsys):
+    # finite coefficients, but 0.25 ** -600 overflows on the inner mesh rings:
+    # no NaN vertex is written and no NumPy warning precedes the error
+    c = np.zeros((3, 602), dtype=complex)
+    c[:, 0] = c[:, 601] = [1.0, 1j, 0.0]  # degrees -600 and 1
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap(c, -600, "annulus", 0.25)))
+    mesh = tmp_path / "m.obj"
+    code, out, err = run(capsys, "export", str(curve), "--target", target,
+                         "--out", str(mesh), "--grid", "3,8")
+    assert code == 1 and out == ""
+    assert err == "error: curve values overflow on the mesh grid\n"
     assert not mesh.exists()
 
 

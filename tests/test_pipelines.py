@@ -163,7 +163,7 @@ def test_config_rejects_wrong_schema():
         {"epsilon": 0.0},
         {"delta": -0.1},
         {"collar_r": 1.0},
-        {"r0": 0.0},
+        {"collar_r": 0.0},
         {"k_max": 1},
         {"mu_cap": 0.0},
         {"third_budget": 0.0},
@@ -440,9 +440,6 @@ def test_annulus_seed_mismatch_rejected():
     cfg = PipelineConfig(domain="annulus", seed_curve="linear_v1", iterations=0)
     with pytest.raises(DomainError):
         run_completeness_recursion(cfg)
-    cfg = PipelineConfig(domain="annulus", r0=0.5, iterations=0)
-    with pytest.raises(DomainError, match="r0"):
-        run_completeness_recursion(cfg)
 
 
 # -- bounded third coordinate ---------------------------------------------------
@@ -528,6 +525,29 @@ def test_face_indices_in_range(tmp_path):
     flat = [i for f in faces for i in f]
     assert min(flat) == 1
     assert max(flat) == len(verts)
+
+
+def test_annulus_mesh_starts_on_the_inner_circle(tmp_path):
+    # rings r0..1 from the inside out, and no centre vertex
+    F = catalog("annulus_basic")
+    nrad, nang = 4, 8
+    radii = np.linspace(F.r0, 1.0, nrad)
+    zs = (radii[:, None] * np.exp(2j * np.pi * np.arange(nang) / nang)).ravel()
+    meshes = {}
+    for target in ("r3", "h3"):
+        path = str(tmp_path / (target + ".obj"))
+        export_surface(F, target, path, grid=(nrad, nang))
+        verts, faces = _read_obj(path)
+        assert verts.shape == (nrad * nang, 3)
+        assert len(faces) == (nrad - 1) * nang * 2
+        assert sorted({i for f in faces for i in f}) == list(range(1, nrad * nang + 1))
+        meshes[target] = verts
+    assert np.abs(meshes["r3"][0] - F.eval(F.r0).real).max() <= 1e-12
+    for z, vert in zip(zs, meshes["h3"]):
+        h = bryant_project(tmap(F.eval(z))).h
+        x0 = 0.5 * (h[0, 0].real + h[1, 1].real)
+        assert x0 > 0.0  # the upper sheet
+        assert x0 * x0 - (vert ** 2).sum() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_constant_unit_third_maps_to_h3_origin(tmp_path):

