@@ -3,7 +3,8 @@
 The shapes come from boundary evaluation, certificate distances, the
 intrinsic-radius Dijkstra and the embeddedness pair scan.  The pair scan
 runs twice: on a random cloud, its worst case (samples without locality
-leave its bounds nothing to prune), and last on what ``verify`` passes it.
+leave its bounds nothing to prune), and last on what ``verify`` passes it,
+the ring grid with its ring count.
 Prints the best time of each kernel over a few repeats.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
@@ -15,7 +16,7 @@ import time
 import numpy as np
 
 from nullcurves import kernels
-from nullcurves.diagnostics import _sample_layout
+from nullcurves.diagnostics import _layout_shape, _sample_layout
 from nullcurves.pipelines import catalog
 
 
@@ -55,11 +56,13 @@ def workloads(rng):
         1e-3,
     )
     dom, ambient = _sample_layout(catalog("cubic_enneper_like"), 4096)
-    yield "pair_scan (verify, cubic_enneper_like N=4096)", "pair_scan", (
+    rings = _layout_shape(4096)[0]
+    yield "pair_scan (verify, cubic_enneper_like N=4096, %d rings)" % rings, "pair_scan", (
         ambient,
         dom,
         0.5,
         1e-3,
+        rings,
     )
 
 

@@ -247,10 +247,16 @@ class EmbeddednessReport:
         )
 
 
-def _sample_layout(F: SeriesMap, n_samples: int):
-    """Deterministic polar samples: ~n_samples nodes on rings, even angles."""
+def _layout_shape(n_samples: int) -> Tuple[int, int]:
+    """Rings and angles (nrad, nang) of the embeddedness samples."""
     nrad = max(2, int(round(math.sqrt(n_samples / 4.0))))
-    nang = max(8, (n_samples // nrad) & ~1)  # even so z and -z pair up
+    return nrad, max(8, (n_samples // nrad) & ~1)  # even so z and -z pair up
+
+
+def _sample_layout(F: SeriesMap, n_samples: int):
+    """Deterministic polar samples: ~n_samples nodes on rings, even angles,
+    ring by ring (_layout_shape)."""
+    nrad, nang = _layout_shape(n_samples)
     if F.domain == "disc":
         radii = np.arange(1, nrad + 1) / nrad
     else:
@@ -269,14 +275,16 @@ def embedded_check(
 ) -> EmbeddednessReport:
     """Scan all sample pairs with domain separation >= d_dom.
 
-    The samples lie on rings (_sample_layout), so consecutive ones are close
-    in both the domain and the image.  kernels.pair_scan uses that to skip
-    the pairs a bound on their separation rules out, and its report equals
-    the all-pairs scan's: the lowest-index pair wins ties.  Flags ambient
-    separations below d_amb.
+    The samples lie on a grid of rings by angles (_sample_layout), so grid
+    neighbours are close in both the domain and the image.
+    kernels.pair_scan, told the ring count, bounds 2 x 2 patches of that
+    grid to skip the pairs a bound on their separation rules out, and its
+    report equals the all-pairs scan's: the lowest-index pair wins ties.
+    Flags ambient separations below d_amb.
     """
     dom, ambient = _sample_layout(F, n_samples)
-    min_sep, mi, mj, fi, fj = kernels.pair_scan(ambient, dom, d_dom, d_amb)
+    nrad, _ = _layout_shape(n_samples)
+    min_sep, mi, mj, fi, fj = kernels.pair_scan(ambient, dom, d_dom, d_amb, rows=nrad)
     return EmbeddednessReport(
         min_separation=float(min_sep),
         offending_pair=(complex(dom[fi]), complex(dom[fj])) if fi >= 0 else None,

@@ -12,6 +12,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import (
+    DomainError,
     NonHolomorphicDataError,
     NotInH3Error,
     NotInNullConeError,
@@ -209,12 +210,16 @@ def spinor_lift(f: SeriesMap) -> SpinorPair:
     annulus the doubling also stops, with the last failure, before a width
     whose inner-circle scale r0^-width leaves the float range.
     The global sign is fixed by pushing u (then v) at the first boundary
-    sample into the closed right half-plane.
+    sample into the closed right half-plane.  A map whose boundary samples
+    overflow raises DomainError.
     """
     if f.ncomp != 3:
         raise ValueError("lift expects a 3-component map")
     n = _fit_samples(f.width)
-    vals = f.rings(f.boundary_radii, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.rings(f.boundary_radii, n)
+    if not np.isfinite(vals).all():
+        raise DomainError("curve values overflow on the boundary circles")
     norms2 = (np.abs(vals) ** 2).sum(axis=2)
     sos = np.abs(vals[..., 0] ** 2 + vals[..., 1] ** 2 + vals[..., 2] ** 2)
     scale2 = norms2.max()

@@ -12,9 +12,10 @@ because the benchmark's kernel micro-timings time them by name.
 
 The polar shortest paths are a ring-by-ring Gauss-Seidel sweep in NumPy,
 relaxed to its fixpoint, which is the Dijkstra distances bit for bit; the
-package uses no SciPy.  The pair scan bounds tiles of consecutive samples
-first and evaluates only the pairs those bounds cannot rule out; its
-answers are the all-pairs scan's.
+package uses no SciPy.  The pair scan bounds 2 x 2 patches of the sample
+grid first, with one matrix product per block of patches, and evaluates
+only the pairs those bounds cannot rule out, on real arrays laid out
+component by component; its answers are the all-pairs scan's.
 """
 
 import math
@@ -27,13 +28,13 @@ BACKEND = "numpy"
 _CHUNK = 64
 # horner_eval evaluates this many points per matrix product
 _HORNER_POINTS = 256
-# pair_scan: samples per tile, the subsample stride of its first upper
-# bound, the relative slack on its pruning bounds, and the most pairs it
-# evaluates in one step
-_TILE = 4
+# pair_scan: the subsample stride of its first upper bound, the relative
+# slack on its pruning bounds, the rounding allowance per coordinate of its
+# Gram-form centre distances, and the most pairs it evaluates in one step
 _STRIDE = 8
 _SLACK = 1e-9
-_PAIR_BLOCK = 1 << 16
+_GRAM = 1e-13
+_PAIR_BLOCK = 1 << 14
 
 
 def horner_eval(coeffs, z):
@@ -185,102 +186,191 @@ def dijkstra_polar(w_tan, w_rad, w_dru, w_drl, src_mask):
         dist, outward = relaxed, not outward
 
 
-def _separations(ambient, dom, i, j, d_dom2):
-    """Squared ambient separation of the pairs (i, j), inf where the pair's
-    squared domain separation is below d_dom2.  i and j are index arrays of
-    one shape; the result has it too."""
-    ddc = dom[j] - dom[i]
-    dd = ddc.real ** 2 + ddc.imag ** 2
-    dac = (ambient[j] - ambient[i]).reshape(-1, ambient.shape[1])
-    sep = (dac.real ** 2 + dac.imag ** 2).sum(axis=1).reshape(dd.shape)
-    return np.where(dd >= d_dom2, sep, np.inf)
+def _sq_separations(amb_i, amb_j, dom_i, dom_j, d_dom2):
+    """Squared ambient separations of the pairs (i, j), inf where the pair's
+    squared domain separation is below d_dom2.
+
+    The points come as component-major real coordinates that broadcast
+    against each other: (2C, ...) ambient, rows 2k and 2k + 1 the real and
+    imaginary part of component k, and (2, ...) domain.  A separation is
+    ((re0^2 + im0^2) + (re1^2 + im1^2)) + ..., the left fold in which
+    NumPy's row sum of |a_j - a_i|^2 adds its C < 8 terms, and it is the
+    same bit for bit with i and j swapped.
+    """
+    diff = amb_j - amb_i
+    diff *= diff
+    sep = diff[0] + diff[1]
+    for k in range(2, diff.shape[0], 2):
+        sep += np.add(diff[k], diff[k + 1], out=diff[k])
+    gap = dom_j - dom_i
+    gap *= gap
+    return np.where(gap[0] + gap[1] >= d_dom2, sep, np.inf)
 
 
-def _tile_bounds(points, idx):
-    """Centre (T, C) and radius (T,) of the tiles points[idx], points (N, C)."""
-    members = points[idx]
-    centre = members.mean(axis=1)
-    off = members - centre[:, None]
-    return centre, np.sqrt((off.real ** 2 + off.imag ** 2).sum(axis=2).max(axis=1))
+def _tile_separations(amb, dom, ta, tb, d_dom2):
+    """_sq_separations (4, 4, S) of the members of tiles ta (S,) against
+    those of tiles tb (S,): entry [x, y, s] pairs member x of tile ta[s]
+    with member y of tile tb[s].  amb (2C, 4, T) and dom (2, 4, T) are the
+    tile arrays; the pair axis comes last, so every operation runs along it.
+    """
+    amb_a, amb_b = amb.take(ta, axis=2), amb.take(tb, axis=2)
+    dom_a, dom_b = dom.take(ta, axis=2), dom.take(tb, axis=2)
+    return _sq_separations(amb_a[:, :, None], amb_b[:, None], dom_a[:, :, None],
+                           dom_b[:, None], d_dom2)
 
 
-def _distance(a, b):
-    """Euclidean distances (A, B) between the rows of a (A, C) and b (B, C)."""
-    diff = b[None] - a[:, None]
-    return np.sqrt((diff.real ** 2 + diff.imag ** 2).sum(axis=2))
+def _tiles(n, rows):
+    """Sample indices (T, 4) of pair_scan's tiles on rows x (n / rows) samples.
+
+    A tile is a patch of 2 rows by 2 columns of the row-major grid, or a run
+    of 4 consecutive samples when rows is 1.  Tiles run row-major over the
+    grid; an odd last row or column of tiles repeats the grid's last row or
+    column.
+    """
+    cols = n // rows
+    height = 2 if rows > 1 else 1
+    width = 4 // height
+    r = np.minimum(np.arange(-(-rows // height) * height), rows - 1).reshape(-1, height)
+    c = np.minimum(np.arange(-(-cols // width) * width), cols - 1).reshape(-1, width)
+    return (r[:, None, :, None] * cols + c[None, :, None, :]).reshape(-1, 4)
 
 
-def pair_scan(ambient, dom, d_dom, d_amb):
+def _tile_bounds(tiles):
+    """Centres (K, T) and radii (T,) of tiles given as (K, 4, T) coordinates."""
+    centre = tiles.mean(axis=1)
+    off = tiles - centre[:, None]
+    off *= off
+    return centre, np.sqrt(off.sum(axis=0).max(axis=0))
+
+
+def pair_scan(ambient, dom, d_dom, d_amb, rows=1):
     """Exact scan over all sample pairs with domain separation >= d_dom.
 
-    ambient: (N, C) complex image points, dom: (N,) complex domain points.
-    Returns (min_sep, min_i, min_j, flag_i, flag_j) where (min_i, min_j) is
-    the first pair attaining the minimal ambient separation and
-    (flag_i, flag_j) is the first pair with ambient separation < d_amb
-    (-1, -1 if none).  "First" is lexicographic in (i, j).
+    ambient: (N, C) complex image points, dom: (N,) complex domain points,
+    read as rows rows of N / rows samples, row-major (ValueError if rows
+    does not divide N).  Returns (min_sep, min_i, min_j, flag_i, flag_j)
+    where (min_i, min_j) is the first pair attaining the minimal ambient
+    separation and (flag_i, flag_j) is the first pair with ambient
+    separation < d_amb (-1, -1 if none).  "First" is lexicographic in
+    (i, j), i < j; separations are _sq_separations'.
 
     The scan evaluates only the pairs a bound cannot rule out.  The pairs
     of every _STRIDE-th sample give an upper bound U on the minimum.  The
-    samples are cut into tiles of _TILE consecutive ones, each with a
-    centre and a radius in the ambient space and in the domain.  A pair of
-    tiles is skipped when every pair in it is closer than d_dom in the
-    domain, or farther than sqrt(max(U, d_amb^2)) in the ambient space:
-    none of those pairs can be the minimum or flagged.  Both bounds carry
-    a relative slack of _SLACK, far above their rounding error.  The kept
-    pairs go through the row scan's own expression, so the answers equal
-    the unpruned scan's bit for bit.
+    samples are cut into tiles of 2 x 2 neighbours on the grid, or runs of
+    4 when rows is 1 (_tiles), each with a centre and a radius in the
+    ambient space and in the domain.  A pair of tiles is skipped when every
+    pair in it is closer than d_dom in the domain, or farther than
+    sqrt(max(U, d_amb^2)) in the ambient space (a test skipped when that
+    reach is infinite): none of those pairs can be the minimum or flagged.  The
+    kept tile pairs go through the same arithmetic, on (2C, 4, T) and
+    (2, 4, T) real tile arrays gathered once, so the answers equal the
+    unpruned scan's bit for bit.  A pair from two tiles is keyed by its
+    lesser index first; inside one tile only i < j counts, so the repeated
+    members that pad an odd edge drop out.
+
+    Rounding.  Both bounds carry a relative slack of _SLACK, far above the
+    rounding of the radii, the domain distances and the separations.  The
+    centre distances come in Gram form, one matrix product per block of
+    tile rows and per space.  For centres a and b in m real coordinates,
+    let s = |a|^2 + |b|^2 and g = |a - b|^2 = |a|^2 + |b|^2 - 2 a.b.  With
+    R = sqrt(max(U, d_amb^2)), q the ambient radii times (1 + _SLACK) /
+    (1 - _SLACK) and r_a = R / (1 - _SLACK) + q_a, the ambient product is
+    u_a . v_b = g - tau s - (r_a + q_b)^2, its norms shrunk by 1 - tau; the
+    domain product is p_a . w_b = g + tau s, its norms grown by 1 + tau.
+    With eps = 2^-53 and gamma_k = k eps / (1 - k eps), the norms, the vector
+    entries and the products (in any summation order) each round by at
+    most gamma_(m+4) times the sum of their terms' moduli, and those sums
+    stay below 3 s + 2 (r_a + q_b)^2.  tau = _GRAM (m + 4) is 300 times
+    3 gamma_(m+4).  So the domain product is never below g, and a positive
+    ambient product means g > (1 - 2 gamma_(m+4)) (r_a + q_b)^2, which the
+    slack turns into a separation above R for every pair of the two tiles
+    (barring over- and underflow).
     """
-    ambient = np.asarray(ambient, dtype=np.complex128)
-    dom = np.asarray(dom, dtype=np.complex128)
+    ambient = np.ascontiguousarray(ambient, dtype=np.complex128)
+    dom = np.ascontiguousarray(dom, dtype=np.complex128)
     n = ambient.shape[0]
+    if rows < 1 or n % rows:
+        raise ValueError("rows=%r does not divide the %d samples" % (rows, n))
     d_dom2 = d_dom * d_dom
     d_amb2 = d_amb * d_amb
     if n < 2:
         return np.inf, -1, -1, -1, -1
+    amb = ambient.view(np.float64).T
+    dmn = dom.view(np.float64).reshape(n, 2).T
 
     # U: the least separation among the subsample's qualifying pairs
     sub = np.arange(0, n, _STRIDE)
+    sub_amb, sub_dom = amb[:, sub], dmn[:, sub]
     upper = np.inf
-    rows = max(1, _PAIR_BLOCK // sub.size)
-    for lo in range(0, sub.size, rows):
-        i = sub[lo:lo + rows, None]
-        sep = _separations(ambient, dom, i, sub[None, :], d_dom2)
-        upper = min(upper, float(sep.min(where=sub[None, :] > i, initial=np.inf)))
-    reach2 = max(upper, d_amb2)
+    block = max(1, _PAIR_BLOCK // sub.size)
+    for lo in range(0, sub.size, block):
+        # rows lo .. hi - 1 against columns lo ..; the pairs j <= i are masked
+        hi = lo + block
+        sep = _sq_separations(sub_amb[:, lo:hi, None], sub_amb[:, None, lo:],
+                              sub_dom[:, lo:hi, None], sub_dom[:, None, lo:], d_dom2)
+        head = sep[:, :sep.shape[0]]
+        head[np.tri(sep.shape[0], dtype=bool)] = np.inf
+        upper = min(upper, float(sep.min()))
 
-    ntile = -(-n // _TILE)
-    # the last tile repeats sample n - 1 to fill up; pairs need i < j anyway
-    idx = np.minimum(np.arange(ntile * _TILE), n - 1).reshape(ntile, _TILE)
-    amb_c, amb_r = _tile_bounds(ambient, idx)
-    dom_c, dom_r = _tile_bounds(dom[:, None], idx)
+    idx = _tiles(n, rows)
+    ntile = idx.shape[0]
+    amb_t, dom_t = amb[:, idx.T], dmn[:, idx.T]
+    amb_c, amb_r = _tile_bounds(amb_t)
+    dom_c, dom_r = _tile_bounds(dom_t)
+    # one matrix product per block and bound (see Rounding): u_a . v_b > 0
+    # rules tiles a and b out in the ambient space, and p_a . w_b is at
+    # least the square of their domain centre distance; an infinite reach
+    # rules nothing out
+    one = np.ones(ntile)
+    reach2 = max(upper, d_amb2)
+    q = amb_r * ((1.0 + _SLACK) / (1.0 - _SLACK))
+    reach = np.sqrt(reach2) / (1.0 - _SLACK) + q
+    norm = (amb_c * amb_c).sum(axis=0) * (1.0 - _GRAM * (amb_c.shape[0] + 4))
+    u = np.vstack([amb_c, reach, norm - reach * reach, one]).T.copy()
+    v = np.vstack([-2.0 * amb_c, -2.0 * q, one, norm - q * q])
+    norm = (dom_c * dom_c).sum(axis=0) * (1.0 + _GRAM * (dom_c.shape[0] + 4))
+    p = np.vstack([dom_c, norm, one]).T.copy()
+    w = np.vstack([-2.0 * dom_c, one, norm])
+    far = d_dom / (1.0 + _SLACK) - dom_r
+
+    kept = []
+    block = max(1, _PAIR_BLOCK // ntile)
+    for lo in range(0, ntile, block):
+        # tile rows a against tiles b >= lo; the pairs with b < a are masked
+        a = slice(lo, min(lo + block, ntile))
+        span = np.sqrt(p[a] @ w[:, lo:])
+        keep = span >= far[a, None] - dom_r[None, lo:]
+        if reach2 < np.inf:
+            keep &= u[a] @ v[:, lo:] <= 0.0
+        head = keep[:, :keep.shape[0]]
+        head &= np.tri(keep.shape[0], dtype=bool).T
+        ta, tb = np.nonzero(keep)
+        kept.append((ta + lo, tb + lo))
+    ta = np.concatenate([t for t, _ in kept])
+    tb = np.concatenate([t for _, t in kept])
 
     best, best_key = np.inf, -1
     flag_key = n * n
-    rows = max(1, _PAIR_BLOCK // ntile)
-    step = max(1, _PAIR_BLOCK // (_TILE * _TILE))  # tile pairs per step
-    for lo in range(0, ntile, rows):
-        # tile rows a against tiles b >= lo; the pairs with b < a are masked
-        a = np.arange(lo, min(lo + rows, ntile))
-        span = _distance(dom_c[a], dom_c[lo:]) + dom_r[a, None] + dom_r[None, lo:]
-        reach = _distance(amb_c[a], amb_c[lo:])
-        radii = amb_r[a, None] + amb_r[None, lo:]
-        gap = np.maximum(reach - radii - _SLACK * (reach + radii), 0.0)
-        keep = (span * (1.0 + _SLACK) >= d_dom) & (gap * gap <= reach2)
-        keep &= np.arange(lo, ntile)[None] >= a[:, None]
-        ta, tb = np.nonzero(keep)
-        ta += lo
-        tb += lo
-        for s in range(0, ta.size, step):
-            i = idx[ta[s:s + step], :, None]
-            j = idx[tb[s:s + step], None, :]
-            sep = np.where(i < j, _separations(ambient, dom, i, j, d_dom2), np.inf)
-            key = i * n + j
-            low = float(sep.min())
-            if low < np.inf and low <= best:
-                best, best_key = min((best, best_key), (low, int(key[sep == low].min())))
-            hits = sep < d_amb2
-            if hits.any():
-                flag_key = min(flag_key, int(key[hits].min()))
+    own = (idx[:, :, None] < idx[:, None, :]).transpose(1, 2, 0)
+
+    def first(mask, a, b):
+        x, y, k = np.nonzero(mask)
+        i, j = idx[a[k], x], idx[b[k], y]
+        return int((np.minimum(i, j) * n + np.maximum(i, j)).min())
+
+    step = max(1, _PAIR_BLOCK // 16)  # tile pairs per step
+    for s in range(0, ta.size, step):
+        a, b = ta[s:s + step], tb[s:s + step]
+        sep = _tile_separations(amb_t, dom_t, a, b, d_dom2)
+        same = a == b
+        if same.any():
+            sep[..., same] = np.where(own[..., a[same]], sep[..., same], np.inf)
+        low = float(sep.min())
+        if low < np.inf and low <= best:
+            best, best_key = min((best, best_key), (low, first(sep == low, a, b)))
+        hits = sep < d_amb2
+        if hits.any():
+            flag_key = min(flag_key, first(hits, a, b))
     best_i, best_j = divmod(best_key, n) if best_key >= 0 else (-1, -1)
     flag_i, flag_j = divmod(flag_key, n) if flag_key < n * n else (-1, -1)
     return float(np.sqrt(best)) if np.isfinite(best) else np.inf, \

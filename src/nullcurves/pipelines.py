@@ -557,23 +557,19 @@ def _mesh_points(F: SeriesMap, grid: Tuple[int, int]):
     return pts, center is not None
 
 
-def _mesh_faces(nrad: int, nang: int, has_center: bool) -> List[Tuple[int, int, int]]:
-    faces = []
-    off = 1 if has_center else 0
-
-    def vid(i, j):
-        return off + i * nang + (j % nang) + 1  # OBJ indices are 1-based
-
-    if has_center:
-        for j in range(nang):
-            faces.append((1, vid(0, j) , vid(0, j + 1)))
-    for i in range(nrad - 1):
-        for j in range(nang):
-            a, b = vid(i, j), vid(i, j + 1)
-            c, d = vid(i + 1, j + 1), vid(i + 1, j)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return faces
+def _mesh_faces(nrad: int, nang: int, has_center: bool) -> np.ndarray:
+    """Triangles (F, 3) of the polar mesh in 1-based OBJ vertex ids: the
+    centre fan, then two per grid cell, ring by ring."""
+    j = np.arange(nang)
+    # id of vertex (ring i, angle j) is start[i] + j
+    start = (2 if has_center else 1) + nang * np.arange(nrad)[:, None]
+    a, b = start[:-1] + j, start[:-1] + (j + 1) % nang
+    c, d = start[1:] + (j + 1) % nang, start[1:] + j
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    if not has_center:
+        return faces
+    fan = np.stack([np.ones(nang, dtype=int), start[0] + j, start[0] + (j + 1) % nang], axis=1)
+    return np.concatenate([fan, faces])
 
 
 def export_surface(
@@ -603,11 +599,9 @@ def export_surface(
     else:
         tmap_on_curve(F, n_r=9, n_theta=64, n_boundary=1024, pole_tol=EXPORT_POLE_TOL)
         verts = h3_minkowski(bryant_project(tmap(pts, EXPORT_POLE_TOL)))[:, 1:]
-    lines = ["# %s mesh, %d x %d polar grid" % (target, grid[0], grid[1])]
-    for v in verts:
-        lines.append("v %.17g %.17g %.17g" % (v[0], v[1], v[2]))
-    for f in _mesh_faces(grid[0], grid[1], has_center):
-        lines.append("f %d %d %d" % f)
+    faces = _mesh_faces(grid[0], grid[1], has_center)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# %s mesh, %d x %d polar grid\n" % (target, grid[0], grid[1]))
+        fh.write("v %.17g %.17g %.17g\n" * len(verts) % tuple(verts.ravel().tolist()))
+        fh.write("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
     return path

@@ -405,6 +405,18 @@ def test_export_overflowing_curve_is_domain_error(target, tmp_path, capsys):
     assert not mesh.exists()
 
 
+def test_deform_overflowing_curve_is_domain_error(tmp_path, capsys):
+    # the annulus curve above overflows on its inner boundary circle, where
+    # the lift samples it: one error naming the overflow, no NumPy warning
+    c = np.zeros((3, 602), dtype=complex)
+    c[:, 0] = c[:, 601] = [1.0, 1j, 0.0]  # degrees -600 and 1
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap(c, -600, "annulus", 0.25)))
+    code, out, err = run(capsys, "deform", str(curve), write_datum(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: curve values overflow on the boundary circles\n"
+
+
 def test_export_bad_grid_is_usage_error(tmp_path, capsys):
     curve = tmp_path / "curve.json"
     run(capsys, "construct", "linear_v1", "--out", str(curve))

@@ -322,8 +322,8 @@ def _pair_scan_reference(ambient, dom, d_dom, d_amb):
         best_i, best_j, flag_i, flag_j
 
 
-def _assert_scan_equal(ambient, dom, d_dom=0.5, d_amb=1e-3):
-    got = kernels.pair_scan(ambient, dom, d_dom, d_amb)
+def _assert_scan_equal(ambient, dom, d_dom=0.5, d_amb=1e-3, rows=1):
+    got = kernels.pair_scan(ambient, dom, d_dom, d_amb, rows=rows)
     want = _pair_scan_reference(ambient, dom, d_dom, d_amb)
     assert got == want
     return got
@@ -345,9 +345,51 @@ def _verify_layouts():
 
 
 def test_pair_scan_bit_equal_on_verify_layouts():
+    from nullcurves.diagnostics import _layout_shape
+
+    rings = _layout_shape(4096)[0]
     for dom, ambient in _verify_layouts():
-        min_sep, mi, mj, fi, fj = _assert_scan_equal(ambient, dom)
+        want = _pair_scan_reference(ambient, dom, 0.5, 1e-3)
+        for rows in (1, 2, rings):
+            assert kernels.pair_scan(ambient, dom, 0.5, 1e-3, rows=rows) == want
+        min_sep, mi, mj, fi, fj = want
         assert 0 <= mi < mj and (fi, fj) == (-1, -1)
+
+
+def test_embedded_check_reports_the_flat_scan():
+    from nullcurves.diagnostics import _sample_layout, embedded_check
+    from nullcurves.pipelines import catalog
+
+    for name in ("linear_v1", "cubic_enneper_like", "annulus_basic"):
+        F = catalog(name)
+        for d_amb in (1e-3, 2.0):
+            dom, ambient = _sample_layout(F, 4096)
+            min_sep, mi, mj, fi, fj = kernels.pair_scan(ambient, dom, 0.5, d_amb)
+            report = embedded_check(F, d_amb=d_amb)
+            assert report.min_separation == min_sep
+            assert report.min_pair == (complex(dom[mi]), complex(dom[mj]))
+            want = (complex(dom[fi]), complex(dom[fj])) if fi >= 0 else None
+            assert report.offending_pair == want
+        assert report.flagged  # at d_amb = 2
+
+
+def _grid_samples(F, nrad, nang):
+    """Samples of F on nrad rings by nang angles, ring by ring, as verify lays
+    them out but at any grid size."""
+    radii = np.linspace(0.3, 1.0, nrad)
+    dom = (radii[:, None] * np.exp(2j * np.pi * np.arange(nang) / nang)[None, :]).ravel()
+    return dom, F.rings(radii, nang).reshape(-1, F.ncomp)
+
+
+@pytest.mark.parametrize("nrad, nang", [(3, 45), (5, 27), (5, 33), (3, 2), (1, 9), (7, 1)])
+def test_pair_scan_bit_equal_on_odd_grids(nrad, nang):
+    # odd rows, odd columns, N = 135, 135, 165, 6, 9 and 7: no multiple of 4
+    from nullcurves.pipelines import catalog
+
+    dom, ambient = _grid_samples(catalog("cubic_enneper_like"), nrad, nang)
+    for rows in {1, nrad}:
+        for d_dom, d_amb in [(0.5, 1e-3), (0.5, 2.0), (0.0, 0.5), (1.5, 1e-3)]:
+            _assert_scan_equal(ambient, dom, d_dom, d_amb, rows=rows)
 
 
 @pytest.mark.parametrize("block", [kernels._PAIR_BLOCK, 64])
@@ -355,11 +397,21 @@ def test_pair_scan_bit_equal_on_random_clouds(monkeypatch, block):
     # a small block splits every loop of the scan into many steps
     monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
     r = rng(8)
-    for n in (0, 1, 2, 7, 2001 if block > 64 else 301):
+    # rows divide n: 2001 = 3 * 23 * 29 and 301 = 7 * 43
+    for n, rows in [(0, [1, 3]), (1, [1]), (2, [1, 2]), (7, [1, 7]),
+                    (2001, [1, 3, 29, 87]) if block > 64 else (301, [1, 7, 43])]:
         pts = r.normal(size=(n, 3)) + 1j * r.normal(size=(n, 3))
         dom = r.normal(size=n) + 1j * r.normal(size=n)
-        _assert_scan_equal(pts, dom)
-        _assert_scan_equal(pts, dom, d_dom=0.0, d_amb=0.5)
+        for k in rows:
+            _assert_scan_equal(pts, dom, rows=k)
+            _assert_scan_equal(pts, dom, d_dom=0.0, d_amb=0.5, rows=k)
+
+
+@pytest.mark.parametrize("rows", [0, 3, 4096])
+def test_pair_scan_refuses_rows_that_do_not_divide_the_samples(rows):
+    pts = np.zeros((10, 3), dtype=complex)
+    with pytest.raises(ValueError, match="does not divide"):
+        kernels.pair_scan(pts, np.zeros(10), 0.5, 1e-3, rows=rows)
 
 
 @pytest.mark.parametrize("block", [kernels._PAIR_BLOCK, 64])
@@ -370,36 +422,49 @@ def test_pair_scan_first_tied_pair_wins(monkeypatch, block):
     base = r.normal(size=(6, 3)) + 1j * r.normal(size=(6, 3))
     pts = base[r.integers(0, 6, size=300)]
     dom = np.exp(2j * np.pi * r.uniform(size=300))
-    got = _assert_scan_equal(pts, dom, d_dom=0.5, d_amb=1e-3)
-    assert got[0] == 0.0 and got[1:3] == got[3:]
+    for rows in (1, 2):
+        got = _assert_scan_equal(pts, dom, d_dom=0.5, d_amb=1e-3, rows=rows)
+        assert got[0] == 0.0 and got[1:3] == got[3:]
     # two tied pairs, (0, 40) and (3, 5): the second is met first, tile by
     # tile, and with a small block in an earlier step
     pts = r.normal(size=(60, 3)) + 1j * r.normal(size=(60, 3))
     pts[40], pts[5] = pts[0], pts[3]
     dom = np.exp(2j * np.pi * 0.37 * np.arange(60))
-    assert _assert_scan_equal(pts, dom, d_dom=0.5, d_amb=1e-3) == (0.0, 0, 40, 0, 40)
+    for rows in (1, 2):
+        got = _assert_scan_equal(pts, dom, d_dom=0.5, d_amb=1e-3, rows=rows)
+        assert got == (0.0, 0, 40, 0, 40)
+
+
+def test_pair_scan_keys_a_pair_by_sample_index_across_patches():
+    # 2 rows of 30: sample 32 (row 1, column 2) sits in an earlier patch than
+    # sample 7 (row 0, column 7), so the scan meets the pair as (32, 7); it
+    # must report (7, 32), which beats the tie (9, 22) in index order
+    r = rng(11)
+    pts = r.normal(size=(60, 3)) + 1j * r.normal(size=(60, 3))
+    pts[32], pts[22] = pts[7], pts[9]
+    dom = np.exp(2j * np.pi * 0.37 * np.arange(60))
+    got = _assert_scan_equal(pts, dom, d_dom=0.5, d_amb=1e-3, rows=2)
+    assert got == (0.0, 7, 32, 7, 32)
 
 
 def test_pair_scan_evaluates_every_pair_it_cannot_rule_out(monkeypatch):
     """Every qualifying pair with squared separation <= max(U, d_amb^2) lies
-    in a tile pair the scan keeps: the argument that makes it exact."""
-    from nullcurves.diagnostics import _sample_layout
+    in a tile pair the scan keeps: the argument that makes it exact.  It
+    holds for runs along the rings and for patches of the ring grid."""
+    from nullcurves.diagnostics import _layout_shape, _sample_layout
     from nullcurves.pipelines import catalog
 
     dom, ambient = _sample_layout(catalog("cubic_enneper_like"), 1024)
     n = dom.size
     d_dom, d_amb = 0.5, 1.2
     evaluated = []
-    original = kernels._separations
+    original = kernels._tile_separations
 
-    def recorded(ambient_, dom_, i, j, d_dom2):
-        if i.ndim == 3:  # tile pairs; the subsample's rows are 2-d
-            evaluated.append(np.broadcast_arrays(i, j))
-        return original(ambient_, dom_, i, j, d_dom2)
+    def recorded(amb, dom_, ta, tb, d_dom2):
+        evaluated.append((ta, tb))
+        return original(amb, dom_, ta, tb, d_dom2)
 
-    monkeypatch.setattr(kernels, "_separations", recorded)
-    _assert_scan_equal(ambient, dom, d_dom, d_amb)
-    keys = np.unique(np.concatenate([(i * n + j).ravel() for i, j in evaluated]))
+    monkeypatch.setattr(kernels, "_tile_separations", recorded)
     i, j = np.triu_indices(n, 1)
     dd = np.abs(dom[j] - dom[i]) ** 2
     sep = (np.abs(ambient[j] - ambient[i]) ** 2).sum(axis=1)
@@ -408,9 +473,17 @@ def test_pair_scan_evaluates_every_pair_it_cannot_rule_out(monkeypatch):
     need = (dd >= d_dom ** 2) & (sep <= max(upper, d_amb ** 2))
     # d_amb, not U, decides here: most of the pairs needed are above U
     assert need.sum() > 10 * (need & (sep <= upper)).sum()
-    assert np.isin(i[need] * n + j[need], keys).all()
-    # and the bounds do prune
-    assert keys.size < 0.75 * i.size
+    for rows in (1, _layout_shape(1024)[0]):
+        evaluated.clear()
+        _assert_scan_equal(ambient, dom, d_dom, d_amb, rows=rows)
+        tiles = kernels._tiles(n, rows)
+        ti = tiles[np.concatenate([ta for ta, _ in evaluated])][:, :, None]
+        tj = tiles[np.concatenate([tb for _, tb in evaluated])][:, None, :]
+        ti, tj = np.broadcast_arrays(ti, tj)
+        keys = np.unique((np.minimum(ti, tj) * n + np.maximum(ti, tj))[ti != tj])
+        assert np.isin(i[need] * n + j[need], keys).all()
+        # and the bounds do prune
+        assert keys.size < 0.75 * i.size
 
 
 def test_pair_scan_bit_equal_on_flagged_even_map():

@@ -23,7 +23,7 @@ from nullcurves.errors import (
     PoleError,
     ToleranceUnachievableError,
 )
-from nullcurves.geometry import NullVector, bryant_project, tmap
+from nullcurves.geometry import NullVector, bryant_project, h3_minkowski, tmap
 from nullcurves.pipelines import (
     CSV_HEADER,
     GrowthLedger,
@@ -599,6 +599,41 @@ def test_h3_export_checks_every_vertex(tmp_path):
 def test_unknown_target_rejected(tmp_path):
     with pytest.raises(ValueError):
         export_surface(catalog("linear_v1"), "s3", str(tmp_path / "x.obj"))
+
+
+def _line_by_line_obj(F, target, grid):
+    """The OBJ bytes of the writer export_surface replaced: one formatted
+    line per vertex and per face, faces from a Python loop."""
+    pts, has_center = pipelines._mesh_points(F, grid)
+    if target == "r3":
+        verts = pts.real
+    else:
+        verts = h3_minkowski(bryant_project(tmap(pts, pipelines.EXPORT_POLE_TOL)))[:, 1:]
+    nrad, nang = grid
+    off = 1 if has_center else 0
+
+    def vid(i, j):
+        return off + i * nang + (j % nang) + 1
+
+    faces = [(1, vid(0, j), vid(0, j + 1)) for j in range(nang)] if has_center else []
+    for i in range(nrad - 1):
+        for j in range(nang):
+            a, b = vid(i, j), vid(i, j + 1)
+            c, d = vid(i + 1, j + 1), vid(i + 1, j)
+            faces += [(a, b, c), (a, c, d)]
+    lines = ["# %s mesh, %d x %d polar grid" % (target, nrad, nang)]
+    lines += ["v %.17g %.17g %.17g" % (v[0], v[1], v[2]) for v in verts]
+    lines += ["f %d %d %d" % f for f in faces]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("grid", [(2, 3), (3, 5), (64, 128)])
+@pytest.mark.parametrize("name, target", [("cubic_enneper_like", "r3"),
+                                          ("annulus_basic", "h3"), ("annulus_basic", "r3")])
+def test_obj_bytes_equal_the_line_by_line_writer(tmp_path, name, target, grid):
+    path = tmp_path / "mesh.obj"
+    export_surface(catalog(name), target, str(path), grid=grid)
+    assert path.read_bytes() == _line_by_line_obj(catalog(name), target, grid)
 
 
 def test_mesh_export_deterministic(tmp_path):
