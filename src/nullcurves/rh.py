@@ -29,9 +29,10 @@ bisected.
 A null push decides before it builds anything: a datum whose collar floor
 reaches epsilon is refused, and the fit degree of the amplitude root is
 read off the fit's own floor, so each push runs one k-search.  Both
-searches screen their attempts: one whose (a) on the unit circle, or whose
-running (b), already reaches epsilon is dropped before the rest of its
-certificate is measured.
+searches double k until it certifies, then close the bracket on a log-log
+secant of the worst case's k^(-1/2) decay, and both screen their attempts:
+one whose (a) on the unit circle, or whose running (b), already reaches
+epsilon is dropped before the rest of its certificate is measured.
 """
 
 import json
@@ -365,53 +366,96 @@ class BoundaryDiscFamily:
         return c.circle_values(1.0, n)
 
 
-def _search_k(build_and_certify, m: int, k_max: int):
-    """Doubling-then-bisection search for the smallest certifying k > m.
+class _Screened(float):
+    """A screened attempt: a lower bound on its worst case, carrying its (a)."""
 
-    build_and_certify(k, screen) -> (payload, cert).  Relies on the measured
-    monotone improvement of the conditions in k.  Every attempt is
+    __slots__ = ("cond_a",)
+
+    def __new__(cls, bound: float, cond_a: float):
+        out = super().__new__(cls, bound)
+        out.cond_a = cond_a
+        return out
+
+
+def _search_k(build_and_certify, m: int, k_max: int):
+    """Smallest certifying k > m: doubling, then a safeguarded secant.
+
+    build_and_certify(k, screen) -> (payload, cert).  Every attempt is
     screened: the builder may stop at a cheap bound and return a float for
     cert, a lower bound on the attempt's worst case that already reaches
-    the tolerance, so k certainly fails.  An exhausted search raises with
-    the certificate it would raise with unscreened (see _least_worst).
+    the tolerance, so k certainly fails.
+
+    The doubling tries k = m + 1, m + 2, m + 4, ... up to k_max until one
+    certifies; an exhausted search raises with the certificate it would
+    raise with unscreened (see _least_worst).  Then a bracket k_lo < k_hi,
+    k_lo failing and k_hi certifying, shrinks to k_hi - k_lo = 1, so the
+    answer certifies and its k - 1 was attempted and failed.  Each attempt
+    inside the bracket is the secant step of _secant_k on the worst case's
+    decay C k^(-p), or the midpoint when the secant has no inputs or the
+    previous step did not halve the bracket.  The conditions fall with k,
+    but not monotonely next to epsilon (wiggles of about 1e-4 relative were
+    measured there), so the answer is a certifying k whose k - 1 fails,
+    and which such k depends on the path of the search.
     """
     tried = []  # (worst case or a lower bound on it, k, certificate or None)
-    k = m + 1
 
     def attempt(kk):
-        """(payload, cert) when kk certifies, else None."""
+        """(payload, cert) of kk; cert is a float when kk was screened out."""
         payload, cert = build_and_certify(kk, True)
         full = isinstance(cert, RHCertificate)
         tried.append((cert.worst, kk, cert) if full else (cert, kk, None))
-        return (payload, cert) if full and cert.valid else None
+        return payload, cert
 
-    good = attempt(k)
-    if good is None:
-        k_lo = k
-        while True:
-            k = min(2 * (k - m) + m, k_max)
-            good = attempt(k)
-            if good is not None:
-                break
-            k_lo = k
-            if k >= k_max:
-                best = _least_worst(tried, build_and_certify)
-                raise ToleranceUnachievableError(
-                    "no k <= %d certifies the tolerance (best worst-case %.3g)"
-                    % (k_max, best.worst),
-                    certificate=best,
-                )
-    else:
-        k_lo = m
-    k_hi = k
+    def certifies(out):
+        return isinstance(out[1], RHCertificate) and out[1].valid
+
+    k_lo, k_hi, a_lo = m, m + 1, None
+    out = attempt(k_hi)
+    while not certifies(out):
+        if k_hi >= k_max:
+            best = _least_worst(tried, build_and_certify)
+            raise ToleranceUnachievableError(
+                "no k <= %d certifies the tolerance (best worst-case %.3g)"
+                % (k_max, best.worst),
+                certificate=best,
+            )
+        # the failing end feeds the secant its (a), which a screened attempt
+        # carries too: where (a) reaches epsilon, screening stops at (a) itself
+        a_lo = getattr(out[1], "cond_a", None)
+        k_lo, k_hi = k_hi, min(2 * (k_hi - m) + m, k_max)
+        out = attempt(k_hi)
+    good, eps = out, out[1].epsilon
+    halved = True
     while k_hi - k_lo > 1:
-        mid = (k_lo + k_hi) // 2
-        found = attempt(mid)
-        if found is not None:
-            k_hi, good = mid, found
+        k = _secant_k(k_lo, a_lo, k_hi, good[1].worst, eps) if halved else None
+        if k is None:
+            k = (k_lo + k_hi) // 2
+        width = k_hi - k_lo
+        out = attempt(k)
+        if certifies(out):
+            k_hi, good = k, out
         else:
-            k_lo = mid
+            k_lo, a_lo = k, getattr(out[1], "cond_a", None)
+        halved = 2 * (k_hi - k_lo) <= width + 1  # at most ceil(width / 2)
     return good
+
+
+def _secant_k(k_lo: int, a_lo: Optional[float], k_hi: int, w_hi: float,
+              eps: float) -> Optional[int]:
+    """The next k of the bracket search from the power law through its ends.
+
+    The law C k^(-p) through (k_lo, a_lo) and (k_hi, w_hi) meets eps at
+    k_hi (w_hi / eps)^(1 / p); this returns its ceiling, clamped to
+    [k_lo + 1, k_hi - 1].  None when a_lo is missing, below eps or not
+    finite, w_hi is zero, or p is not positive: bisect then.
+    """
+    if a_lo is None or not (eps <= a_lo < np.inf and w_hi > 0.0):
+        return None
+    p = np.log(a_lo / w_hi) / np.log(k_hi / k_lo)
+    if not p > 0.0:
+        return None
+    k = int(np.ceil(k_hi * np.exp(np.log(w_hi / eps) / p)))
+    return min(max(k, k_lo + 1), k_hi - 1)
 
 
 def _least_worst(tried, build_and_certify) -> RHCertificate:
@@ -587,17 +631,40 @@ def _certify_null(
     grid radii inside the gap it peaks at its vertex clamped to them.  The
     rings r and 1 come first, then every gap whose bound, maximised over its
     angles, reaches the running maximum is bisected, up to
-    _CERT_RING_BLOCK rings per evaluation.  A gap is skipped only below
-    that maximum by the relative margin _CERT_SLACK, far above the rounding
-    of the measured values, so cond_b equals the full grid's.  The radial
-    segments of (c)/(d) need no bound: one Horner call reads h = G - F
-    there at every grid radius.
+    _CERT_RING_BLOCK rings per evaluation.  The radial segments of (c)/(d)
+    need no bound: one Horner call reads h = G - F there at every grid
+    radius.
+
+    A gap is skipped only when its bound undercuts the running maximum by
+    the relative margin _CERT_SLACK plus 2 eta, eta = noise (cond_b + R),
+    R the largest |rays| that (b) reads, so cond_b equals the full grid's.
+    eta bounds the rounding of disc_distance at every sample the skip
+    weighs, where dist2 = d2 - along2 + excess^2 r2 cancels.  In the
+    model fl(x op y) = (x op y)(1 + t), |t| <= u = 2^-53, with C
+    components, d = point - center and first-order terms: d2 errs by at
+    most (C + 4) u d2; ip = |<d, ray>| by (C + 4) u sqrt(d2 r2), Cauchy-
+    Schwarz, so along2 = ip^2 / r2 <= d2 by (3C + 12) u d2; excess <=
+    ip / r2 <= sqrt(d2 / r2) by (2C + 8) u sqrt(d2 / r2), so excess^2 r2
+    <= d2 by (5C + 20) u d2; the two sums add 3 u d2.  So dist2 errs by at
+    most (9C + 39) u d2, and since |sqrt(x) - sqrt(y)| <= sqrt(|x - y|)
+    and the root rounds by u sqrt(d2), the distance by sqrt((9C + 40) u
+    d2) <= noise sqrt(d2), noise = sqrt(16 (C + 4) u) leaving room for the
+    second-order terms.  A point within phi of a disc of radius |ray| lies
+    within phi + |ray| of its centre, and every sample the skip weighs has
+    phi below cond_b + eta: the gap's measured ends by the running
+    maximum, its inner radii because the gap is skipped.  So a skipped
+    radius reads at most its bound plus eta, the bound from measured ends
+    errs by eta, and the sum stays below the running maximum.  The ring
+    samples' own FFT rounding, of order u log2(n) times G's coefficient
+    mass, is the same for the full grid and is taken to stay below eta.
 
     (a) is read off the ring rho = 1, which comes first.  With screen set,
     an (a) that already reaches epsilon ends the measurement, and so does
     a running (b) that does: G certainly fails, and max((a), (b))
-    so far, a lower bound on its worst case, is returned as a float in
-    place of the certificate, before h is formed.
+    so far, a lower bound on its worst case, is returned in place of the
+    certificate, before h is formed, as a float that carries (a) as
+    cond_a.  On the disc that (a) is the certificate's; on an annulus the
+    certificate's (a) also reads the inner circle.
     """
     n = rays.shape[0]
     Fb = F.circle_values(1.0, n)
@@ -606,7 +673,7 @@ def _certify_null(
     Gb = G.circle_values(1.0, n)  # the ring rho[top] = 1
     cond_a = float(circle_distance(Gb, Fb, rays).max())
     if screen and cond_a >= eps:
-        return cond_a
+        return _Screened(cond_a, cond_a)
 
     # (b) reads the collar over the padded arc against the projected discs
     idx = np.flatnonzero(~keep[0])
@@ -619,7 +686,10 @@ def _certify_null(
 
     cond_b = max(measure([top], Gb[None]), measure([0], G.rings(rho[:1], n)))
     if screen and cond_b >= eps:
-        return max(cond_a, cond_b)
+        return _Screened(max(cond_a, cond_b), cond_a)
+    # the rounding of a disc distance is at most noise * (its value + |ray|)
+    noise = np.sqrt(16.0 * (rays.shape[1] + 4) * np.finfo(np.float64).epsneg)
+    ray_max = float(np.sqrt(_component_sum(np.abs(rays[idx]) ** 2).max(initial=0.0)))
     lo_i, hi_i = np.array([0]), np.array([top])
     while lo_i.size:
         r_lo, g = rho[lo_i, None], rho[hi_i, None] - rho[lo_i, None]
@@ -632,14 +702,15 @@ def _certify_null(
         np.divide(dphi, Mg, out=x, where=(x_lo * Mg < dphi) & (dphi <= x_hi * Mg))
         tau = g / 2 + x
         bound = (phi[lo_i] + tau / g * dphi + M / 2 * tau * (g - tau)).max(axis=1)
-        split = (bound >= cond_b * (1.0 - _CERT_SLACK)) & (hi_i - lo_i > 1)
+        reach = cond_b * (1.0 - _CERT_SLACK) - 2.0 * noise * (cond_b + ray_max)
+        split = (bound >= reach) & (hi_i - lo_i > 1)
         lo_i, hi_i = lo_i[split], hi_i[split]
         mid = (lo_i + hi_i) // 2
         for s in range(0, mid.size, _CERT_RING_BLOCK):
             ids = mid[s:s + _CERT_RING_BLOCK]
             cond_b = max(cond_b, measure(ids, G.rings(rho[ids], n)))
             if screen and cond_b >= eps:
-                return max(cond_a, cond_b)
+                return _Screened(max(cond_a, cond_b), cond_a)
         lo_i, hi_i = np.concatenate([lo_i, mid]), np.concatenate([mid, hi_i])
 
     # h = G - F on the domain's boundary circles, then on the ring r

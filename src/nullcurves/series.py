@@ -457,15 +457,18 @@ def fit_from_boundary(
 
 
 def to_json(series: SeriesMap) -> str:
-    """Bit-exact JSON encoding (floats survive repr round-trip)."""
+    """Bit-exact JSON encoding (floats survive repr round-trip).
+
+    Each coefficient is written as [re, im], read off the complex128 array
+    as its float64 pairs in one tolist.
+    """
+    coeffs = series.coeffs
     payload = {
         "domain": series.domain,
         "r0": series.r0,
         "degree_lo": series.degree_lo,
         "degree_hi": series.degree_hi,
-        "components": [
-            [[float(c.real), float(c.imag)] for c in row] for row in series.coeffs
-        ],
+        "components": coeffs.view(np.float64).reshape(*coeffs.shape, 2).tolist(),
     }
     return json.dumps(payload)
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullcurves.errors import (
@@ -207,6 +207,11 @@ def _certify_approx_reference(f, fam, F, k, r, eps, n=DEFAULT_BOUNDARY_SAMPLES):
     eps=st.floats(-3.0, -0.3).map(lambda e: 10.0 ** e),
     k_max=st.sampled_from([64, 512, 4096]),
 )
+# (b) at the rounding floor of disc_distance, where a relative skip margin
+# alone left out the ring that holds the full grid's maximum
+@example(width=1, m=0, ncomp=1, seed=1, r=0.5, eps=10 ** -0.5, k_max=64)
+@example(width=1, m=0, ncomp=1, seed=351722844, r=0.691823646179039,
+         eps=0.3755382372185464, k_max=512)
 def test_rh_approx_equals_the_full_grid_search(width, m, ncomp, seed, r, eps, k_max):
     """rh_approx screens and bounds the collar, yet finds what the full grid finds.
 
@@ -503,7 +508,7 @@ def test_fit_floor_picks_the_degree_once(monkeypatch):
     ks = _count_certificates(monkeypatch)
     G, cert = rh_null_disc(F, bd)
     assert cert.valid and cert.k == 423
-    assert len(ks) == 16  # one search, at m = 256 only
+    assert len(ks) == 13  # one search, at m = 256 only
     assert min(ks) == 257
 
 
@@ -602,6 +607,136 @@ def test_exhausted_search_recertifies_only_what_can_win(winner, worsts):
     # in order of bound (0.2 at k = 4, then 0.3 at k = 1); k = 8's bound
     # 0.4 ties the best from an earlier attempt, so it cannot win
     assert rebuilt == [4, 1]
+
+
+def _synthetic_search(cond_a, cond_b=lambda k: 0.0, m=64, k_max=rh.K_MAX, eps=0.05,
+                      screening=True):
+    """Run _search_k on conditions given as functions of k.
+
+    Returns (the answer's k, the screened attempts in order).  A screening
+    builder stops where _certify_null does: at an (a), then at a (b), that
+    reaches eps, returning the bound with (a) attached.
+    """
+    attempts = []
+
+    def build(k, screen=False):
+        a, b = cond_a(k), cond_b(k)
+        if screen:
+            attempts.append(k)
+            if screening and a >= eps:
+                return k, rh._Screened(a, a)
+            if screening and b >= eps:
+                return k, rh._Screened(max(a, b), a)
+        return k, RHCertificate(k=k, r_prime=0.9, epsilon=eps, cond_a=a, cond_b=b,
+                                cond_c=0.0)
+
+    k, cert = rh._search_k(build, m, k_max)
+    assert cert.k == k and cert.valid
+    return k, attempts
+
+
+def _bisection_search(worst, m, eps=0.05):
+    """The doubling-then-bisection search, kept as the reference: (k, attempts)."""
+    attempts = []
+
+    def certifies(k):
+        attempts.append(k)
+        return worst(k) < eps
+
+    k_lo, k_hi = m, m + 1
+    while not certifies(k_hi):
+        k_lo, k_hi = k_hi, 2 * (k_hi - m) + m
+    while k_hi - k_lo > 1:
+        mid = (k_lo + k_hi) // 2
+        if certifies(mid):
+            k_hi = mid
+        else:
+            k_lo = mid
+    return k_hi, attempts
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m, answer", [(64, 347.3), (64, 1137.6), (256, 2670.2), (0, 5.5)])
+def test_search_on_a_power_law_finds_what_bisection_finds(p, m, answer):
+    """On an exact decay C k^(-p) the secant lands on bisection's answer.
+
+    It certifies no more often than bisection, whose certifying attempts
+    are the costly ones, and makes no more attempts in all.
+    """
+    def worst(k):
+        return 0.05 * (answer / k) ** p
+
+    k, attempts = _synthetic_search(worst, m=m)
+    want, reference = _bisection_search(worst, m)
+    assert k == want == int(np.ceil(answer))
+    certifying = [kk for kk in attempts if worst(kk) < 0.05]
+    assert len(certifying) <= len([kk for kk in reference if worst(kk) < 0.05])
+    assert len(attempts) <= len(reference)
+
+
+def test_search_on_a_non_monotone_law_returns_a_transition():
+    """Next to eps the worst case wiggles, as on seed 101's annulus datum.
+
+    There k = 1313 fails, 1314 certifies, 1315 fails and 1316 certifies;
+    here odd k certify from 1311 and even k from 1320.  The answer
+    certifies, and its k - 1 was attempted and failed.
+    """
+    def worst(k):
+        return 0.05 * np.sqrt(1314.5 / k) * (1.0 + 2e-3 * (-1) ** k)
+
+    k, attempts = _synthetic_search(worst)
+    assert worst(k) < 0.05 and k - 1 in attempts and not worst(k - 1) < 0.05
+    assert len(attempts) == len(set(attempts))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    p=st.floats(0.25, 2.0),
+    q=st.floats(0.25, 2.0),
+    answer=st.floats(70.0, 8000.0),
+    b_over_a=st.floats(0.5, 1.2),
+    wiggle=st.floats(0.0, 1e-3),
+    m=st.sampled_from([0, 64, 256]),
+)
+def test_screening_leaves_the_search_path_unchanged(p, q, answer, b_over_a, wiggle, m):
+    """Screened and unscreened builders make the same attempts.
+
+    A failing attempt feeds the secant its (a) only where (a) reaches eps,
+    where the screened bound is (a) itself; one that fails on (b) alone
+    sends the search to the midpoint either way.
+    """
+    def cond_a(k):
+        return 0.05 * (answer / k) ** p * (1.0 + wiggle * np.sin(k))
+
+    def cond_b(k):
+        return 0.05 * b_over_a * (answer / k) ** q * (1.0 + wiggle * np.cos(3 * k))
+
+    screened = _synthetic_search(cond_a, cond_b, m=m)
+    unscreened = _synthetic_search(cond_a, cond_b, m=m, screening=False)
+    assert screened == unscreened
+    k, attempts = screened
+    assert k - 1 in attempts or k == m + 1
+    if k > m + 1:
+        assert max(cond_a(k - 1), cond_b(k - 1)) >= 0.05
+
+
+@pytest.mark.parametrize("m, k_max", [(0, 8), (3, 100), (256, 65536)])
+def test_exhausted_search_makes_the_doubling_attempts(m, k_max):
+    attempts = []
+
+    def build(k, screen=False):
+        if screen:
+            attempts.append(k)
+            return k, rh._Screened(0.1 + 1.0 / k, 0.1 + 1.0 / k)
+        return k, RHCertificate(k=k, r_prime=0.9, epsilon=0.05, cond_a=0.1 + 1.0 / k,
+                                cond_b=0.0, cond_c=0.0)
+
+    with pytest.raises(ToleranceUnachievableError, match="no k <= %d" % k_max) as info:
+        rh._search_k(build, m, k_max)
+    doubling = [m + 1]
+    while doubling[-1] < k_max:
+        doubling.append(min(2 * (doubling[-1] - m) + m, k_max))
+    assert attempts == doubling and info.value.certificate.k == k_max
 
 
 @pytest.mark.parametrize("domain", ["disc", "annulus"])

@@ -14,6 +14,9 @@ from nullcurves.errors import (
     NonHolomorphicDataError,
     NonzeroResidueError,
 )
+from nullcurves.geometry import NullVector
+from nullcurves.pipelines import catalog
+from nullcurves.rh import BoundaryData, _rh_null
 from nullcurves.series import (
     SeriesMap,
     fit_from_boundary,
@@ -423,6 +426,39 @@ def test_json_roundtrip_bit_exact():
     assert t.r0 == s.r0
     assert t.degree_lo == s.degree_lo
     assert np.array_equal(t.coeffs, s.coeffs)
+
+
+def _to_json_reference(s: SeriesMap) -> str:
+    """to_json coefficient by coefficient, kept as the oracle of the bulk writer."""
+    return json.dumps({
+        "domain": s.domain,
+        "r0": s.r0,
+        "degree_lo": s.degree_lo,
+        "degree_hi": s.degree_hi,
+        "components": [[[float(c.real), float(c.imag)] for c in row] for row in s.coeffs],
+    })
+
+
+def _json_cases():
+    curves = [catalog(name) for name in ("linear_v1", "cubic_enneper_like", "annulus_basic")]
+    bd = BoundaryData(arc=(1.0, 1.0 + np.pi / 2), mu=np.array([0.1]),
+                      theta=NullVector(np.array([1.0, -1j, 0.0])), taper=np.pi / 8,
+                      epsilon=10.0, r=0.98)
+    pushed = [_rh_null(F, bd, k_fixed=650).G for F in curves[1:]]
+    sub, normal = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).tiny
+    odd = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+                    [complex(sub, -sub), complex(3 * sub, normal), complex(1e308, -1e-300)]])
+    return curves + pushed + [SeriesMap(odd, -1, "annulus", 0.5)]
+
+
+def test_json_bulk_writer_equals_the_per_coefficient_writer():
+    for s in _json_cases():
+        text = to_json(s)
+        assert text == _to_json_reference(s)
+        back = from_json(text)
+        assert np.array_equal(back.coeffs.view(np.float64), s.coeffs.view(np.float64))
+        assert np.array_equal(np.signbit(back.coeffs.view(np.float64)),
+                              np.signbit(s.coeffs.view(np.float64)))
 
 
 def test_json_roundtrip_disc():
