@@ -253,18 +253,25 @@ def _layout_shape(n_samples: int) -> Tuple[int, int]:
     return nrad, max(8, (n_samples // nrad) & ~1)  # even so z and -z pair up
 
 
-def _sample_layout(F: SeriesMap, n_samples: int):
-    """Deterministic polar samples: ~n_samples nodes on rings, even angles,
-    ring by ring (_layout_shape)."""
-    nrad, nang = _layout_shape(n_samples)
+def _polar_rings(F: SeriesMap, nrad: int, nang: int):
+    """Radii and samples F.rings(radii, nang) of the polar layout that the
+    mesh export and the embeddedness scan share: rings k/nrad, k = 1..nrad,
+    on the disc (its centre left out), linspace(r0, 1, nrad) on the annulus."""
     if F.domain == "disc":
         radii = np.arange(1, nrad + 1) / nrad
     else:
         radii = np.linspace(F.r0, 1.0, nrad)
+    return radii, F.rings(radii, nang)
+
+
+def _sample_layout(F: SeriesMap, n_samples: int):
+    """Deterministic polar samples: ~n_samples nodes on rings, even angles,
+    ring by ring (_layout_shape, _polar_rings)."""
+    nrad, nang = _layout_shape(n_samples)
+    radii, ambient = _polar_rings(F, nrad, nang)
     angles = 2.0 * math.pi * np.arange(nang) / nang
     dom = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    ambient = F.rings(radii, nang).reshape(-1, F.ncomp)
-    return dom, ambient
+    return dom, ambient.reshape(-1, F.ncomp)
 
 
 def embedded_check(

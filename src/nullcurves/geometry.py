@@ -144,7 +144,13 @@ def _sqrt(g: SeriesMap, width: int) -> SeriesMap:
     top = mag.max(axis=1)
     if (top == 0.0).any() or (mag.min(axis=1) <= 1e-13 * top).any():
         raise UnsupportedZeroConfigurationError("candidate square vanishes on samples")
-    windings = [_winding(ring) for ring in vals]
+    # n resolves the window's width, not the winding of z^lo: a window clear
+    # of degree 0 counts lo plus the windings of g / z^lo, an exact shift
+    shift = 0 if g.degree_lo <= 0 <= g.degree_hi else g.degree_lo
+    loops = vals
+    if shift:
+        loops = SeriesMap(g.coeffs, 0, g.domain, g.r0).rings(g.boundary_radii, n)[..., 0]
+    windings = [(w + shift, slack) for w, slack in map(_winding, loops)]
     if max(slack for _, slack in windings) > 0.05:
         raise UnsupportedZeroConfigurationError(
             "winding number poorly resolved; zeros too close to the boundary"
@@ -210,8 +216,8 @@ def spinor_lift(f: SeriesMap) -> SpinorPair:
     annulus the doubling also stops, with the last failure, before a width
     whose inner-circle scale r0^-width leaves the float range.
     The global sign is fixed by pushing u (then v) at the first boundary
-    sample into the closed right half-plane.  A map whose boundary samples
-    overflow raises DomainError.
+    sample into the closed right half-plane.  A map whose boundary samples,
+    or their squares, overflow raises DomainError.
     """
     if f.ncomp != 3:
         raise ValueError("lift expects a 3-component map")
@@ -220,8 +226,11 @@ def spinor_lift(f: SeriesMap) -> SpinorPair:
         vals = f.rings(f.boundary_radii, n)
     if not np.isfinite(vals).all():
         raise DomainError("curve values overflow on the boundary circles")
-    norms2 = (np.abs(vals) ** 2).sum(axis=2)
-    sos = np.abs(vals[..., 0] ** 2 + vals[..., 1] ** 2 + vals[..., 2] ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms2 = (np.abs(vals) ** 2).sum(axis=2)
+        sos = np.abs(vals[..., 0] ** 2 + vals[..., 1] ** 2 + vals[..., 2] ** 2)
+    if not (np.isfinite(norms2).all() and np.isfinite(sos).all()):
+        raise DomainError("squared curve values overflow on the boundary circles")
     scale2 = norms2.max()
     for n2, s in zip(norms2, sos):
         if s.max() > NULL_TOL * scale2 * 10:
@@ -327,33 +336,12 @@ def _det(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _frozen_matrices(m) -> np.ndarray:
-    """Read-only complex copy of 2x2 matrices (..., 2, 2)."""
-    m = np.array(m, dtype=np.complex128)
+def _matrices(m) -> np.ndarray:
+    """m as complex 2x2 matrices (..., 2, 2); ValueError on any other shape."""
+    m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2):
         raise ValueError("expected 2x2 matrices, got shape %s" % (m.shape,))
-    m.flags.writeable = False
     return m
-
-
-@dataclass(frozen=True)
-class SL2Point:
-    m: np.ndarray  # (..., 2, 2) complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _frozen_matrices(self.m))
-
-    @property
-    def det(self):
-        return _det(self.m)
-
-
-@dataclass(frozen=True)
-class H3Point:
-    h: np.ndarray  # (..., 2, 2) complex hermitian, det 1, positive definite
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", _frozen_matrices(self.h))
 
 
 def _tmap_entries(p: np.ndarray) -> np.ndarray:
@@ -367,8 +355,8 @@ def _tmap_entries(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def tmap(p, pole_tol: float = POLE_TOL) -> SL2Point:
-    """Rational map (z1,z2,z3) -> SL2(C) on points p (..., 3).
+def tmap(p, pole_tol: float = POLE_TOL) -> np.ndarray:
+    """Rational map (z1,z2,z3) -> SL2(C): points p (..., 3) to matrices (..., 2, 2).
 
     The determinant is (z1^2+z2^2+z3^2 - (z1+iz2)(z1-iz2))/z3^2 = 1 as an
     algebraic identity, null or not.  Raises PoleError if any |z3| is at
@@ -380,7 +368,7 @@ def tmap(p, pole_tol: float = POLE_TOL) -> SL2Point:
     f3 = np.abs(p[..., 2])
     if (f3 <= pole_tol).any():
         raise PoleError("third coordinate %.3g at the pole of the map" % f3.min())
-    return SL2Point(_tmap_entries(p))
+    return _tmap_entries(p)
 
 
 @dataclass(frozen=True)
@@ -414,8 +402,8 @@ def tmap_on_curve(
         raise ValueError("expected a 3-component curve")
     require_null(F.derivative())
     radii = np.linspace(0.0 if F.domain == "disc" else F.r0, 1.0, n_r)
-    grid_mats = tmap(F.rings(radii, n_theta), pole_tol).m
-    bmats = tmap(F.circle_values(1.0, n_boundary), pole_tol).m
+    grid_mats = tmap(F.rings(radii, n_theta), pole_tol)
+    bmats = tmap(F.circle_values(1.0, n_boundary), pole_tol)
     max_det_err = max(
         float(np.abs(_det(bmats) - 1.0).max()), float(np.abs(_det(grid_mats) - 1.0).max())
     )
@@ -433,18 +421,18 @@ def tmap_on_curve(
     )
 
 
-def bryant_project(m, det_tol: float = DET_TOL) -> H3Point:
-    """m -> m conj(m)^T, landing in the hyperboloid model of H^3.
+def bryant_project(m, det_tol: float = DET_TOL) -> np.ndarray:
+    """m -> m conj(m)^T on matrices (..., 2, 2), landing in the hyperboloid model of H^3.
 
     Raises NotInSL2Error unless every |det m - 1| is at most det_tol.
     """
-    mat = m.m if isinstance(m, SL2Point) else np.asarray(m, dtype=np.complex128)
+    mat = _matrices(m)
     det = _det(mat)
     defect = np.abs(det - 1.0)
     if not (defect <= det_tol).all():
         worst = np.ravel(det)[np.argmax(defect)]
         raise NotInSL2Error("determinant %s is not 1 within %.3g" % (worst, det_tol))
-    return H3Point(mat @ np.conj(np.swapaxes(mat, -1, -2)))
+    return mat @ np.conj(np.swapaxes(mat, -1, -2))
 
 
 def h3_minkowski(h, tol: float = 1e-10) -> np.ndarray:
@@ -454,7 +442,7 @@ def h3_minkowski(h, tol: float = 1e-10) -> np.ndarray:
     unless every point is hermitian, has x0^2 - x1^2 - x2^2 - x3^2 = 1
     within tol * max(1, x0^2) and lies on the upper sheet x0 > 0.
     """
-    mat = h.h if isinstance(h, H3Point) else np.asarray(h, dtype=np.complex128)
+    mat = _matrices(h)
     herm = np.abs(mat - np.conj(np.swapaxes(mat, -1, -2))).max(axis=(-2, -1))
     if not (herm <= 1e-12 * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))).all():
         raise NotInH3Error("matrix is not hermitian (defect %.3g)" % np.max(herm))

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import DEFAULT_GRID, bounded_coordinate_report, intrinsic_radius
+from .diagnostics import DEFAULT_GRID, _polar_rings, bounded_coordinate_report, intrinsic_radius
 from .errors import (
     DomainError,
     NullCurveError,
@@ -54,6 +54,9 @@ TWO_PI = 2.0 * math.pi
 EXPORT_POLE_TOL = 1e-6
 # the exponent N of the bounded-third run's toy comparison z V1 + z^N V2
 TOY_EXPONENT = 50
+# the most rings x angles a mesh export samples: 2^20 vertices hold 48 MiB
+# of complex samples and about 60 MiB of OBJ text
+MAX_MESH_VERTICES = 1 << 20
 
 _CATALOG_NAMES = ("linear_v1", "cubic_enneper_like", "annulus_basic")
 
@@ -101,8 +104,7 @@ class PipelineConfig:
     """Declarative recursion setup; serialized with a schema tag."""
 
     pipeline: str = "completeness"
-    domain: str = "disc"
-    seed_curve: Optional[str] = None
+    seed_curve: str = "linear_v1"  # a catalog name; the curve fixes the domain
     delta: float = 0.2
     iterations: int = 5
     epsilon: float = 0.05
@@ -125,7 +127,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (_is_a(numbers.Real, value) and math.isfinite(value)):
                 raise DomainError("%s must be a finite number" % name)
-        for name in ("seed_curve", "csv_path", "obj_path"):
+        for name in ("csv_path", "obj_path"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise DomainError("%s must be a string or null" % name)
         grid = self.grid
@@ -134,8 +136,9 @@ class PipelineConfig:
             raise DomainError("grid must be two integers")
         if self.pipeline not in ("completeness", "bounded_third"):
             raise ValueError("unknown pipeline %r" % self.pipeline)
-        if self.domain not in ("disc", "annulus"):
-            raise ValueError("domain must be disc or annulus")
+        if self.seed_curve not in _CATALOG_NAMES:
+            raise ValueError("unknown seed curve %r (have %s)"
+                             % (self.seed_curve, ", ".join(_CATALOG_NAMES)))
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.arcs < 1:
@@ -306,18 +309,6 @@ def _round_frequency(mu: float, k_max: int) -> int:
     return min(k_max, max(96, int(round(1.3 / mu))))
 
 
-def _seed_curve(cfg: PipelineConfig) -> SeriesMap:
-    name = cfg.seed_curve
-    if name is None:
-        name = "annulus_basic" if cfg.domain == "annulus" else "linear_v1"
-    F = catalog(name)
-    if F.domain != cfg.domain:
-        raise DomainError(
-            "seed curve %s lives on the %s, config wants %s" % (name, F.domain, cfg.domain)
-        )
-    return F
-
-
 def _record(
     ledger: GrowthLedger,
     curve: SeriesMap,
@@ -426,7 +417,7 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
     factorization is threaded through every push, so the curve is
     re-lifted exactly once (at the seed) per run.
     """
-    curve = _seed_curve(cfg)
+    curve = catalog(cfg.seed_curve)
     ledger = GrowthLedger()
     ledger.meta["config"] = json.loads(cfg.to_json())
     _record(ledger, curve, cfg, 0, 0.0, [])
@@ -514,7 +505,7 @@ def run_bounded_third(cfg: PipelineConfig) -> GrowthLedger:
     """
     if cfg.pipeline != "bounded_third":
         raise ValueError("config names pipeline %r" % cfg.pipeline)
-    if cfg.domain != "disc":
+    if catalog(cfg.seed_curve).domain != "disc":
         raise DomainError("the alternating construction is seeded on the disc")
     sqrt2 = math.sqrt(2.0)
     v2 = NullVector(np.array([1.0, -1.0j, 0.0]) / sqrt2)
@@ -545,16 +536,14 @@ def _mesh_points(F: SeriesMap, grid: Tuple[int, int]):
     nrad, nang = grid
     if nrad < 2 or nang < 3:
         raise ValueError("mesh grid must be at least 2 x 3")
-    if F.domain == "disc":
-        radii = np.arange(1, nrad + 1) / nrad
-        center = F.eval(0.0)[None, :]
-    else:
-        radii = np.linspace(F.r0, 1.0, nrad)
-        center = None
-    pts = F.rings(radii, nang).reshape(-1, F.ncomp)
-    if center is not None:
-        pts = np.concatenate([center, pts], axis=0)
-    return pts, center is not None
+    if nrad * nang > MAX_MESH_VERTICES:
+        raise DomainError("mesh grid %d x %d exceeds MAX_MESH_VERTICES = %d"
+                          % (nrad, nang, MAX_MESH_VERTICES))
+    pts = _polar_rings(F, nrad, nang)[1].reshape(-1, F.ncomp)
+    has_center = F.domain == "disc"
+    if has_center:
+        pts = np.concatenate([F.eval(0.0)[None, :], pts], axis=0)
+    return pts, has_center
 
 
 def _mesh_faces(nrad: int, nang: int, has_center: bool) -> np.ndarray:

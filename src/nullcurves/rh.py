@@ -292,9 +292,9 @@ def circle_distance(points, centers, rays) -> np.ndarray:
     All arrays (..., C) complex; exact minimum over tau in closed form.
     """
     d = points - centers
-    d2 = (np.abs(d) ** 2).sum(axis=-1)
-    r2 = (np.abs(rays) ** 2).sum(axis=-1)
-    ip = np.abs((d * np.conj(rays)).sum(axis=-1))
+    d2 = _component_sum(np.abs(d) ** 2)
+    r2 = _component_sum(np.abs(rays) ** 2)
+    ip = np.abs(_component_sum(d * np.conj(rays)))
     return np.sqrt(np.maximum(d2 + r2 - 2.0 * ip, 0.0))
 
 
@@ -315,8 +315,10 @@ def disc_distance(points, centers, rays) -> np.ndarray:
 def _component_sum(x) -> np.ndarray:
     """x summed over its last (component) axis, one term after the other.
 
-    For the few components of a map that is the order .sum(axis=-1) adds
-    in, so the bits agree, without NumPy's slow reduction over a short axis.
+    Up to 3 components that is the order .sum(axis=-1) adds in, so the bits
+    agree, without NumPy's slow reduction over a short axis.  From 4 on
+    NumPy's reduction groups the terms otherwise, and the last bits can
+    differ (measured at 4 to 8).
     """
     total = x[..., 0]
     for c in range(1, x.shape[-1]):
@@ -874,15 +876,8 @@ def _rh_null(
                 pushed, gprime = res.spinor, res.g
         return gprime.antiderivative(base_point, base_value), pushed
 
-    # the latest push, kept: an exhausted search certifies in full the
-    # screened attempt of least bound, which is most often its last one
-    latest = {}
-
     def build(k, screen=False):
-        if k not in latest:
-            latest.clear()
-            latest[k] = push(k)
-        G, pushed = latest[k]
+        G, pushed = push(k)
         cert = _certify_null(G, F, k, *target, orth_dir, screen=screen)
         return NullDeformation(G, cert, pushed), cert
 

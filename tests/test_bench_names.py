@@ -53,3 +53,28 @@ def test_search_benchmark_replays_the_session_data():
         want = [(name, F, bd.to_json()) for name, F, bd in workloads.session_data(seed, False)]
         assert [(name, text) for name, _, text in got] == [(name, text) for name, _, text in want]
         assert all(np.array_equal(a.coeffs, b.coeffs) for (_, a, _), (_, b, _) in zip(got, want))
+
+
+def test_benchmark_inputs_build_and_round_trip():
+    """Every config and datum perfbench/workloads.py builds is still accepted.
+
+    A config key the library drops fails here instead of in the benchmark.
+    """
+    from nullcurves.pipelines import PipelineConfig
+    from nullcurves.rh import BoundaryData
+
+    workloads = _load("perfbench/workloads.py")
+    for name, params in workloads.GATE_CONFIGS.items():
+        for smoke in (False, True):
+            kw = dict(params, seed=105)
+            if smoke:
+                kw.update(workloads.SMOKE_SIZE)
+            cfg = PipelineConfig(**kw)
+            assert PipelineConfig.from_json(cfg.to_json()) == cfg, (name, smoke)
+    for smoke in (False, True):
+        data = workloads.session_data(105, smoke)
+        assert [name for name, _, _ in data] == list(workloads.SESSION_CURVES[: len(data)])
+        for _, _, bd in data:
+            assert BoundaryData.from_json(bd.to_json()).to_json() == bd.to_json()
+    refusal = BoundaryData(**workloads.REFUSAL_DATUM)
+    assert BoundaryData.from_json(refusal.to_json()).to_json() == refusal.to_json()

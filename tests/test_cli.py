@@ -333,7 +333,8 @@ def test_recurse_refuses_toy_exponent_before_any_push(tmp_path, capsys, monkeypa
     monkeypatch.setattr(pipelines, "_rh_null", no_push)
     path = tmp_path / "config.json"
     for pipeline, key, value in (("bounded_third", "toy_exponent", 50),
-                                 ("completeness", "r0", 0.25)):
+                                 ("completeness", "r0", 0.25),
+                                 ("completeness", "domain", "disc")):
         blob = _config_blob(pipeline=pipeline, iterations=1, arcs=2, **{key: value})
         path.write_text(json.dumps(blob))
         code, out, err = run(capsys, "recurse", str(path))
@@ -415,6 +416,46 @@ def test_deform_overflowing_curve_is_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, "deform", str(curve), write_datum(tmp_path))
     assert code == 1 and out == ""
     assert err == "error: curve values overflow on the boundary circles\n"
+
+
+def test_deform_overflowing_squares_is_domain_error(tmp_path, capsys):
+    # 1e200 (z, iz, 0) samples finitely, but its squares overflow: one error
+    # naming the overflow, no NumPy warning, and no claim that the map vanishes
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap.from_components(
+        [[0.0, 1e200], [0.0, 1e200j], [0.0, 0.0]])))
+    code, out, err = run(capsys, "deform", str(curve), write_datum(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: squared curve values overflow on the boundary circles\n"
+
+
+def test_deform_high_degree_counts_its_zeros(tmp_path, capsys):
+    # z^200000 (1, i, 0): the candidate square 200000 z^199999 winds 199999
+    # times, more than the 512 boundary samples its width asks for resolve
+    c = np.array([[1.0], [1j], [0.0]])
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap(c, 200000, "disc")))
+    code, out, err = run(capsys, "deform", str(curve), write_datum(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: candidate square has 199999 zeros in the disc\n"
+
+
+def test_export_refuses_a_grid_over_the_vertex_cap(tmp_path, capsys, monkeypatch):
+    # refused before any ring is sampled, so the test allocates nothing
+    def no_rings(*args, **kwargs):
+        raise AssertionError("a ring was sampled before the grid was checked")
+
+    curve = tmp_path / "curve.json"
+    run(capsys, "construct", "cubic_enneper_like", "--out", str(curve))
+    monkeypatch.setattr(series.SeriesMap, "rings", no_rings)
+    mesh = tmp_path / "m.obj"
+    nrad = pipelines.MAX_MESH_VERTICES // 8 + 1
+    code, out, err = run(capsys, "export", str(curve), "--target", "r3",
+                         "--out", str(mesh), "--grid", "%d,8" % nrad)
+    assert code == 1 and out == ""
+    assert err == "error: mesh grid %d x 8 exceeds MAX_MESH_VERTICES = %d\n" % (
+        nrad, pipelines.MAX_MESH_VERTICES)
+    assert not mesh.exists()
 
 
 def test_export_bad_grid_is_usage_error(tmp_path, capsys):

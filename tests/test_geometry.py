@@ -16,9 +16,7 @@ from nullcurves.errors import (
     UnsupportedZeroConfigurationError,
 )
 from nullcurves.geometry import (
-    H3Point,
     NullVector,
-    SL2Point,
     SpinorPair,
     bryant_project,
     h3_minkowski,
@@ -289,8 +287,8 @@ def test_lift_annulus_width_doubling_stops_before_overflow(monkeypatch):
 
 def test_tmap_spec_point():
     m = tmap(np.array([1.0, 1j, 1.0]))
-    assert np.array_equal(m.m, np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex))
-    assert m.det == 1.0 + 0.0j
+    assert np.array_equal(m, np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex))
+    assert geometry._det(m) == 1.0 + 0.0j
 
 
 def test_tmap_pole():
@@ -309,12 +307,12 @@ def test_transfer_on_arrays_matches_pointwise():
     pts = _null_points(24).reshape(4, 6, 3)
     pts = pts[np.abs(pts[..., 2]).min(axis=1) > 1e-3]
     m = tmap(pts)
-    assert m.m.shape == pts.shape[:-1] + (2, 2)
-    assert np.abs(m.det - 1.0).max() < 1e-12
+    assert m.shape == pts.shape[:-1] + (2, 2)
+    assert np.abs(geometry._det(m) - 1.0).max() < 1e-12
     x = h3_minkowski(bryant_project(m))
     assert x.shape == pts.shape[:-1] + (4,)
     for idx in np.ndindex(*pts.shape[:-1]):
-        assert np.array_equal(tmap(pts[idx]).m, m.m[idx])
+        assert np.array_equal(tmap(pts[idx]), m[idx])
         assert np.array_equal(h3_minkowski(bryant_project(tmap(pts[idx]))), x[idx])
 
 
@@ -347,19 +345,19 @@ def test_tmap_det_is_one_property(ar, ai, br, bi):
     if abs(p[2]) < 1e-6 or np.abs(p).max() > 50:
         return
     m = tmap(p)
-    assert abs(np.linalg.det(m.m) - 1.0) < 1e-12 * max(1.0, np.abs(m.m).max() ** 2)
+    assert abs(np.linalg.det(m) - 1.0) < 1e-12 * max(1.0, np.abs(m).max() ** 2)
 
 
 def test_bryant_project_spec_example():
-    m = SL2Point(np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex))
+    m = np.array([[1.0, 0.0], [2.0, 1.0]], dtype=complex)
     h = bryant_project(m)
-    assert np.allclose(h.h, np.array([[1.0, 2.0], [2.0, 5.0]]), atol=1e-14)
+    assert np.allclose(h, np.array([[1.0, 2.0], [2.0, 5.0]]), atol=1e-14)
     x = h3_minkowski(h)
     assert np.allclose(x, [3.0, 2.0, 0.0, -2.0], atol=1e-14)
 
 
 def test_h3_minkowski_diagonal():
-    h = H3Point(np.diag([4.0, 0.25]).astype(complex))
+    h = np.diag([4.0, 0.25]).astype(complex)
     x = h3_minkowski(h)
     assert np.allclose(x, [17.0 / 8.0, 0.0, 0.0, 15.0 / 8.0], atol=1e-15)
     # the hyperboloid constraint x0^2 - x1^2 - x2^2 - x3^2 = 1
@@ -368,19 +366,26 @@ def test_h3_minkowski_diagonal():
 
 def test_bryant_rejects_non_sl2():
     with pytest.raises(NotInSL2Error):
-        bryant_project(SL2Point(np.array([[2.0, 0.0], [0.0, 2.0]], dtype=complex)))
+        bryant_project(np.array([[2.0, 0.0], [0.0, 2.0]], dtype=complex))
 
 
 def test_h3_minkowski_rejects_indefinite():
     with pytest.raises(NotInH3Error):
-        h3_minkowski(H3Point(np.diag([1.0, -1.0]).astype(complex)))
+        h3_minkowski(np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(NotInH3Error):
-        h3_minkowski(H3Point(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
+        h3_minkowski(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 
 def test_h3_minkowski_rejects_lower_sheet():
     with pytest.raises(NotInH3Error):
-        h3_minkowski(H3Point(np.diag([-1.0, -1.0]).astype(complex)))
+        h3_minkowski(np.diag([-1.0, -1.0]).astype(complex))
+
+
+def test_transfer_checks_the_matrix_shape():
+    with pytest.raises(ValueError, match="2x2"):
+        bryant_project(np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="2x2"):
+        h3_minkowski(np.ones((4, 2), dtype=complex))
 
 
 # -- curve-level transfer -------------------------------------------------------

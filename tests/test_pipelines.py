@@ -157,7 +157,7 @@ def test_config_rejects_wrong_schema():
     "kw",
     [
         {"pipeline": "steepest_descent"},
-        {"domain": "torus"},
+        {"seed_curve": "torus"},
         {"iterations": -1},
         {"arcs": 0},
         {"epsilon": 0.0},
@@ -264,7 +264,7 @@ def test_record_runs_one_dijkstra_and_no_shortcut(monkeypatch):
     calls = _count_dijkstra(monkeypatch)
     cfg = PipelineConfig()
     ledger = GrowthLedger()
-    pipelines._record(ledger, pipelines._seed_curve(cfg), cfg, 0, 0.0, [])
+    pipelines._record(ledger, catalog(cfg.seed_curve), cfg, 0, 0.0, [])
     assert len(calls) == 1
     assert "shortcut" not in ledger.meta["rounds"][0]
 
@@ -436,10 +436,19 @@ def test_error_measuring_a_round_surfaces_partial_ledger(monkeypatch, tmp_path, 
     assert target.read_text() == led.to_csv()
 
 
-def test_annulus_seed_mismatch_rejected():
-    cfg = PipelineConfig(domain="annulus", seed_curve="linear_v1", iterations=0)
-    with pytest.raises(DomainError):
-        run_completeness_recursion(cfg)
+def test_annulus_seed_runs_on_the_annulus_and_domain_key_is_refused(tmp_path, capsys):
+    # the seed curve fixes the domain; a config still naming one is refused
+    led = run_completeness_recursion(PipelineConfig(seed_curve="annulus_basic", iterations=0))
+    seed = led.meta["final_curve"]
+    assert (seed.domain, seed.r0) == ("annulus", 0.25)
+    assert np.array_equal(seed.coeffs, catalog("annulus_basic").coeffs)
+    assert [row.k for row in led.rows] == [0]
+    blob = json.loads(PipelineConfig(iterations=0).to_json())
+    assert "domain" not in blob
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(blob, domain="disc")))
+    assert main(["recurse", str(path)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: domain\n"
 
 
 # -- bounded third coordinate ---------------------------------------------------
@@ -487,7 +496,7 @@ def test_bounded_third_budget_abort(tmp_path, capsys):
 
 
 def test_bounded_third_needs_disc():
-    cfg = PipelineConfig(pipeline="bounded_third", domain="annulus")
+    cfg = PipelineConfig(pipeline="bounded_third", seed_curve="annulus_basic")
     with pytest.raises(DomainError):
         run_bounded_third(cfg)
 
@@ -544,7 +553,7 @@ def test_annulus_mesh_starts_on_the_inner_circle(tmp_path):
         meshes[target] = verts
     assert np.abs(meshes["r3"][0] - F.eval(F.r0).real).max() <= 1e-12
     for z, vert in zip(zs, meshes["h3"]):
-        h = bryant_project(tmap(F.eval(z))).h
+        h = bryant_project(tmap(F.eval(z)))
         x0 = 0.5 * (h[0, 0].real + h[1, 1].real)
         assert x0 > 0.0  # the upper sheet
         assert x0 * x0 - (vert ** 2).sum() == pytest.approx(1.0, abs=1e-8)
@@ -572,7 +581,7 @@ def test_h3_export_lands_on_hyperboloid(tmp_path):
         zs.extend(rho * np.exp(2j * np.pi * np.arange(grid[1]) / grid[1]))
     assert len(zs) == len(verts)
     for z, vert in zip(zs, verts):
-        h = bryant_project(tmap(F.eval(z))).h
+        h = bryant_project(tmap(F.eval(z)))
         x0 = 0.5 * (h[0, 0].real + h[1, 1].real)
         q = x0 * x0 - (vert**2).sum()
         assert q == pytest.approx(1.0, abs=1e-8)
