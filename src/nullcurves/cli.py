@@ -24,6 +24,7 @@ from .errors import (
     ToleranceUnachievableError,
 )
 from .pipelines import (
+    EXPORT_GRID,
     PipelineConfig,
     catalog,
     export_surface,
@@ -76,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("curve", help="curve JSON path")
     p.add_argument("--target", required=True, choices=("r3", "h3"))
     p.add_argument("--out", required=True, help="mesh path")
-    p.add_argument("--grid", default="64,128", help="radial,angular mesh size")
+    p.add_argument("--grid", default="%d,%d" % EXPORT_GRID, help="radial,angular mesh size")
 
     return parser
 

@@ -45,8 +45,11 @@ def nullity_residual(F: SeriesMap) -> float:
     The sum telescopes to zero exactly when the derivative takes values in
     the null quadric, so the residual of a spinor-generated curve is at the
     rounding floor.  Normalization: max coefficient norm of the individual
-    squares.  A curve with zero derivative reports 0.
+    squares.  A curve with zero derivative reports 0.  The quadric lives in
+    C^3, so a map with another number of components raises DomainError.
     """
+    if F.ncomp != 3:
+        raise DomainError("a null curve has 3 components, not %d" % F.ncomp)
     fp = F.derivative()
     squares = (fp * fp).coeffs
     scale = float(np.abs(squares).max(initial=0.0))
@@ -59,17 +62,15 @@ def nullity_residual(F: SeriesMap) -> float:
 class RadiusReport:
     """Intrinsic vs extrinsic size of the image surface.
 
-    intrinsic_radius: shortest weighted-graph path from |z| = r_core to the
-    outer circle, edges weighted by the midpoint rule: an estimate of the
-    metric distance with no bound in either direction (ROADMAP item 3).
+    intrinsic_radius: shortest weighted-graph path from the inner boundary
+    (the centre of the disc, the circle r0 of the annulus) to the outer
+    circle, edges weighted by the midpoint rule: an estimate of the metric
+    distance with no bound in either direction (ROADMAP item 3).
     extrinsic_radius: boundary sup of the ambient euclidean norm.
-    grid and r_core: the polar graph the intrinsic radius was measured on.
     """
 
     intrinsic_radius: float
     extrinsic_radius: float
-    grid: Tuple[int, int]
-    r_core: float
 
     def __post_init__(self):
         if self.intrinsic_radius < 0 or self.extrinsic_radius < 0:
@@ -151,15 +152,15 @@ def _radial_nodes(inner: float, nrad: int) -> np.ndarray:
 
 def intrinsic_radius(
     F: SeriesMap,
-    r_core: Optional[float] = None,
     grid: Tuple[int, int] = DEFAULT_GRID,
     spinor: Optional[SpinorPair] = None,
 ) -> RadiusReport:
     """Metric radius report on an nrad x nang polar graph.
 
-    Shortest path from the circle |z| = r_core to the outer circle, edges
-    weighted by the conformal factor at the edge midpoint times euclidean
-    edge length (8-neighbour stencil).  Extrinsic radius is the boundary
+    Shortest path from the inner boundary (the centre of the disc, the
+    circle r0 of the annulus) to the outer circle, edges weighted by the
+    conformal factor at the edge midpoint times euclidean edge length
+    (8-neighbour stencil).  Extrinsic radius is the boundary
     sup of |F|.  The intrinsic figure is a midpoint-rule estimate with no
     bound in either direction: on the cubic Enneper-like seed it reads below
     the exact radius 4 sqrt(2)/3 and rises under grid refinement (ROADMAP
@@ -175,21 +176,14 @@ def intrinsic_radius(
     nrad, nang = grid
     if nrad < 2 or nang < 8:
         raise ValueError("grid must be at least 2 x 8")
-    inner_floor = 0.0 if F.domain == "disc" else F.r0
-    if r_core is None:
-        r_core = inner_floor
-    if not inner_floor <= r_core < 1.0:
-        raise DomainError("r_core %r outside [%r, 1)" % (r_core, inner_floor))
-
-    weights = _polar_weights(F, _radial_nodes(r_core, nrad), nang, spinor)
+    inner = 0.0 if F.domain == "disc" else F.r0
+    weights = _polar_weights(F, _radial_nodes(inner, nrad), nang, spinor)
     src = np.zeros((nrad, nang), dtype=bool)
     src[0] = True
     dists = kernels.dijkstra_polar(*weights, src)
     return RadiusReport(
         intrinsic_radius=float(dists[-1].min()),
         extrinsic_radius=F.sup_boundary(max(DEFAULT_BOUNDARY_SAMPLES, nang)),
-        grid=(nrad, nang),
-        r_core=float(r_core),
     )
 
 

@@ -23,7 +23,8 @@ from .errors import (
 from .series import DEFAULT_BOUNDARY_SAMPLES, SeriesMap, fit_from_boundary
 
 NULL_TOL = 1e-10
-POLE_TOL = 1e-10
+# the smallest |z3| tmap accepts: the transfer's pole clearance
+POLE_TOL = 1e-6
 DET_TOL = 1e-9
 LIFT_ROUNDTRIP_TOL = 1e-10
 
@@ -39,12 +40,18 @@ def require_null(f: SeriesMap) -> None:
 
     The sup of |f1^2 + f2^2 + f3^2| over 1024 boundary samples must stay
     under NULL_TOL times the squared sup of |f| there.  Evaluation commutes
-    with products, so the squares are summed on the samples of f.
+    with products, so the squares are summed on the samples of f.  Samples
+    whose squares overflow raise DomainError: their residual would be NaN,
+    which no comparison with the tolerance may pass.
     """
-    vals = f.rings(f.boundary_radii, 1024)
-    scale2 = max(float((np.abs(vals) ** 2).sum(axis=2).max()), 1e-300)
-    res = float(np.abs((vals * vals).sum(axis=2)).max())
-    if res > NULL_TOL * scale2:
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f.rings(f.boundary_radii, 1024)
+        scale2 = float((np.abs(vals) ** 2).sum(axis=2).max())
+        res = float(np.abs((vals * vals).sum(axis=2)).max())
+    if not (np.isfinite(scale2) and np.isfinite(res)):
+        raise DomainError("squared curve values overflow on the boundary circles")
+    scale2 = max(scale2, 1e-300)
+    if not res <= NULL_TOL * scale2:
         raise NotInNullConeError("map is not null: residual %.3g" % (res / scale2))
 
 
@@ -355,20 +362,25 @@ def _tmap_entries(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def tmap(p, pole_tol: float = POLE_TOL) -> np.ndarray:
+def tmap(p) -> np.ndarray:
     """Rational map (z1,z2,z3) -> SL2(C): points p (..., 3) to matrices (..., 2, 2).
 
     The determinant is (z1^2+z2^2+z3^2 - (z1+iz2)(z1-iz2))/z3^2 = 1 as an
     algebraic identity, null or not.  Raises PoleError if any |z3| is at
-    most pole_tol.
+    most POLE_TOL, and DomainError if an entry overflows, as z1^2 does
+    for |z1| past 1e154.
     """
     p = np.asarray(p, dtype=np.complex128)
     if p.shape[-1:] != (3,):
         raise ValueError("points must have shape (..., 3), got %s" % (p.shape,))
     f3 = np.abs(p[..., 2])
-    if (f3 <= pole_tol).any():
+    if (f3 <= POLE_TOL).any():
         raise PoleError("third coordinate %.3g at the pole of the map" % f3.min())
-    return _tmap_entries(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _tmap_entries(p)
+    if not np.isfinite(out).all():
+        raise DomainError("SL2 matrix entries of the transfer overflow")
+    return out
 
 
 @dataclass(frozen=True)
@@ -387,7 +399,6 @@ def tmap_on_curve(
     n_r: int = 33,
     n_theta: int = 256,
     n_boundary: int = DEFAULT_BOUNDARY_SAMPLES,
-    pole_tol: float = POLE_TOL,
 ) -> TMapCurveReport:
     """Push a null curve through tmap, sampling grid and boundary.
 
@@ -396,21 +407,26 @@ def tmap_on_curve(
     image tangents: det of the centered theta-difference of T o F on the
     boundary, which vanishes for exact null curves in SL2(C).  The grid is
     n_r evenly spaced rings from the inner boundary (the centre of the
-    disc) to |z| = 1, at n_theta angles each.
+    disc) to |z| = 1, at n_theta angles each.  Matrices whose determinants
+    or squared tangents overflow raise DomainError.
     """
     if F.ncomp != 3:
         raise ValueError("expected a 3-component curve")
     require_null(F.derivative())
     radii = np.linspace(0.0 if F.domain == "disc" else F.r0, 1.0, n_r)
-    grid_mats = tmap(F.rings(radii, n_theta), pole_tol)
-    bmats = tmap(F.circle_values(1.0, n_boundary), pole_tol)
-    max_det_err = max(
-        float(np.abs(_det(bmats) - 1.0).max()), float(np.abs(_det(grid_mats) - 1.0).max())
-    )
+    grid_mats = tmap(F.rings(radii, n_theta))
+    bmats = tmap(F.circle_values(1.0, n_boundary))
     h = 2 * np.pi / n_boundary
-    dmats = (np.roll(bmats, -1, axis=0) - np.roll(bmats, 1, axis=0)) / (2 * h)
-    tangent_dets = _det(dmats)
-    fro2 = (np.abs(dmats) ** 2).sum(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_det_err = max(
+            float(np.abs(_det(bmats) - 1.0).max()), float(np.abs(_det(grid_mats) - 1.0).max())
+        )
+        dmats = (np.roll(bmats, -1, axis=0) - np.roll(bmats, 1, axis=0)) / (2 * h)
+        tangent_dets = _det(dmats)
+        fro2 = (np.abs(dmats) ** 2).sum(axis=(1, 2))
+    # |det| <= fro2 / 2, so a finite fro2 leaves the tangent dets finite too
+    if not (np.isfinite(max_det_err) and np.isfinite(fro2).all()):
+        raise DomainError("SL2 image of the curve overflows in its determinants or tangents")
     normalized = np.abs(tangent_dets) / np.maximum(fro2, 1e-300)
     return TMapCurveReport(
         boundary_matrices=bmats,
@@ -421,18 +437,24 @@ def tmap_on_curve(
     )
 
 
-def bryant_project(m, det_tol: float = DET_TOL) -> np.ndarray:
+def bryant_project(m) -> np.ndarray:
     """m -> m conj(m)^T on matrices (..., 2, 2), landing in the hyperboloid model of H^3.
 
-    Raises NotInSL2Error unless every |det m - 1| is at most det_tol.
+    Raises NotInSL2Error unless every |det m - 1| is at most DET_TOL, and
+    DomainError if an entry of m conj(m)^T overflows: its diagonal is the
+    squared norm of a row, so a finite one leaves det m finite too.
     """
     mat = _matrices(m)
-    det = _det(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = mat @ np.conj(np.swapaxes(mat, -1, -2))
+        det = _det(mat)
+    if not np.isfinite(h).all():
+        raise DomainError("hermitian matrices m conj(m)^T overflow")
     defect = np.abs(det - 1.0)
-    if not (defect <= det_tol).all():
+    if not (defect <= DET_TOL).all():
         worst = np.ravel(det)[np.argmax(defect)]
-        raise NotInSL2Error("determinant %s is not 1 within %.3g" % (worst, det_tol))
-    return mat @ np.conj(np.swapaxes(mat, -1, -2))
+        raise NotInSL2Error("determinant %s is not 1 within %.3g" % (worst, DET_TOL))
+    return h
 
 
 def h3_minkowski(h, tol: float = 1e-10) -> np.ndarray:
@@ -440,7 +462,8 @@ def h3_minkowski(h, tol: float = 1e-10) -> np.ndarray:
 
     Convention: h = [[x0+x3, x1+ix2], [x1-ix2, x0-x3]].  Raises NotInH3Error
     unless every point is hermitian, has x0^2 - x1^2 - x2^2 - x3^2 = 1
-    within tol * max(1, x0^2) and lies on the upper sheet x0 > 0.
+    within tol * max(1, x0^2) and lies on the upper sheet x0 > 0.  A point
+    whose x0^2 overflows raises DomainError.
     """
     mat = _matrices(h)
     herm = np.abs(mat - np.conj(np.swapaxes(mat, -1, -2))).max(axis=(-2, -1))
@@ -450,7 +473,10 @@ def h3_minkowski(h, tol: float = 1e-10) -> np.ndarray:
     x3 = 0.5 * (mat[..., 0, 0].real - mat[..., 1, 1].real)
     x1 = mat[..., 0, 1].real
     x2 = mat[..., 0, 1].imag
-    q = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x0 * x0 - x1 * x1 - x2 * x2 - x3 * x3
+    if not np.isfinite(q).all():
+        raise DomainError("hyperboloid coordinates overflow when squared")
     defect = np.abs(q - 1.0)
     if not (defect <= tol * np.maximum(1.0, x0 * x0)).all():
         raise NotInH3Error("minkowski norm %.12g is not 1" % np.ravel(q)[np.argmax(defect)])

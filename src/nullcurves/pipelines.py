@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import DEFAULT_GRID, _polar_rings, bounded_coordinate_report, intrinsic_radius
+from .diagnostics import _polar_rings, bounded_coordinate_report, intrinsic_radius
 from .errors import (
     DomainError,
     NullCurveError,
@@ -50,8 +50,15 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# the smallest |F3| an h3 export vertex may have: the pole clearance of tmap
-EXPORT_POLE_TOL = 1e-6
+# the largest amplitude a round of a run starts at (_run_rounds)
+MU_CAP = 2e-3
+# the widest collar a push is certified on; _push_round narrows it per arc
+COLLAR_R = 0.9
+# the highest push frequency of a run, reached by doubling on a leak
+# breach; rh.K_MAX bounds a free k-search, which the rounds never run
+RUN_K_CAP = 4096
+# the rings x angles export_surface and the CLI's --grid default to
+EXPORT_GRID = (64, 128)
 # the exponent N of the bounded-third run's toy comparison z V1 + z^N V2
 TOY_EXPONENT = 50
 # the most rings x angles a mesh export samples: 2^20 vertices hold 48 MiB
@@ -109,31 +116,23 @@ class PipelineConfig:
     iterations: int = 5
     epsilon: float = 0.05
     arcs: int = 8
-    mu_cap: float = 2e-3
-    collar_r: float = 0.9
-    k_max: int = 4096
     third_budget: float = 0.2
-    grid: Tuple[int, int] = DEFAULT_GRID
     seed: int = 0  # no run reads it; perfbench writes it into its configs
     csv_path: Optional[str] = None
     obj_path: Optional[str] = None
 
     def __post_init__(self):
         # types first: the range checks below compare, and NaN passes them
-        for name in ("iterations", "arcs", "k_max", "seed"):
+        for name in ("iterations", "arcs", "seed"):
             if not _is_a(numbers.Integral, getattr(self, name)):
                 raise DomainError("%s must be an integer" % name)
-        for name in ("delta", "epsilon", "mu_cap", "collar_r", "third_budget"):
+        for name in ("delta", "epsilon", "third_budget"):
             value = getattr(self, name)
             if not (_is_a(numbers.Real, value) and math.isfinite(value)):
                 raise DomainError("%s must be a finite number" % name)
         for name in ("csv_path", "obj_path"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise DomainError("%s must be a string or null" % name)
-        grid = self.grid
-        if not (isinstance(grid, (list, tuple)) and len(grid) == 2
-                and all(_is_a(numbers.Integral, g) for g in grid)):
-            raise DomainError("grid must be two integers")
         if self.pipeline not in ("completeness", "bounded_third"):
             raise ValueError("unknown pipeline %r" % self.pipeline)
         if self.seed_curve not in _CATALOG_NAMES:
@@ -147,15 +146,8 @@ class PipelineConfig:
             raise ValueError("epsilon must be positive")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if not 0.0 < self.collar_r < 1.0:
-            raise ValueError("collar_r must sit in (0, 1)")
-        if self.k_max < 2:
-            raise ValueError("k_max too small")
-        if not self.mu_cap > 0:
-            raise ValueError("mu_cap must be positive")
         if not self.third_budget > 0:
             raise ValueError("third_budget must be positive")
-        object.__setattr__(self, "grid", tuple(self.grid))
 
     def delta_at(self, round_index: int) -> float:
         """Schedule delta_k = delta / k: divergent sum, convergent squares."""
@@ -164,7 +156,6 @@ class PipelineConfig:
     def to_json(self) -> str:
         d = {"schema": 1}
         d.update((f.name, getattr(self, f.name)) for f in fields(self))
-        d["grid"] = list(self.grid)
         return json.dumps(d)
 
     @staticmethod
@@ -298,21 +289,20 @@ def _pick_direction(
 # ----------------------------------------------------------- push plumbing
 
 
-def _round_frequency(mu: float, k_max: int) -> int:
+def _round_frequency(mu: float) -> int:
     """Push frequency of a run whose first round starts at amplitude mu.
 
     The collar metric spike has height ~ k*mu against the base conformal
-    factor, so k keeps k*mu around 1.3, clamped to [96, k_max].  It is
+    factor, so k keeps k*mu around 1.3, clamped to [96, RUN_K_CAP].  It is
     read once per run: a push at a new k meets the earlier pushes at
     anti-phase angles, where the metric's cross term digs valleys.
     """
-    return min(k_max, max(96, int(round(1.3 / mu))))
+    return min(RUN_K_CAP, max(96, int(round(1.3 / mu))))
 
 
 def _record(
     ledger: GrowthLedger,
     curve: SeriesMap,
-    cfg: PipelineConfig,
     rnd: int,
     delta: float,
     certs,
@@ -324,7 +314,7 @@ def _record(
     The round's spinor, when there is one, gives the metric factor at the
     cost of its own support, not the wider one of F' (intrinsic_radius).
     """
-    rep = intrinsic_radius(curve, grid=cfg.grid, spinor=spinor)
+    rep = intrinsic_radius(curve, spinor=spinor)
     sup3, min12 = bounded_coordinate_report(curve)
     ledger.append(LedgerRow(
         k=rnd,
@@ -379,7 +369,7 @@ def _push_round(
         # condition at sup|F'| * (1 - r).  Narrow the collar until that
         # floor sits at half the tolerance.
         sup_fp = curve.derivative().sup_boundary(2048)
-        r_arc = max(cfg.collar_r, 1.0 - 0.5 * cfg.epsilon / max(sup_fp, 1e-12))
+        r_arc = max(COLLAR_R, 1.0 - 0.5 * cfg.epsilon / max(sup_fp, 1e-12))
         while True:
             bd = BoundaryData(
                 arc=arc, mu=np.array([mu]), theta=theta, taper=tau, epsilon=cfg.epsilon, r=r_arc
@@ -403,14 +393,14 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
     """Shared driver; choose_direction(F, arc, round) -> info.
 
     info is (direction, label, budget, fixed direction).  Each round
-    starts at the amplitude min(delta_k, mu_cap, twice the last round's
+    starts at the amplitude min(delta_k, MU_CAP, twice the last round's
     final mu).  Every push of the run shares round 1's frequency: the arc
     profiles are nonnegative, so same-k pushes reinforce where they
     overlap, while a push at a new k meets earlier ones at anti-phase
     angles, in its round or an earlier one.  The driver, not the
     certificate search, enforces the budget.  The orthogonal leak of a
     push scales like sqrt(mu / k), so a breach replays the round from its
-    starting curve at half the amplitude and, up to k_max, twice the
+    starting curve at half the amplitude and, up to RUN_K_CAP, twice the
     frequency, kept by later rounds; the 7th breach in a round aborts the
     run.  Any library error in a round attaches the ledger so far
     (``partial_ledger``, with ``meta["aborted"]``).  The spinor
@@ -420,15 +410,15 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
     curve = catalog(cfg.seed_curve)
     ledger = GrowthLedger()
     ledger.meta["config"] = json.loads(cfg.to_json())
-    _record(ledger, curve, cfg, 0, 0.0, [])
+    _record(ledger, curve, 0, 0.0, [])
     spinor = None
     mu = math.inf
     try:
         for rnd in range(1, cfg.iterations + 1):
             delta_k = cfg.delta_at(rnd)
-            mu = min(delta_k, cfg.mu_cap, 2.0 * mu)
+            mu = min(delta_k, MU_CAP, 2.0 * mu)
             if rnd == 1:
-                k = _round_frequency(mu, cfg.k_max)
+                k = _round_frequency(mu)
             for restarts in range(7):
                 try:
                     curve, spinor, mu, certs, arc_meta = _push_round(
@@ -444,9 +434,9 @@ def _run_rounds(cfg: PipelineConfig, choose_direction) -> GrowthLedger:
                             % (cert.cond_orth, budget, k, restarts),
                             certificate=cert,
                         ) from None
-                    if 2 * k <= cfg.k_max:
+                    if 2 * k <= RUN_K_CAP:
                         k *= 2
-            _record(ledger, curve, cfg, rnd, delta_k, certs, arc_meta, spinor)
+            _record(ledger, curve, rnd, delta_k, certs, arc_meta, spinor)
     except NullCurveError as err:
         ledger.meta["aborted"] = "round %d: %s" % (rnd, err)
         err.partial_ledger = ledger
@@ -495,7 +485,7 @@ def run_bounded_third(cfg: PipelineConfig) -> GrowthLedger:
     and the round driver, not the certificate search, caps it for each arc
     push, not for each round, at third_budget / 2^(round+1): a push over
     the cap ends that pass of _push_round, _run_rounds replays the round
-    from its starting curve at half the amplitude and, up to k_max, twice
+    from its starting curve at half the amplitude and, up to RUN_K_CAP, twice
     the frequency, and the run aborts at the 7th breach in one round.
     The certified bound on a round's sup|F3| change is therefore ``arcs``
     times that cap, and sup|F3| <= third_budget over a run is measured,
@@ -565,7 +555,7 @@ def export_surface(
     F: SeriesMap,
     target: str,
     path: str,
-    grid: Tuple[int, int] = (64, 128),
+    grid: Tuple[int, int] = EXPORT_GRID,
 ) -> str:
     """Write an OBJ mesh of the real part (r3) or the CMC-1 transfer (h3).
 
@@ -575,10 +565,12 @@ def export_surface(
     form, hyperboloid, upper sheet) raise on any failing vertex, and meshes
     the hyperboloid points (x1, x2, x3); x0 is determined by the hyperboloid
     relation.  A curve that overflows on the mesh raises DomainError before
-    either.
+    either, and so does a curve that is not in C^3, before any sample.
     """
     if target not in ("r3", "h3"):
         raise ValueError("target must be r3 or h3")
+    if F.ncomp != 3:
+        raise DomainError("a null curve has 3 components, not %d" % F.ncomp)
     with np.errstate(over="ignore", invalid="ignore"):
         pts, has_center = _mesh_points(F, grid)
     if not np.isfinite(pts).all():
@@ -586,8 +578,8 @@ def export_surface(
     if target == "r3":
         verts = pts.real
     else:
-        tmap_on_curve(F, n_r=9, n_theta=64, n_boundary=1024, pole_tol=EXPORT_POLE_TOL)
-        verts = h3_minkowski(bryant_project(tmap(pts, EXPORT_POLE_TOL)))[:, 1:]
+        tmap_on_curve(F, n_r=9, n_theta=64, n_boundary=1024)
+        verts = h3_minkowski(bryant_project(tmap(pts)))[:, 1:]
     faces = _mesh_faces(grid[0], grid[1], has_center)
     with open(path, "w", newline="\n") as fh:
         fh.write("# %s mesh, %d x %d polar grid\n" % (target, grid[0], grid[1]))

@@ -299,15 +299,23 @@ def circle_distance(points, centers, rays) -> np.ndarray:
 
 
 def disc_distance(points, centers, rays) -> np.ndarray:
-    """Distance from points to the discs {center + w ray : |w| <= 1}."""
+    """Distance from points to the discs {center + w ray : |w| <= 1}.
+
+    along2 = ip^2 / |ray|^2 <= |d|^2, so along2 overflows only where ip^2
+    does.  There d2 - along2 would read -inf, a distance of 0, so that
+    raises DomainError; an overflow in d2 or the excess term reads inf.
+    """
     d = points - centers
-    d2 = _component_sum(np.abs(d) ** 2)
-    r2 = _component_sum(np.abs(rays) ** 2)
-    ip = np.abs(_component_sum(d * np.conj(rays)))
-    safe = np.maximum(r2, 1e-300)
-    along2 = ip ** 2 / safe
-    excess = np.maximum(ip / safe - 1.0, 0.0)
-    dist2 = d2 - along2 + excess * excess * r2
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = _component_sum(np.abs(d) ** 2)
+        r2 = _component_sum(np.abs(rays) ** 2)
+        ip = np.abs(_component_sum(d * np.conj(rays)))
+        safe = np.maximum(r2, 1e-300)
+        along2 = ip ** 2 / safe
+        excess = np.maximum(ip / safe - 1.0, 0.0)
+        dist2 = d2 - along2 + excess * excess * r2
+    if along2.max(initial=0.0) == np.inf:
+        raise DomainError("squared distances to the target discs overflow")
     dist2 = np.where(r2 == 0.0, d2, dist2)
     return np.sqrt(np.maximum(dist2, 0.0))
 
@@ -694,6 +702,10 @@ def _certify_null(
     ray_max = float(np.sqrt(_component_sum(np.abs(rays[idx]) ** 2).max(initial=0.0)))
     lo_i, hi_i = np.array([0]), np.array([top])
     while lo_i.size:
+        # a collar within a few ulps of 1 repeats radii: a gap of width 0
+        # holds only copies of its measured ends
+        wide = rho[hi_i] > rho[lo_i]
+        lo_i, hi_i = lo_i[wide], hi_i[wide]
         r_lo, g = rho[lo_i, None], rho[hi_i, None] - rho[lo_i, None]
         M, dphi = _second_derivative_bound(G, r_lo, rho[hi_i, None]), phi[hi_i] - phi[lo_i]
         # B's vertex g/2 + x, clamped to the grid radii inside the gap: dividing
@@ -811,15 +823,22 @@ def _rh_null(
             "collar radius r = %.6g must exceed the annulus inner radius r0 = %.6g"
             % (bd.r, F.r0)
         )
-    base_point = 0.0 if F.domain == "disc" else float(np.sqrt(F.r0))
-    base_value = F.eval(base_point)
     fprime = F.derivative()
     if spinor is None:
+        # first: the lift names a curve that overflows on the boundary
+        # circles, before the base point evaluates it inside them
         spinor = spinor_lift(fprime)
+    base_point = 0.0 if F.domain == "disc" else float(np.sqrt(F.r0))
+    base_value = F.eval(base_point)
     a, b = _direction_lift(bd.theta)
 
     # the target, sampled once: the floor and every certificate read it
     target = bd.target()
+    if target[1][0].all():
+        raise DomainError(
+            "the arc padded by 2 taper holds none of the %d boundary samples"
+            % target[1].shape[1]
+        )
     floor = _collar_floor(F, *target[:3])
     if not floor < bd.epsilon:
         raise ToleranceUnachievableError(

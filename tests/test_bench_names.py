@@ -4,7 +4,8 @@ perfbench/tracing.py wraps library names by string and
 benchmarks/bench_kernels.py times kernels by name, so a rename under
 src/ breaks them without breaking an import.  These checks read both
 files, run nothing timed and fail in well under a second.  The search
-benchmark must also replay the data the CLI session benchmark draws.
+benchmark must also replay the data the CLI session benchmark draws, and
+the recursion output check must read the config attributes it names.
 """
 
 import importlib
@@ -78,3 +79,29 @@ def test_benchmark_inputs_build_and_round_trip():
             assert BoundaryData.from_json(bd.to_json()).to_json() == bd.to_json()
     refusal = BoundaryData(**workloads.REFUSAL_DATUM)
     assert BoundaryData.from_json(refusal.to_json()).to_json() == refusal.to_json()
+
+
+def test_recursion_check_reads_its_config(tmp_path):
+    """perfbench's ledger check runs on both gate configs and a tiny ledger.
+
+    It reads iterations, pipeline, delta_at and third_budget off the config,
+    so one of those that vanishes fails here instead of in the benchmark.
+    """
+    from nullcurves.pipelines import CSV_HEADER, PipelineConfig
+
+    workloads = _load("perfbench/workloads.py")
+    for name, params in workloads.GATE_CONFIGS.items():
+        for smoke in (False, True):
+            kw = dict(params, seed=105)
+            if smoke:
+                kw.update(workloads.SMOKE_SIZE)
+            cfg = PipelineConfig(**kw)
+            ledger = tmp_path / ("%s-%s.csv" % (name, smoke))
+            # rising intrinsic radius, no extrinsic growth, sup|F3| in budget
+            rows = ["%d,0.1,%d,1.0,0.0,0,0,0,0" % (k, k + 1) for k in range(cfg.iterations + 1)]
+            ledger.write_text("\n".join([CSV_HEADER] + rows) + "\n")
+            check = workloads._check_recurse(cfg, str(ledger), smoke)
+            assert check(0, "", "") == ([], ledger.read_bytes()), (name, smoke)
+            ledger.write_text("\n".join([CSV_HEADER] + rows[:1]) + "\n")
+            problems, _ = check(0, "", "")
+            assert problems and "ledger has 1 rows" in problems[0], (name, smoke)

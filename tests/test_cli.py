@@ -315,7 +315,7 @@ def test_recurse_honors_config_csv_path(tmp_path, capsys):
 
 
 def test_recurse_abort_writes_partial_ledger(tmp_path, capsys):
-    cfg = write_config(tmp_path, iterations=1, epsilon=1e-12, k_max=64)
+    cfg = write_config(tmp_path, iterations=1, epsilon=1e-12)
     target = tmp_path / "partial.csv"
     code, _, err = run(capsys, "recurse", cfg, "--out", str(target))
     assert code == 2
@@ -325,8 +325,9 @@ def test_recurse_abort_writes_partial_ledger(tmp_path, capsys):
 
 
 def test_recurse_refuses_toy_exponent_before_any_push(tmp_path, capsys, monkeypatch):
-    # the seed curve fixes r0 and the toy exponent is a constant: a config
-    # that still carries either, at its old default, names the unknown key
+    # the seed curve fixes r0, and the toy exponent, the amplitude cap, the
+    # collar radius, the frequency cap and the radius grid are constants: a
+    # config that still carries one, at its old default, names the unknown key
     def no_push(*args, **kwargs):
         raise AssertionError("a push ran before the config was checked")
 
@@ -334,7 +335,11 @@ def test_recurse_refuses_toy_exponent_before_any_push(tmp_path, capsys, monkeypa
     path = tmp_path / "config.json"
     for pipeline, key, value in (("bounded_third", "toy_exponent", 50),
                                  ("completeness", "r0", 0.25),
-                                 ("completeness", "domain", "disc")):
+                                 ("completeness", "domain", "disc"),
+                                 ("completeness", "mu_cap", 2e-3),
+                                 ("completeness", "collar_r", 0.9),
+                                 ("bounded_third", "k_max", 4096),
+                                 ("completeness", "grid", [128, 512])):
         blob = _config_blob(pipeline=pipeline, iterations=1, arcs=2, **{key: value})
         path.write_text(json.dumps(blob))
         code, out, err = run(capsys, "recurse", str(path))
@@ -440,6 +445,60 @@ def test_deform_high_degree_counts_its_zeros(tmp_path, capsys):
     assert err == "error: candidate square has 199999 zeros in the disc\n"
 
 
+@pytest.mark.parametrize("ncomp", [1, 2, 4])
+@pytest.mark.parametrize("target", ["r3", "h3"])
+def test_export_refuses_a_curve_outside_c3(ncomp, target, tmp_path, capsys, monkeypatch):
+    # refused before any sample and before the mesh file is opened
+    def no_rings(*args, **kwargs):
+        raise AssertionError("a ring was sampled before the components were checked")
+
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap.from_components(
+        [[0.0, 1.0], [0.0, 1j], [0.0, 0.0], [1.0, 0.0]][:ncomp])))
+    monkeypatch.setattr(series.SeriesMap, "rings", no_rings)
+    mesh = tmp_path / "m.obj"
+    code, out, err = run(capsys, "export", str(curve), "--target", target,
+                         "--out", str(mesh), "--grid", "4,8")
+    assert code == 1 and out == ""
+    assert err == "error: a null curve has 3 components, not %d\n" % ncomp
+    assert not mesh.exists()
+
+
+def test_verify_refuses_a_curve_outside_c3(tmp_path, capsys):
+    # (z, iz) is null in C^2, but a null curve lives in C^3
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap.from_components([[0.0, 1.0], [0.0, 1j]])))
+    code, out, err = run(capsys, "verify", str(curve))
+    assert code == 1 and out == ""
+    assert err == "error: a null curve has 3 components, not 2\n"
+
+
+def test_export_h3_overflowing_squares_is_domain_error(tmp_path, capsys):
+    # 1e160 (z^3, iz^3, 0) + (0, 0, 1) is finite on the mesh, but the
+    # derivative's squares overflow in the nullity audit: one error naming
+    # the overflow, no NumPy warning, no determinant of NaN
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap.from_components(
+        [[0.0, 0.0, 0.0, 1e160], [0.0, 0.0, 0.0, 1e160j], [1.0, 0.0, 0.0, 0.0]])))
+    mesh = tmp_path / "m.obj"
+    code, out, err = run(capsys, "export", str(curve), "--target", "h3",
+                         "--out", str(mesh), "--grid", "4,8")
+    assert code == 1 and out == ""
+    assert err == "error: squared curve values overflow on the boundary circles\n"
+    assert not mesh.exists()
+
+
+def test_deform_lifts_before_it_evaluates_the_base_point(tmp_path, capsys):
+    # (1e-149, 1e-149 i, 0) z^-1000000 on r0 = 0.81 overflows inside the
+    # annulus too, at the base point 0.9: the lift names the overflow first
+    c = np.array([[1e-149], [1e-149j], [0.0]])
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap(c, -1000000, "annulus", 0.81)))
+    code, out, err = run(capsys, "deform", str(curve), write_datum(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: curve values overflow on the boundary circles\n"
+
+
 def test_export_refuses_a_grid_over_the_vertex_cap(tmp_path, capsys, monkeypatch):
     # refused before any ring is sampled, so the test allocates nothing
     def no_rings(*args, **kwargs):
@@ -484,7 +543,7 @@ _VALUES = (None, True, "", "x", [], {}, [[1]], -1, 0, 1.5, 1e308, 10**30,
 _BASES = {
     "curve": _CURVE,
     "datum": _datum_blob(mu=np.array([0.0]), epsilon=1e-9, r=0.5),
-    "config": _config_blob(iterations=0, grid=[2, 8]),
+    "config": _config_blob(iterations=0),
 }
 
 
@@ -530,6 +589,93 @@ def test_mutated_json_exits_cleanly(tmp_path_factory, mutant):
         os.chdir(cwd)
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err.getvalue()
+
+
+# -- property sweep over curves and data ----------------------------------------
+
+_NON_FINITE_OR_WRONG_TYPE = (float("nan"), float("inf"), -float("inf"), None, "x", True, [1.0])
+
+
+@st.composite
+def _curve_blobs(draw):
+    """Curve JSON: 1-4 components of width <= 16, degree_lo within 1e6, at
+    coefficient scales 1e-320 to 1e300.  The rows are g(z) (1, i, 0), null
+    (g one term or random, plus at times a constant third coordinate), or
+    random; at most one field is then made non-finite or of a wrong type."""
+    ncomp = draw(st.sampled_from([1, 2, 3, 3, 3, 4]))
+    width = draw(st.integers(1, 16))
+    lo = draw(st.one_of(st.integers(-2, 1), st.integers(-10**6, 10**6)))
+    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-320, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["monomial", "null", "random"]))
+    if shape == "random":
+        rows = rng.normal(size=(ncomp, width)) + 1j * rng.normal(size=(ncomp, width))
+    else:
+        g = rng.normal(size=width) + 1j * rng.normal(size=width)
+        if shape == "monomial":
+            g[np.arange(width) != draw(st.integers(0, width - 1))] = 0.0
+        rows = np.array([1.0, 1j, 0.0, 0.0])[:ncomp, None] * g[None, :]
+    rows = rows * scale
+    if shape != "random" and ncomp >= 3 and lo <= 0 < lo + width and draw(st.booleans()):
+        rows[2, -lo] = 1.0  # a constant third coordinate clear of the pole
+    domain = draw(st.sampled_from(["disc", "annulus"]))
+    r0 = None
+    if domain == "annulus":
+        r0 = draw(st.one_of(st.sampled_from([5e-324, 0.25, 0.81, 1.0 - 2.0**-53]),
+                            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    blob = {"components": [[[c.real, c.imag] for c in row] for row in rows],
+            "degree_lo": lo, "degree_hi": lo + width - 1, "domain": domain, "r0": r0}
+    field = draw(st.sampled_from([None] * 8 + ["coefficient", "degree_lo", "r0", "domain"]))
+    bad = draw(st.sampled_from(_NON_FINITE_OR_WRONG_TYPE))
+    if field == "coefficient":
+        row = blob["components"][draw(st.integers(0, ncomp - 1))]
+        row[draw(st.integers(0, width - 1))] = [bad, 0.0]
+    elif field is not None:
+        blob[field] = bad
+    return blob
+
+
+@st.composite
+def _datum_blobs(draw):
+    """Datum JSON at the ends of each range: the arc's width and position,
+    the taper, epsilon, the collar radius, mu's sign and size, |theta|."""
+    width = draw(st.sampled_from([1e-9, 2.0 * math.pi - 1e-9]))
+    start = draw(st.sampled_from([0.0, 1e6]))
+    theta = np.array(draw(st.sampled_from([[1.0, -1j, 0.0], [1.0, 1j, 0.0]])))
+    theta = theta * draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    return {
+        "arc": [start, start + width],
+        "mu": [draw(st.sampled_from([-0.1, 0.0, 1e-300, 0.1, 1e150]))],
+        "theta": [[c.real, c.imag] for c in theta],
+        "taper": draw(st.sampled_from([1e-300, width / 2.0])),
+        "epsilon": draw(st.sampled_from([5e-324, 1e300])),
+        "r": draw(st.sampled_from([5e-324, 0.9, 1.0 - 2.0**-53])),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_curve_blobs(), _datum_blobs())
+def test_commands_exit_cleanly_on_swept_curves(tmp_path_factory, curve_blob, datum_blob):
+    # deform, verify and export each exit 0, 1 or 2 with at most one line on
+    # stderr, and a failure with exactly one error line; pytest turns any
+    # NumPy warning into an error, so none may be raised
+    work = tmp_path_factory.mktemp("sweep")
+    curve, datum = work / "curve.json", work / "datum.json"
+    curve.write_text(json.dumps(curve_blob))
+    datum.write_text(json.dumps(datum_blob))
+    for argv in (["deform", str(curve), str(datum), "--out", str(work / "pushed.json")],
+                 ["verify", str(curve)],
+                 ["export", str(curve), "--target", "r3", "--out", str(work / "r3.obj"),
+                  "--grid", "4,8"],
+                 ["export", str(curve), "--target", "h3", "--out", str(work / "h3.obj"),
+                  "--grid", "4,8"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv[0], code)
+        assert len(lines) == (code != 0), (argv[0], lines)
+        assert not lines or lines[0].startswith(("error: ", "tolerance failure: ")), lines
 
 
 # -- import path -------------------------------------------------------------

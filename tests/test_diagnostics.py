@@ -16,7 +16,7 @@ from nullcurves.diagnostics import (
     _radial_nodes,
     _sample_layout,
 )
-from nullcurves.errors import DegenerateImmersionError, DomainError
+from nullcurves.errors import DegenerateImmersionError
 from nullcurves.geometry import NullVector, SpinorPair, spinor_project
 from nullcurves.rh import BoundaryData, _rh_null
 from nullcurves.series import SeriesMap
@@ -106,18 +106,16 @@ def test_metric_identity_null_curve():
 
 
 def test_flat_disc_radii():
-    rep = intrinsic_radius(linear_curve(), r_core=0.0, grid=(64, 256))
+    rep = intrinsic_radius(linear_curve(), grid=(64, 256))
     assert abs(rep.intrinsic_radius - SQRT2) < 1e-12
     assert abs(rep.extrinsic_radius - SQRT2) < 1e-12
-    assert rep.grid == (64, 256)
-    assert rep.r_core == 0.0
 
 
 def test_radius_scaling_exact():
     F = enneper_curve()
-    base = intrinsic_radius(F, r_core=0.0, grid=(32, 128))
+    base = intrinsic_radius(F, grid=(32, 128))
     c = 2.5 - 1.3j
-    scaled = intrinsic_radius(F * c, r_core=0.0, grid=(32, 128))
+    scaled = intrinsic_radius(F * c, grid=(32, 128))
     assert abs(scaled.intrinsic_radius - abs(c) * base.intrinsic_radius) <= (
         1e-10 * base.intrinsic_radius
     )
@@ -134,13 +132,13 @@ def test_radius_scaling_exact():
 )
 def test_radius_scaling_property(c):
     F = linear_curve()
-    rep = intrinsic_radius(F * c, r_core=0.0, grid=(8, 16))
+    rep = intrinsic_radius(F * c, grid=(8, 16))
     assert abs(rep.intrinsic_radius - abs(c) * SQRT2) < 1e-10 * abs(c)
 
 
 def test_mesh_convergence_enneper():
-    coarse = intrinsic_radius(enneper_curve(), r_core=0.0, grid=(64, 256))
-    fine = intrinsic_radius(enneper_curve(), r_core=0.0, grid=(128, 512))
+    coarse = intrinsic_radius(enneper_curve(), grid=(64, 256))
+    fine = intrinsic_radius(enneper_curve(), grid=(128, 512))
     rel = abs(fine.intrinsic_radius - coarse.intrinsic_radius) / coarse.intrinsic_radius
     assert rel < 0.02
 
@@ -150,7 +148,6 @@ def test_annulus_radial_integral():
     # radial geodesic gives sqrt(2) * [r^3/3 - 1/r] from 0.25 to 1
     exact = SQRT2 * ((1.0 / 3.0 - 1.0) - (0.25**3 / 3.0 - 4.0))
     rep = intrinsic_radius(annulus_curve(), grid=(128, 512))
-    assert rep.r_core == 0.25
     assert abs(rep.intrinsic_radius - exact) < 5e-3 * exact
 
 
@@ -159,28 +156,23 @@ def test_disc_radial_integral():
     # geodesic gives sqrt(2) * 4/3
     exact = SQRT2 * 4.0 / 3.0
     rep = intrinsic_radius(enneper_curve(), grid=(128, 512))
-    assert rep.r_core == 0.0
     assert abs(rep.intrinsic_radius - exact) < 1e-4 * exact
 
 
 def test_degenerate_immersion_raises():
     F = SeriesMap.from_components([[0, 0, 1], [0, 0, 1j], [0, 0, 0]])
     with pytest.raises(DegenerateImmersionError):
-        intrinsic_radius(F, r_core=0.0, grid=(16, 32))
+        intrinsic_radius(F, grid=(16, 32))
 
 
 def test_radius_argument_guards():
     with pytest.raises(ValueError):
         intrinsic_radius(linear_curve(), grid=(1, 32))
-    with pytest.raises(DomainError):
-        intrinsic_radius(linear_curve(), r_core=1.0)
-    with pytest.raises(DomainError):
-        intrinsic_radius(annulus_curve(), r_core=0.1)
 
 
 def test_radius_report_validation():
     with pytest.raises(ValueError):
-        RadiusReport(-1.0, 1.0, (8, 16), 0.0)
+        RadiusReport(-1.0, 1.0)
 
 
 # ------------------------------------------- metric factor from the spinor
@@ -237,7 +229,7 @@ def test_spinor_vanishing_at_the_centre_is_degenerate():
     spinor = SpinorPair(z, z)
     F = spinor_project(spinor).antiderivative(0.0, np.zeros(3))
     with pytest.raises(DegenerateImmersionError):
-        intrinsic_radius(F, r_core=0.0, grid=(16, 32), spinor=spinor)
+        intrinsic_radius(F, grid=(16, 32), spinor=spinor)
 
 
 # --------------------------------------------------- bounded coordinates

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nullcurves import geometry
 from nullcurves.errors import (
+    DomainError,
     NotInH3Error,
     NotInNullConeError,
     NotInSL2Error,
@@ -430,3 +431,36 @@ def test_tmap_on_curve_rejects_non_null():
     c[2, 0] = 1.0
     with pytest.raises(NotInNullConeError):
         tmap_on_curve(SeriesMap(c, 0, "disc"))
+
+
+def test_nullity_check_names_an_overflow():
+    # 1e160 (z^3, i z^3, 0) + (0, 0, 1) is null, but its derivative's squares
+    # overflow: their residual would be NaN, which no tolerance may pass
+    F = SeriesMap.from_components([[0, 0, 0, 1e160], [0, 0, 0, 1e160j], [1.0, 0, 0, 0]])
+    with pytest.raises(DomainError, match="squared curve values overflow"):
+        geometry.require_null(F.derivative())
+    with pytest.raises(DomainError, match="squared curve values overflow"):
+        tmap_on_curve(F)
+
+
+def test_tmap_names_an_overflow():
+    # z1^2 + z2^2 overflows to inf - inf: a NaN entry, never a matrix
+    with pytest.raises(DomainError, match="overflow"):
+        tmap(np.array([[1.0, 1j, 1.0], [1e160, 1e160j, 1.0]]))
+
+
+def test_tangent_report_names_an_overflow():
+    # F' = 1e150 (1, i, 0) squares finitely, but over F3 = 1e-5 the entry
+    # (z1 - i z2) / z3 of T o F reaches 2e155, and its squared tangent overflows
+    F = SeriesMap.from_components([[0.0, 1e150], [0.0, 1e150j], [1e-5, 0.0]])
+    with pytest.raises(DomainError, match="overflows"):
+        tmap_on_curve(F)
+
+
+def test_hyperbolic_transfer_names_an_overflow():
+    # det = 1, but m conj(m)^T holds 1e400; then a hermitian point whose x0^2
+    # is 2.5e319
+    with pytest.raises(DomainError, match="overflow"):
+        bryant_project(np.diag([1e200, 1e-200]).astype(complex))
+    with pytest.raises(DomainError, match="overflow"):
+        h3_minkowski(np.diag([1e160, 1e-160]).astype(complex))

@@ -138,7 +138,6 @@ def test_config_json_roundtrip():
         delta=0.15,
         arcs=5,
         epsilon=0.02,
-        grid=(64, 128),
         csv_path="ledger.csv",
     )
     back = PipelineConfig.from_json(cfg.to_json())
@@ -162,10 +161,6 @@ def test_config_rejects_wrong_schema():
         {"arcs": 0},
         {"epsilon": 0.0},
         {"delta": -0.1},
-        {"collar_r": 1.0},
-        {"collar_r": 0.0},
-        {"k_max": 1},
-        {"mu_cap": 0.0},
         {"third_budget": 0.0},
     ],
 )
@@ -262,9 +257,8 @@ def _count_dijkstra(monkeypatch):
 
 def test_record_runs_one_dijkstra_and_no_shortcut(monkeypatch):
     calls = _count_dijkstra(monkeypatch)
-    cfg = PipelineConfig()
     ledger = GrowthLedger()
-    pipelines._record(ledger, catalog(cfg.seed_curve), cfg, 0, 0.0, [])
+    pipelines._record(ledger, catalog(PipelineConfig().seed_curve), 0, 0.0, [])
     assert len(calls) == 1
     assert "shortcut" not in ledger.meta["rounds"][0]
 
@@ -385,9 +379,9 @@ def test_push_round_samples_each_curve_once_on_the_unit_circle(monkeypatch):
     cfg = PipelineConfig(arcs=2, iterations=1)
     v2 = NullVector(np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0))
     F = catalog("linear_v1")
-    k = pipelines._round_frequency(cfg.mu_cap, cfg.k_max)
+    k = pipelines._round_frequency(pipelines.MU_CAP)
     G, _, _, certs, _ = pipelines._push_round(
-        cfg, lambda curve, arc, rnd: (v2, "V2", None, None), 1, F, None, cfg.mu_cap, k
+        cfg, lambda curve, arc, rnd: (v2, "V2", None, None), 1, F, None, pipelines.MU_CAP, k
     )
     assert [c.k for c in certs] == [k, k]
     counts = {key: count for key, (_, count) in sampled.items()}
@@ -402,7 +396,7 @@ def test_pipeline_name_checked():
 
 
 def test_unreachable_tolerance_surfaces_partial_ledger():
-    cfg = PipelineConfig(iterations=1, epsilon=1e-12, k_max=64)
+    cfg = PipelineConfig(iterations=1, epsilon=1e-12)
     with pytest.raises(ToleranceUnachievableError) as exc:
         run_completeness_recursion(cfg)
     led = exc.value.partial_ledger
@@ -617,7 +611,7 @@ def _line_by_line_obj(F, target, grid):
     if target == "r3":
         verts = pts.real
     else:
-        verts = h3_minkowski(bryant_project(tmap(pts, pipelines.EXPORT_POLE_TOL)))[:, 1:]
+        verts = h3_minkowski(bryant_project(tmap(pts)))[:, 1:]
     nrad, nang = grid
     off = 1 if has_center else 0
 

@@ -141,6 +141,44 @@ def test_disc_distance_matches_reference_bit_for_bit():
         assert np.array_equal(got, _disc_distance_reference(points, centers, rays))
 
 
+def test_disc_distance_overflow_never_reads_zero():
+    # |<d, ray>|^2 overflows while |d|^2 and |ray|^2 stay finite: d2 - along2
+    # would read -inf, a distance of 0, where circle_distance reads 5e79
+    p = np.array([[1e80, 0.0, 0.0]], dtype=complex)
+    c = np.zeros((1, 3), dtype=complex)
+    ray = np.array([[5e79, 0.0, 0.0]], dtype=complex)
+    assert circle_distance(p, c, ray)[0] == pytest.approx(5e79)
+    with pytest.raises(DomainError, match="overflow"):
+        disc_distance(p, c, ray)
+    # |d|^2 overflows on its own, against a ray of norm 1e-160: it reads inf
+    far = np.array([[1e160, 0.0, 0.0]], dtype=complex)
+    tiny = np.array([[1e-160, 0.0, 0.0]], dtype=complex)
+    assert disc_distance(far, c, tiny)[0] == np.inf
+
+
+def _quarter_arc_datum(**changes):
+    kw = dict(arc=(0.0, np.pi / 2), mu=np.array([0.1]),
+              theta=NullVector(np.array([1.0, -1j, 0.0])), taper=np.pi / 8,
+              epsilon=1e300, r=0.9)
+    kw.update(changes)
+    return BoundaryData(**kw)
+
+
+def test_collar_within_an_ulp_of_one_certifies():
+    # the collar grid linspace(r, 1, 64) repeats radii: its gaps of width 0
+    # hold only copies of their measured ends, and bound nothing as 0/0
+    G, cert = rh_null_disc(catalog("linear_v1"), _quarter_arc_datum(r=1.0 - 2.0**-53))
+    assert cert.valid and cert.cond_b < np.inf
+
+
+def test_arc_between_boundary_samples_is_domain_error():
+    # the arc (1e-3, 1e-3 + 1e-9), padded by 8e-10, falls between the sample
+    # angles 0 and 2 pi / 4096: the certificate would read nothing of it
+    bd = _quarter_arc_datum(arc=(1e-3, 1e-3 + 1e-9), taper=4e-10)
+    with pytest.raises(DomainError, match="holds none of the 4096 boundary samples"):
+        rh_null_disc(catalog("linear_v1"), bd)
+
+
 def test_degenerate_ray_is_point_distance():
     p = np.array([[1.0, 0.0, 0.0]], dtype=complex)
     c = np.zeros((1, 3), dtype=complex)
@@ -839,7 +877,7 @@ def _unit(v):
 
 
 def _thin_collar():
-    """A gate-8 push: one of 8 arcs, mu_cap 0.002, k = 650 on a thin collar."""
+    """A gate-8 push: one of 8 arcs, MU_CAP = 0.002, k = 650 on a thin collar."""
     F = linear_curve()
     bd = linear_datum(arc=(0.0, np.pi / 2), mu=np.array([0.002]), r=0.9997)
     return F, bd, _rh_null(F, replace(bd, epsilon=10.0), k_fixed=650).G
