@@ -161,7 +161,10 @@ def test_config_rejects_wrong_schema():
         {"arcs": 0},
         {"epsilon": 0.0},
         {"delta": -0.1},
-        {"third_budget": 0.0},
+        {"delta": 0.0},
+        # keeps the id it had when kw6-kw9 held the collar, k-cap and mu-cap
+        # cases, whose keys are now module constants
+        pytest.param({"third_budget": 0.0}, id="kw10"),
     ],
 )
 def test_config_validation(kw):
