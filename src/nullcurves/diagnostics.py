@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateImmersionError, DomainError
-from .geometry import SpinorPair
+from .geometry import SpinorPair, require_c3
 from .series import DEFAULT_BOUNDARY_SAMPLES, SeriesMap
 
 __all__ = [
@@ -39,6 +39,17 @@ DEFAULT_GRID = (128, 512)
 _SQRT2 = math.sqrt(2.0)
 
 
+def _lifted(F: SeriesMap) -> Tuple[SeriesMap, int]:
+    """(F 2^e, e): a curve whose squares underflow (below about 1e-154), lifted.
+
+    e lifts the largest coefficient into [2^-256, 2^-255).  A power of two
+    scales every float step exactly, so lengths scale back by 2^-e.  A curve
+    whose largest coefficient reaches 2^-256 comes back as it is, e = 0.
+    """
+    e = max(0, -255 - math.frexp(float(np.abs(F.coeffs).max(initial=0.0)))[1])
+    return (F * math.ldexp(1.0, e) if e else F), e
+
+
 def nullity_residual(F: SeriesMap) -> float:
     """Normalized coefficient norm of (F1')^2 + (F2')^2 + ... .
 
@@ -47,10 +58,10 @@ def nullity_residual(F: SeriesMap) -> float:
     rounding floor.  Normalization: max coefficient norm of the individual
     squares.  A curve with zero derivative reports 0.  The quadric lives in
     C^3, so a map with another number of components raises DomainError.
+    The ratio is scale-free, so a curve too small to square is lifted first.
     """
-    if F.ncomp != 3:
-        raise DomainError("a null curve has 3 components, not %d" % F.ncomp)
-    fp = F.derivative()
+    require_c3(F)
+    fp = _lifted(F)[0].derivative()
     squares = (fp * fp).coeffs
     scale = float(np.abs(squares).max(initial=0.0))
     if scale == 0.0:
@@ -171,19 +182,22 @@ def intrinsic_radius(
     a spinor (u, v) of F'.  Given one, the weights are read off it, whose
     support is the smaller since F' is quadratic in it, and the radius
     moves only at rounding level (_polar_weights).  Without one, they are
-    read off F', which needs no lift.
+    read off F', which needs no lift; so are they for a curve too small to
+    square, measured at 2^e F (_lifted) with both radii scaled back.
     """
     nrad, nang = grid
     if nrad < 2 or nang < 8:
         raise ValueError("grid must be at least 2 x 8")
+    F, e = _lifted(F)
+    spinor = None if e else spinor
     inner = 0.0 if F.domain == "disc" else F.r0
     weights = _polar_weights(F, _radial_nodes(inner, nrad), nang, spinor)
     src = np.zeros((nrad, nang), dtype=bool)
     src[0] = True
     dists = kernels.dijkstra_polar(*weights, src)
     return RadiusReport(
-        intrinsic_radius=float(dists[-1].min()),
-        extrinsic_radius=F.sup_boundary(max(DEFAULT_BOUNDARY_SAMPLES, nang)),
+        intrinsic_radius=math.ldexp(float(dists[-1].min()), -e),
+        extrinsic_radius=math.ldexp(F.sup_boundary(max(DEFAULT_BOUNDARY_SAMPLES, nang)), -e),
     )
 
 
@@ -194,8 +208,7 @@ def bounded_coordinate_report(F: SeriesMap) -> Tuple[float, float]:
     sits on the boundary circles, the only ones sampled.  The min is a pure
     boundary quantity (properness proxy).
     """
-    if F.ncomp != 3:
-        raise ValueError("bounded_coordinate_report expects a 3-component curve")
+    require_c3(F)
     boundary = np.concatenate(
         [F.circle_values(r, DEFAULT_BOUNDARY_SAMPLES) for r in F.boundary_radii])
     sup_f3 = float(np.abs(boundary[:, 2]).max())

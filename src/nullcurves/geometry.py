@@ -35,6 +35,12 @@ def null_residual(v) -> float:
     return float(abs(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
 
 
+def require_c3(F: SeriesMap) -> None:
+    """Raise DomainError unless F has the 3 components of a map into C^3."""
+    if F.ncomp != 3:
+        raise DomainError("a null curve has 3 components, not %d" % F.ncomp)
+
+
 def require_null(f: SeriesMap) -> None:
     """Raise NotInNullConeError unless f . f vanishes on the boundary.
 
@@ -226,8 +232,7 @@ def spinor_lift(f: SeriesMap) -> SpinorPair:
     sample into the closed right half-plane.  A map whose boundary samples,
     or their squares, overflow raises DomainError.
     """
-    if f.ncomp != 3:
-        raise ValueError("lift expects a 3-component map")
+    require_c3(f)
     n = _fit_samples(f.width)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = f.rings(f.boundary_radii, n)
@@ -410,8 +415,7 @@ def tmap_on_curve(
     disc) to |z| = 1, at n_theta angles each.  Matrices whose determinants
     or squared tangents overflow raise DomainError.
     """
-    if F.ncomp != 3:
-        raise ValueError("expected a 3-component curve")
+    require_c3(F)
     require_null(F.derivative())
     radii = np.linspace(0.0 if F.domain == "disc" else F.r0, 1.0, n_r)
     grid_mats = tmap(F.rings(radii, n_theta))

@@ -30,6 +30,7 @@ from .geometry import (
     NullVector,
     bryant_project,
     h3_minkowski,
+    require_c3,
     spinor_point,
     tmap,
     tmap_on_curve,
@@ -163,7 +164,8 @@ class PipelineConfig:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise DomainError("config JSON must be an object")
-        if d.pop("schema", None) != 1:
+        schema = d.pop("schema", None)
+        if not (_is_a(numbers.Integral, schema) and schema == 1):
             raise ValueError("config schema must be 1")
         unknown = sorted(set(d) - {f.name for f in fields(PipelineConfig)})
         if unknown:
@@ -569,8 +571,7 @@ def export_surface(
     """
     if target not in ("r3", "h3"):
         raise ValueError("target must be r3 or h3")
-    if F.ncomp != 3:
-        raise DomainError("a null curve has 3 components, not %d" % F.ncomp)
+    require_c3(F)
     with np.errstate(over="ignore", invalid="ignore"):
         pts, has_center = _mesh_points(F, grid)
     if not np.isfinite(pts).all():

@@ -37,7 +37,6 @@ epsilon is dropped before the rest of its certificate is measured.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,7 +47,7 @@ from .errors import (
     ToleranceUnachievableError,
     _parsing,
 )
-from .geometry import NullVector, SpinorPair, spinor_bilinear, spinor_point
+from .geometry import NullVector, SpinorPair, require_c3, spinor_bilinear, spinor_point
 from .series import DEFAULT_BOUNDARY_SAMPLES, SeriesMap
 from .weierstrass import kill_periods, periods
 
@@ -161,38 +160,20 @@ class BoundaryData:
         d = np.mod(np.asarray(theta, dtype=np.float64) - (self.arc[0] - pad), TWO_PI)
         return d <= self.width + 2.0 * pad
 
-    @cached_property
-    def _fit_grid(self):
-        """chi, mu and the arc padded by 2*taper and by taper on the _FIT_N grid.
-
-        Computed once, read-only, at theta_j = TWO_PI * j / _FIT_N.  For n
-        = _FIT_N / 2^e, TWO_PI * arange(n) / n is bit for bit every 2^e-th
-        of these angles, so target slices the samples at n points out.
-        """
-        theta = TWO_PI * np.arange(_FIT_N) / _FIT_N
-        pads = (2.0 * self.taper, self.taper)
-        grid = (*self._chi_mu(theta),
-                np.stack([self.in_padded_arc(theta, pad) for pad in pads]))
-        for a in grid:
-            a.flags.writeable = False
-        return grid
-
     def target(self, n: int = DEFAULT_BOUNDARY_SAMPLES):
         """The push target as _certify_null reads it: (rays, keep, r, epsilon, omega).
 
-        At theta_j = TWO_PI * j / n, read off _fit_grid: rays[j] = chi^2 mu
-        theta, the radius vector of the target disc; keep (2, n), the angles
-        off the arc padded by 2*taper and by taper; omega, the arc padded by
-        2*taper, which the certificate reports.
+        At theta_j = TWO_PI * j / n: rays[j] = chi^2 mu theta, the radius
+        vector of the target disc; keep (2, n), the angles off the arc
+        padded by 2*taper and by taper; omega, the arc padded by 2*taper,
+        which the certificate reports.
         """
-        step = _FIT_N // n  # _FIT_N is a power of two, so its divisors are too
-        if step * n != _FIT_N:
-            raise ValueError("%d samples do not divide the %d of the fit grid" % (n, _FIT_N))
-        chi, mu, padded = self._fit_grid
-        rays = (chi[::step] ** 2 * mu[::step])[:, None] * self.theta.v[None, :]
+        theta = TWO_PI * np.arange(n) / n
+        rays = self.amplitude_at(theta)[:, None] * self.theta.v[None, :]
         pad2 = 2.0 * self.taper
+        keep = ~np.stack([self.in_padded_arc(theta, pad) for pad in (pad2, self.taper)])
         omega = (self.arc[0] - pad2, self.arc[1] + pad2)
-        return rays, ~padded[:, ::step], self.r, self.epsilon, omega
+        return rays, keep, self.r, self.epsilon, omega
 
     def to_json(self) -> str:
         return json.dumps(
@@ -552,8 +533,7 @@ def _fit_boundary_profile(bd: BoundaryData, m: int):
     radius: the level the k-search's worst case settles at as k grows.
     """
     n = _FIT_N
-    chi, mu, _ = bd._fit_grid
-    prof = chi * np.sqrt(mu)
+    prof = bd.sqrt_amplitude_at(TWO_PI * np.arange(n) / n)
     bins = np.fft.fft(prof) / n
     coeffs = bins[np.mod(np.arange(-m, m + 1), n)]
     fit = SeriesMap(coeffs[None, :], -m, "annulus", 0.5)  # any annulus holds it
@@ -816,8 +796,7 @@ def _rh_null(
     # (a profiler's, say) sees the call
     from .geometry import spinor_lift
 
-    if F.ncomp != 3:
-        raise ValueError("expected a 3-component null curve")
+    require_c3(F)
     if F.domain == "annulus" and not bd.r > F.r0:
         raise DomainError(
             "collar radius r = %.6g must exceed the annulus inner radius r0 = %.6g"

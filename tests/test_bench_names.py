@@ -3,9 +3,8 @@
 perfbench/tracing.py wraps library names by string and
 benchmarks/bench_kernels.py times kernels by name, so a rename under
 src/ breaks them without breaking an import.  These checks read both
-files, run nothing timed and fail in well under a second.  The search
-benchmark must also replay the data the CLI session benchmark draws, and
-the recursion output check must read the config attributes it names.
+files, run nothing timed and fail in well under a second.  The recursion
+output check must also read the config attributes it names.
 """
 
 import importlib
@@ -43,17 +42,6 @@ def test_every_benchmarked_kernel_resolves():
     assert names
     for name in names:
         assert callable(getattr(kernels, name, None)), name
-
-
-def test_search_benchmark_replays_the_session_data():
-    """benchmarks/bench_search.py draws the data the CLI session benchmark pushes."""
-    bench = _load("benchmarks/bench_search.py")
-    workloads = _load("perfbench/workloads.py")
-    for seed in (101, 102):
-        got = [(name, F, bd.to_json()) for name, F, bd in bench.session_data(seed)]
-        want = [(name, F, bd.to_json()) for name, F, bd in workloads.session_data(seed, False)]
-        assert [(name, text) for name, _, text in got] == [(name, text) for name, _, text in want]
-        assert all(np.array_equal(a.coeffs, b.coeffs) for (_, a, _), (_, b, _) in zip(got, want))
 
 
 def test_benchmark_inputs_build_and_round_trip():

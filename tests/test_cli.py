@@ -251,6 +251,23 @@ def test_verify_disc_curve(capsys, tmp_path):
     assert report["embedded"]["n_samples"] > 0
 
 
+def test_verify_measures_a_curve_too_small_to_square(capsys, tmp_path):
+    # g(z) (1, i, 0) + (0, 0, 1) with g a random cubic: at 1e-300 the squares
+    # of its values underflow, yet verify reads the scale-1 radii times 1e-300
+    g = np.random.default_rng(0).normal(size=(4, 2)) @ np.array([1.0, 1j])
+    rows = np.array([1.0, 1j, 0.0])[:, None] * g[None, :]
+    rows[2, 0] = 1.0
+    curve = tmp_path / "curve.json"
+    reports = []
+    for scale in (1.0, 1e-300):
+        curve.write_text(series.to_json(series.SeriesMap(rows * scale, 0, "disc")))
+        code, out, _ = run(capsys, "verify", str(curve))
+        assert code == 0
+        reports.append(json.loads(out))
+    for key in ("intrinsic_radius", "extrinsic_radius"):
+        assert reports[1][key] / 1e-300 == pytest.approx(reports[0][key], rel=1e-12)
+
+
 def test_verify_overflowing_metric_factor_is_domain_error(capsys, tmp_path):
     # finite coefficients whose |F'|^2 overflows: the weights would meet the
     # zero tangential length at the centre as inf * 0
@@ -465,12 +482,14 @@ def test_export_refuses_a_curve_outside_c3(ncomp, target, tmp_path, capsys, monk
 
 
 def test_verify_refuses_a_curve_outside_c3(tmp_path, capsys):
-    # (z, iz) is null in C^2, but a null curve lives in C^3
+    # (z, iz) is null in C^2, but a null curve lives in C^3; deform refuses
+    # it in the words verify and export use
     curve = tmp_path / "curve.json"
     curve.write_text(series.to_json(series.SeriesMap.from_components([[0.0, 1.0], [0.0, 1j]])))
-    code, out, err = run(capsys, "verify", str(curve))
-    assert code == 1 and out == ""
-    assert err == "error: a null curve has 3 components, not 2\n"
+    for argv in (["verify", str(curve)], ["deform", str(curve), write_datum(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv[0]
+        assert err == "error: a null curve has 3 components, not 2\n", argv[0]
 
 
 def test_export_h3_overflowing_squares_is_domain_error(tmp_path, capsys):

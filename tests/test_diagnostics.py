@@ -12,11 +12,12 @@ from nullcurves.diagnostics import (
     embedded_check,
     intrinsic_radius,
     nullity_residual,
+    _lifted,
     _polar_weights,
     _radial_nodes,
     _sample_layout,
 )
-from nullcurves.errors import DegenerateImmersionError
+from nullcurves.errors import DegenerateImmersionError, DomainError
 from nullcurves.geometry import NullVector, SpinorPair, spinor_project
 from nullcurves.rh import BoundaryData, _rh_null
 from nullcurves.series import SeriesMap
@@ -122,6 +123,18 @@ def test_radius_scaling_exact():
     assert abs(scaled.extrinsic_radius - abs(c) * base.extrinsic_radius) <= (
         1e-10 * base.extrinsic_radius
     )
+    # below about 1e-154 the squares of a curve's values underflow: such a
+    # curve is measured lifted by a power of two, and a curve in the normal
+    # range is measured as it is
+    for G in (F, F * 2.0 ** -256):  # the largest coefficient of F is 1
+        assert _lifted(G)[0] is G and _lifted(G)[1] == 0
+    non_null = SeriesMap.from_components([[0, 1, 0.5], [0, 0.3, 0], [1, 0, 0.2]])
+    assert nullity_residual(non_null) == 1.0
+    for s in (1e-160, 1e-300):
+        tiny = intrinsic_radius(F * s, grid=(32, 128))
+        assert tiny.intrinsic_radius / s == pytest.approx(base.intrinsic_radius, rel=1e-12)
+        assert tiny.extrinsic_radius / s == pytest.approx(base.extrinsic_radius, rel=1e-12)
+        assert nullity_residual(non_null * s) == 1.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -257,7 +270,7 @@ def test_bounded_report_interior_agrees_with_boundary():
 
 
 def test_bounded_report_needs_three_components():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="3 components, not 1"):
         bounded_coordinate_report(SeriesMap.from_components([[0, 1]]))
 
 

@@ -147,9 +147,11 @@ def test_config_json_roundtrip():
 
 def test_config_rejects_wrong_schema():
     blob = json.loads(PipelineConfig().to_json())
-    blob["schema"] = 2
-    with pytest.raises(ValueError, match="schema"):
-        PipelineConfig.from_json(json.dumps(blob))
+    # true == 1 in Python, but a JSON boolean is no schema number
+    for schema in (2, True, 1.0):
+        blob["schema"] = schema
+        with pytest.raises(ValueError, match="config schema must be 1"):
+            PipelineConfig.from_json(json.dumps(blob))
 
 
 @pytest.mark.parametrize(

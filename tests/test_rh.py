@@ -416,11 +416,6 @@ def _grid(n):
     return TWO_PI * np.arange(n) / n
 
 
-def test_fit_grid_halves_are_the_coarser_grids():
-    for step in (2, 4, 8):
-        assert np.array_equal(_grid(rh._FIT_N)[::step], _grid(rh._FIT_N // step))
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_boundary_samples_equal_the_profile_on_their_grids(seed):
     rng = np.random.default_rng(seed)
@@ -433,10 +428,8 @@ def test_boundary_samples_equal_the_profile_on_their_grids(seed):
     # _push_round halves a one-sample mu until the growth fits its allowance
     halved = linear_datum(arc=bd.arc, mu=np.array([mu[0] * 0.5 ** seed]), taper=bd.taper)
     for datum in (bd, halved):
-        chi, mu_grid, padded = datum._fit_grid
-        prof = chi * np.sqrt(mu_grid)
-        assert np.array_equal(prof, datum.sqrt_amplitude_at(_grid(rh._FIT_N)))
-        for n in (DEFAULT_BOUNDARY_SAMPLES, 1024):
+        # any sample count, not only the divisors of the fit's 8192 angles
+        for n in (DEFAULT_BOUNDARY_SAMPLES, 1024, 3000, 32768):
             theta = _grid(n)
             rays, keep, r, eps, omega = datum.target(n)
             assert np.array_equal(rays, datum.amplitude_at(theta)[:, None] * datum.theta.v)
@@ -444,10 +437,6 @@ def test_boundary_samples_equal_the_profile_on_their_grids(seed):
             assert np.array_equal(keep, [~datum.in_padded_arc(theta, p) for p in pads])
             assert (r, eps, omega) == (datum.r, datum.epsilon,
                                        (datum.arc[0] - pads[0], datum.arc[1] + pads[0]))
-        with pytest.raises(ValueError):
-            chi[0] = 1.0
-    with pytest.raises(ValueError):
-        bd.target(3000)
 
 
 def test_certificate_json_roundtrip():
