@@ -294,13 +294,16 @@ def embedded_check(
     kernels.pair_scan, told the ring count, bounds 2 x 2 patches of that
     grid to skip the pairs a bound on their separation rules out, and its
     report equals the all-pairs scan's: the lowest-index pair wins ties.
-    Flags ambient separations below d_amb.
+    Flags ambient separations below d_amb.  A curve too small to square is
+    scanned at 2^e F (_lifted) against 2^e d_amb, its minimum scaled back.
     """
+    F, e = _lifted(F)
     dom, ambient = _sample_layout(F, n_samples)
     nrad, _ = _layout_shape(n_samples)
-    min_sep, mi, mj, fi, fj = kernels.pair_scan(ambient, dom, d_dom, d_amb, rows=nrad)
+    min_sep, mi, mj, fi, fj = kernels.pair_scan(
+        ambient, dom, d_dom, math.ldexp(d_amb, e), rows=nrad)
     return EmbeddednessReport(
-        min_separation=float(min_sep),
+        min_separation=math.ldexp(float(min_sep), -e),
         offending_pair=(complex(dom[fi]), complex(dom[fj])) if fi >= 0 else None,
         min_pair=(complex(dom[mi]), complex(dom[mj])) if mi >= 0 else None,
         n_samples=int(dom.size),

@@ -44,14 +44,14 @@ def require_c3(F: SeriesMap) -> None:
 def require_null(f: SeriesMap) -> None:
     """Raise NotInNullConeError unless f . f vanishes on the boundary.
 
-    The sup of |f1^2 + f2^2 + f3^2| over 1024 boundary samples must stay
-    under NULL_TOL times the squared sup of |f| there.  Evaluation commutes
-    with products, so the squares are summed on the samples of f.  Samples
-    whose squares overflow raise DomainError: their residual would be NaN,
-    which no comparison with the tolerance may pass.
+    The sup of |f1^2 + f2^2 + f3^2| over DEFAULT_BOUNDARY_SAMPLES boundary
+    samples must stay under NULL_TOL times the squared sup of |f| there.
+    Evaluation commutes with products, so the squares are summed on the
+    samples of f.  Samples whose squares overflow raise DomainError: their
+    residual would be NaN, which no comparison with the tolerance may pass.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = f.rings(f.boundary_radii, 1024)
+        vals = f.rings(f.boundary_radii, DEFAULT_BOUNDARY_SAMPLES)
         scale2 = float((np.abs(vals) ** 2).sum(axis=2).max())
         res = float(np.abs((vals * vals).sum(axis=2)).max())
     if not (np.isfinite(scale2) and np.isfinite(res)):
@@ -388,57 +388,16 @@ def tmap(p) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TMapCurveReport:
-    """Sampled SL2 image of a null curve with the quadric membership data."""
+def tmap_on_curve(F: SeriesMap, points) -> np.ndarray:
+    """T on samples of a null curve: tmap(points) once F is checked.
 
-    boundary_matrices: np.ndarray  # (N, 2, 2) at the N-th roots of unity
-    grid_matrices: np.ndarray  # (R, A, 2, 2) on the layout of rings(radii, A)
-    max_det_error: float  # max |det - 1| over all samples
-    max_tangent_det: float  # max |det d/dtheta (T o F)| on the boundary
-    max_tangent_det_normalized: float  # same, over squared frobenius norm
-
-
-def tmap_on_curve(
-    F: SeriesMap,
-    n_r: int = 33,
-    n_theta: int = 256,
-    n_boundary: int = DEFAULT_BOUNDARY_SAMPLES,
-) -> TMapCurveReport:
-    """Push a null curve through tmap, sampling grid and boundary.
-
-    Checks that F is null (derivative sum of squares), that F3 clears the
-    pole on the whole grid, and reports the quadric membership of the
-    image tangents: det of the centered theta-difference of T o F on the
-    boundary, which vanishes for exact null curves in SL2(C).  The grid is
-    n_r evenly spaced rings from the inner boundary (the centre of the
-    disc) to |z| = 1, at n_theta angles each.  Matrices whose determinants
-    or squared tangents overflow raise DomainError.
+    F must lie in C^3 and be null (its derivative's sum of squares vanishes
+    on the boundary); points are samples of F, shape (..., 3).  No tangent
+    check is needed beyond nullity: for Y = T o F, det Y' = -(F' . F') / F3^2.
     """
     require_c3(F)
     require_null(F.derivative())
-    radii = np.linspace(0.0 if F.domain == "disc" else F.r0, 1.0, n_r)
-    grid_mats = tmap(F.rings(radii, n_theta))
-    bmats = tmap(F.circle_values(1.0, n_boundary))
-    h = 2 * np.pi / n_boundary
-    with np.errstate(over="ignore", invalid="ignore"):
-        max_det_err = max(
-            float(np.abs(_det(bmats) - 1.0).max()), float(np.abs(_det(grid_mats) - 1.0).max())
-        )
-        dmats = (np.roll(bmats, -1, axis=0) - np.roll(bmats, 1, axis=0)) / (2 * h)
-        tangent_dets = _det(dmats)
-        fro2 = (np.abs(dmats) ** 2).sum(axis=(1, 2))
-    # |det| <= fro2 / 2, so a finite fro2 leaves the tangent dets finite too
-    if not (np.isfinite(max_det_err) and np.isfinite(fro2).all()):
-        raise DomainError("SL2 image of the curve overflows in its determinants or tangents")
-    normalized = np.abs(tangent_dets) / np.maximum(fro2, 1e-300)
-    return TMapCurveReport(
-        boundary_matrices=bmats,
-        grid_matrices=grid_mats,
-        max_det_error=max_det_err,
-        max_tangent_det=float(np.abs(tangent_dets).max()),
-        max_tangent_det_normalized=float(normalized.max()),
-    )
+    return tmap(points)
 
 
 def bryant_project(m) -> np.ndarray:

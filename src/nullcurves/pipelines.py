@@ -32,7 +32,6 @@ from .geometry import (
     h3_minkowski,
     require_c3,
     spinor_point,
-    tmap,
     tmap_on_curve,
 )
 from .rh import BoundaryData, _rh_null
@@ -561,8 +560,8 @@ def export_surface(
 ) -> str:
     """Write an OBJ mesh of the real part (r3) or the CMC-1 transfer (h3).
 
-    r3 meshes Re F on a polar grid.  h3 audits nullity with tmap_on_curve,
-    then sends every mesh vertex through tmap, bryant_project and
+    r3 meshes Re F on a polar grid.  h3 sends every mesh vertex through
+    tmap_on_curve (which checks F null first), bryant_project and
     h3_minkowski, whose checks (pole clearance, unit determinant, hermitian
     form, hyperboloid, upper sheet) raise on any failing vertex, and meshes
     the hyperboloid points (x1, x2, x3); x0 is determined by the hyperboloid
@@ -579,8 +578,7 @@ def export_surface(
     if target == "r3":
         verts = pts.real
     else:
-        tmap_on_curve(F, n_r=9, n_theta=64, n_boundary=1024)
-        verts = h3_minkowski(bryant_project(tmap(pts)))[:, 1:]
+        verts = h3_minkowski(bryant_project(tmap_on_curve(F, pts)))[:, 1:]
     faces = _mesh_faces(grid[0], grid[1], has_center)
     with open(path, "w", newline="\n") as fh:
         fh.write("# %s mesh, %d x %d polar grid\n" % (target, grid[0], grid[1]))

@@ -27,6 +27,10 @@ KILL_MAX_ITER = 50
 KILL_FD_STEP = 1e-6
 KILL_SIGMA_MIN = 1e-8
 KILL_TOL = 1e-10
+# the spray's complex parameter count (_shift) and the radius of the ball
+# its Newton iterates must stay in
+SPRAY_DIM = 6
+SPRAY_BALL = 4.0
 
 
 @dataclass(frozen=True)
@@ -56,43 +60,6 @@ def periods(f: SeriesMap) -> PeriodMatrix:
     return PeriodMatrix(col[:, None], (float(np.sqrt(f.r0)),))
 
 
-@dataclass(frozen=True)
-class SpraySpec:
-    """Additive spinor spray: parameter t shifts (u, v) by sum_j t_j (phi_j, psi_j)."""
-
-    phis: Tuple[SeriesMap, ...]
-    psis: Tuple[SeriesMap, ...]
-    ball_radius: float = 4.0
-
-    def __post_init__(self):
-        if len(self.phis) != len(self.psis):
-            raise ValueError("phi and psi lists must pair up")
-        if len(self.phis) < 3:
-            raise ValueError("need at least 3 spray parameters for submersivity")
-        object.__setattr__(self, "phis", tuple(self.phis))
-        object.__setattr__(self, "psis", tuple(self.psis))
-
-    @property
-    def dim(self) -> int:
-        return len(self.phis)
-
-    @staticmethod
-    def default(r0: float) -> "SpraySpec":
-        """One-sided shifts by {1, z, 1/z} on each annulus spinor component.
-
-        Pairing the same function on both components collapses the period
-        Jacobian (the z-shift column vanishes identically on the catalog
-        spinors), so each basis function perturbs only one side.
-        """
-        one = SeriesMap.from_components([[1.0]], 0, "annulus", r0)
-        zee = SeriesMap.from_components([[0.0, 1.0]], 0, "annulus", r0)
-        inv = SeriesMap.from_components([[1.0]], -1, "annulus", r0)
-        zero = SeriesMap.zero(1, "annulus", r0)
-        phis = (one, zee, inv, zero, zero, zero)
-        psis = (zero, zero, zero, one, zee, inv)
-        return SpraySpec(phis, psis)
-
-
 @dataclass
 class KillPeriodsResult:
     t0: np.ndarray  # (N,) complex spray parameter
@@ -102,21 +69,21 @@ class KillPeriodsResult:
     iterations: List[dict] = field(default_factory=list)
 
 
-def _shift(s: SpinorPair, spec: SpraySpec, t: np.ndarray) -> SpinorPair:
-    u, v = s.u, s.v
-    for j in range(spec.dim):
-        tj = complex(t[j])
-        if tj != 0.0:
-            u = u + spec.phis[j] * tj
-            v = v + spec.psis[j] * tj
-    return SpinorPair(u, v)
+def _shift(s: SpinorPair, t: np.ndarray) -> SpinorPair:
+    """The spray: u + t2/z + t0 + t1 z and v + t5/z + t3 + t4 z.
+
+    Each basis function {1, z, 1/z} shifts one spinor component only:
+    pairing the same function on both collapses the period Jacobian (the
+    z-shift column vanishes identically on the catalog spinors).
+    """
+    def laurent(c):
+        # c = (c_-1, c_0, c_1)
+        return SeriesMap.from_components([c], -1, "annulus", s.u.r0)
+
+    return SpinorPair(s.u + laurent(t[[2, 0, 1]]), s.v + laurent(t[[5, 3, 4]]))
 
 
-def kill_periods(
-    s: SpinorPair,
-    spec: Optional[SpraySpec] = None,
-    target: Optional[float] = None,
-) -> KillPeriodsResult:
+def kill_periods(s: SpinorPair, target: Optional[float] = None) -> KillPeriodsResult:
     """Newton-drive the period vector of pi(shifted spinor) to zero.
 
     The period map is polynomial in the complex spray parameter t, so the
@@ -127,25 +94,22 @@ def kill_periods(
     """
     if s.u.domain != "annulus":
         raise DomainError("period killing lives on the annulus")
-    if spec is None:
-        spec = SpraySpec.default(s.u.r0)
 
     def period_vec(t: np.ndarray) -> np.ndarray:
-        return periods(spinor_project(_shift(s, spec, t))).columns[:, 0]
+        return periods(spinor_project(_shift(s, t))).columns[:, 0]
 
     def jacobian(t: np.ndarray) -> np.ndarray:
-        J = np.empty((3, spec.dim), dtype=np.complex128)
-        for j in range(spec.dim):
-            e = np.zeros(spec.dim, dtype=np.complex128)
+        J = np.empty((3, SPRAY_DIM), dtype=np.complex128)
+        for j in range(SPRAY_DIM):
+            e = np.zeros(SPRAY_DIM, dtype=np.complex128)
             e[j] = KILL_FD_STEP
             J[:, j] = (period_vec(t + e) - period_vec(t - e)) / (2 * KILL_FD_STEP)
         return J
 
     g0 = spinor_project(s)
-    scale = g0.sup_boundary(1024)
     if target is None:
-        target = KILL_TOL * (1.0 + scale)
-    t = np.zeros(spec.dim, dtype=np.complex128)
+        target = KILL_TOL * (1.0 + g0.sup_boundary())
+    t = np.zeros(SPRAY_DIM, dtype=np.complex128)
     P = period_vec(t)
     rnorm = float(np.linalg.norm(P))
     trace = [{"t": t.copy(), "residual_norm": rnorm}]
@@ -188,14 +152,14 @@ def kill_periods(
             )
         t, P, rnorm = t_new, P_new, r_new
         trace.append({"t": t.copy(), "residual_norm": rnorm})
-        if float(np.linalg.norm(t)) > spec.ball_radius:
+        if float(np.linalg.norm(t)) > SPRAY_BALL:
             raise ConvergenceFailureError(
                 "iterate left the spray ball (|t| = %.3g > %.3g)"
-                % (float(np.linalg.norm(t)), spec.ball_radius),
+                % (float(np.linalg.norm(t)), SPRAY_BALL),
                 trace=trace,
             )
 
-    shifted = _shift(s, spec, t)
+    shifted = _shift(s, t)
     g = spinor_project(shifted)
     return KillPeriodsResult(
         t0=t, g=g, spinor=shifted, residual=rnorm, iterations=trace

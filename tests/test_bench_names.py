@@ -93,3 +93,29 @@ def test_recursion_check_reads_its_config(tmp_path):
             ledger.write_text("\n".join([CSV_HEADER] + rows[:1]) + "\n")
             problems, _ = check(0, "", "")
             assert problems and "ledger has 1 rows" in problems[0], (name, smoke)
+
+
+def test_h3_export_reaches_the_traced_transfer(tmp_path, monkeypatch, capsys):
+    """perfbench counts ``pipelines.tmap_on_curve`` calls per h3 export.
+
+    The export must still reach that name, once, or the layer count would
+    track a function nothing calls.
+    """
+    from nullcurves import pipelines
+    from nullcurves.cli import main
+
+    calls = []
+    transfer = pipelines.tmap_on_curve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return transfer(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "tmap_on_curve", counted)
+    curve, mesh = tmp_path / "curve.json", tmp_path / "h3.obj"
+    assert main(["construct", "annulus_basic", "--out", str(curve)]) == 0
+    argv = ["export", str(curve), "--target", "h3", "--out", str(mesh), "--grid", "4,8"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert mesh.exists()

@@ -252,20 +252,27 @@ def test_verify_disc_curve(capsys, tmp_path):
 
 
 def test_verify_measures_a_curve_too_small_to_square(capsys, tmp_path):
-    # g(z) (1, i, 0) + (0, 0, 1) with g a random cubic: at 1e-300 the squares
-    # of its values underflow, yet verify reads the scale-1 radii times 1e-300
+    # g(z) (1, i, 0) + (0, 0, 1) with g a random cubic: at 1e-160 and 1e-300
+    # the squares of its values underflow, yet verify reads the scale-1 radii
+    # and closest pair, the lengths times the scale
     g = np.random.default_rng(0).normal(size=(4, 2)) @ np.array([1.0, 1j])
     rows = np.array([1.0, 1j, 0.0])[:, None] * g[None, :]
     rows[2, 0] = 1.0
     curve = tmp_path / "curve.json"
+    scales = (1.0, 1e-160, 1e-300)
     reports = []
-    for scale in (1.0, 1e-300):
+    for scale in scales:
         curve.write_text(series.to_json(series.SeriesMap(rows * scale, 0, "disc")))
         code, out, _ = run(capsys, "verify", str(curve))
         assert code == 0
         reports.append(json.loads(out))
-    for key in ("intrinsic_radius", "extrinsic_radius"):
-        assert reports[1][key] / 1e-300 == pytest.approx(reports[0][key], rel=1e-12)
+    for scale, report in zip(scales[1:], reports[1:]):
+        for key in ("intrinsic_radius", "extrinsic_radius"):
+            assert report[key] / scale == pytest.approx(reports[0][key], rel=1e-12)
+        embedded = report["embedded"]
+        assert embedded["min_separation"] / scale == pytest.approx(
+            reports[0]["embedded"]["min_separation"], rel=1e-10)
+        assert embedded["min_pair"] == reports[0]["embedded"]["min_pair"]
 
 
 def test_verify_overflowing_metric_factor_is_domain_error(capsys, tmp_path):
@@ -504,6 +511,20 @@ def test_export_h3_overflowing_squares_is_domain_error(tmp_path, capsys):
                          "--out", str(mesh), "--grid", "4,8")
     assert code == 1 and out == ""
     assert err == "error: squared curve values overflow on the boundary circles\n"
+    assert not mesh.exists()
+
+
+def test_export_h3_overflowing_hermitian_form_is_domain_error(tmp_path, capsys):
+    # 1e150 (z, iz, 0) + (0, 0, 1e-5) is null and its SL2 entries are finite,
+    # but (z1 - i z2) / z3 reaches 2e155, whose square in m conj(m)^T overflows
+    curve = tmp_path / "curve.json"
+    curve.write_text(series.to_json(series.SeriesMap.from_components(
+        [[0.0, 1e150], [0.0, 1e150j], [1e-5, 0.0]])))
+    mesh = tmp_path / "m.obj"
+    code, out, err = run(capsys, "export", str(curve), "--target", "h3",
+                         "--out", str(mesh), "--grid", "4,8")
+    assert code == 1 and out == ""
+    assert err == "error: hermitian matrices m conj(m)^T overflow\n"
     assert not mesh.exists()
 
 

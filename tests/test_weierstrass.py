@@ -10,11 +10,8 @@ from nullcurves.errors import (
 )
 from nullcurves.geometry import SpinorPair, require_null, spinor_project
 from nullcurves.series import SeriesMap
-from nullcurves.weierstrass import (
-    SpraySpec,
-    kill_periods,
-    periods,
-)
+from nullcurves import weierstrass
+from nullcurves.weierstrass import kill_periods, periods
 
 R0 = 0.25
 
@@ -117,27 +114,19 @@ def test_kill_rejects_disc():
 
 
 def test_degenerate_spray_detected():
-    one = SeriesMap.from_components([[1.0]], 0, "annulus", R0)
-    zero = SeriesMap.zero(1, "annulus", R0)
-    spec = SpraySpec(phis=(one, one, one), psis=(zero, zero, zero))
-    v = np.array([1.0, 0.0, 0.05], dtype=complex)
-    s = spinor([1.0], 0, v, -1)
+    # pi(z^2 + z^-3, 0) = (u^2, i u^2, 0) with u^2 = z^4 + 2/z + z^-6: periods
+    # 2*pi*i (2, 2i, 0), while every spray direction 2 u phi (phi in 1, z, 1/z)
+    # has no z^-1 term, so the period Jacobian vanishes
+    s = spinor([1.0, 0, 0, 0, 0, 1.0], -3, [0.0], 0)
+    assert np.allclose(periods(spinor_project(s)).columns[:, 0], 2j * np.pi * np.array([2, 2j, 0]))
     with pytest.raises(NonDominatingSprayError):
-        kill_periods(s, spec=spec)
+        kill_periods(s)
 
 
-def test_ball_exit_raises_with_trace():
-    base = SpraySpec.default(R0)
-    tiny = SpraySpec(phis=base.phis, psis=base.psis, ball_radius=1e-3)
+def test_ball_exit_raises_with_trace(monkeypatch):
+    monkeypatch.setattr(weierstrass, "SPRAY_BALL", 1e-3)
     v = np.array([1.0, 0.0, 0.05], dtype=complex)
     s = spinor([1.0], 0, v, -1)
-    with pytest.raises(ConvergenceFailureError) as info:
-        kill_periods(s, spec=tiny, target=1e-10)
+    with pytest.raises(ConvergenceFailureError, match="left the spray ball") as info:
+        kill_periods(s, target=1e-10)
     assert info.value.trace is not None
-
-
-def test_spray_default_shapes():
-    spec = SpraySpec.default(R0)
-    assert spec.dim == 6
-    with pytest.raises(ValueError):
-        SpraySpec(phis=(spec.phis[0],), psis=(spec.psis[0],))
